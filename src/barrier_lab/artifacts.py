@@ -8,7 +8,7 @@ tokens in CSV. Complex values are written as {"re": ..., "im": ...}.
 
 import json
 import os
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -85,26 +85,24 @@ def write_json(path: str, value: JsonValue) -> None:
 
 
 def _csv_cell(value) -> str:
+    # '%.17g' renders nan (of either sign), inf and -inf as those tokens
+    if isinstance(value, float):
+        return FLOAT_FORMAT % value
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return fmt_float(v)
+    return FLOAT_FORMAT % float(value)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write rows as they come, one line each; rows may be any iterable."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_csv_cell(cell) for cell in row) + "\n")
+        handle.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def write_text(path: str, text: str) -> None:
@@ -123,7 +121,3 @@ def table(lines: Sequence[Sequence[str]], gap: str = "  ") -> str:
         out.append(gap.join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     return "\n".join(out)
 
-
-def stream_write(handle: IO[str], text: str) -> None:
-    handle.write(text)
-    handle.flush()

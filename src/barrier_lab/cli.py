@@ -210,11 +210,10 @@ class ScenarioRun:
 
     def run_field(self, params: dict) -> None:
         grid = field_grid(self.controller, params["bounds"], params["resolution"])
-        rows = []
-        for i in range(grid.states.shape[0]):
-            rows.append([grid.states[i, 0], grid.states[i, 1],
-                         grid.velocity[i, 0], grid.velocity[i, 1],
-                         grid.h[i], int(grid.active_code[i]), int(grid.masked[i])])
+        states, velocity = grid.states, grid.velocity
+        rows = zip(states[:, 0].tolist(), states[:, 1].tolist(),
+                   velocity[:, 0].tolist(), velocity[:, 1].tolist(), grid.h.tolist(),
+                   grid.active_code.tolist(), grid.masked.tolist())
         self._write_csv("field.csv",
                         ["x1", "x2", "v1", "v2", "h", "active_code", "masked"], rows)
         self.task_lines.append("field: %dx%d grid sampled" % grid.shape)
@@ -259,8 +258,7 @@ class ScenarioRun:
                         attractors,
                         t_final=params.get("t_final", T_DEFAULT),
                         dt=params.get("dt", DT_DEFAULT))
-        rows = [[grid.points[i, 0], grid.points[i, 1], grid.labels[i]]
-                for i in range(grid.points.shape[0])]
+        rows = zip(grid.points[:, 0].tolist(), grid.points[:, 1].tolist(), grid.labels)
         self._write_csv("roa.csv", ["x1", "x2", "label"], rows)
         counts = {}
         for label in grid.labels:

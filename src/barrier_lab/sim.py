@@ -20,6 +20,7 @@ CONV_RADIUS = 1e-6      # distance to an attractor counting as "there"
 CONV_HOLD = 10          # consecutive steps inside the radius to conclude
 DIVERGE_NORM = 1e6      # leaving this ball labels the trajectory left-domain
 INVARIANCE_TOL = 1e-6
+HORIZON_RTOL = 1e-9     # t_final must be this close to a whole number of steps
 
 STATUS_RUNNING = 0
 STATUS_CONVERGED = 1
@@ -59,16 +60,31 @@ def _rk4_increment(field, x: np.ndarray, dt: float) -> np.ndarray:
     return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
-             attractors: Sequence[np.ndarray], record: bool):
-    """Shared RK4 driver over a batch; returns status bookkeeping per item."""
+def _true_rows(mask: np.ndarray) -> Optional[np.ndarray]:
+    """Indices where mask holds; None when it holds everywhere."""
+    return None if mask.all() else np.flatnonzero(mask)
+
+
+def _horizon_steps(t_final: float, dt: float) -> int:
+    """Number of dt steps in t_final; the horizon must be a whole number of steps."""
     if dt <= 0.0:
         raise InvalidParameterError("dt must be positive, got %g" % dt)
     if t_final < dt:
         raise InvalidParameterError("horizon %g is shorter than one step %g" % (t_final, dt))
+    steps = int(round(t_final / dt))
+    if abs(steps * dt - t_final) > HORIZON_RTOL * t_final:
+        raise InvalidParameterError(
+            "t_final %.12g is not a whole number of steps dt %.12g; the nearest "
+            "reachable horizon is %.12g" % (t_final, dt, steps * dt))
+    return steps
+
+
+def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
+             attractors: Sequence[np.ndarray], record: bool):
+    """Shared RK4 driver over a batch; returns status bookkeeping per item."""
+    steps = _horizon_steps(t_final, dt)
     x = np.array(x0s, dtype=float)
     batch = x.shape[0]
-    steps = int(round(t_final / dt))
     attractor_arr = (np.stack([np.asarray(a, dtype=float) for a in attractors])
                      if len(attractors) else None)
 
@@ -85,11 +101,13 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
     n = x.shape[-1]
     steps_done = 0
     idx = None          # the rows that step; None while every row does
+    run_idx = None      # the running rows; None while every row runs
+    holding = False     # some running row has a nonzero hold counter
     refresh = True      # set whenever a status changes
     for step in range(1, steps + 1):
         if refresh:
-            stepping = status == STATUS_RUNNING if basin else status <= STATUS_CONVERGED
-            idx = None if stepping.all() else np.flatnonzero(stepping)
+            run_idx = _true_rows(status == STATUS_RUNNING)
+            idx = run_idx if basin else _true_rows(status <= STATUS_CONVERGED)
             refresh = False
             if idx is not None and idx.size == 0:
                 break
@@ -118,20 +136,34 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
             if left.size:
                 status[left] = STATUS_LEFT
             refresh = True
+            run_idx = _true_rows(status == STATUS_RUNNING)
 
-        if attractor_arr is not None:
-            running = status == STATUS_RUNNING
-            if np.any(running):
-                dists = np.linalg.norm(x[:, None, :] - attractor_arr[None, :, :], axis=-1)
+        if attractor_arr is not None and (run_idx is None or run_idx.size):
+            # a running row far from every attractor with a zero hold counter
+            # keeps both counters as they are, so only rows near an attractor,
+            # or holding, need the bookkeeping
+            run_x = x if run_idx is None else x[run_idx]
+            diff = run_x[:, None, :] - attractor_arr[None, :, :]
+            dists = np.sqrt(np.add.reduce(diff * diff, -1))     # == np.linalg.norm
+            if holding or dists.min() < CONV_RADIUS:
                 nearest = np.argmin(dists, axis=-1)
-                near = dists[np.arange(batch), nearest] < CONV_RADIUS
-                same = near & (nearest == last_near)
-                hold = np.where(running & same, hold + 1, np.where(running & near, 1, 0))
-                last_near = np.where(near, nearest, -1)
-                done = running & (hold >= CONV_HOLD)
-                if np.any(done):
-                    status[done] = STATUS_CONVERGED
-                    attr_index[done] = nearest[done]
+                near = np.take_along_axis(dists, nearest[:, None], -1)[:, 0] < CONV_RADIUS
+                run_hold = hold if run_idx is None else hold[run_idx]
+                run_last = last_near if run_idx is None else last_near[run_idx]
+                run_hold = np.where(near & (nearest == run_last), run_hold + 1,
+                                    near.astype(int))
+                done = run_hold >= CONV_HOLD
+                holding = bool(run_hold[~done].any())
+                if run_idx is None:
+                    hold = run_hold
+                    last_near = np.where(near, nearest, -1)
+                else:
+                    hold[run_idx] = run_hold
+                    last_near[run_idx] = np.where(near, nearest, -1)
+                if done.any():
+                    rows_done = np.flatnonzero(done) if run_idx is None else run_idx[done]
+                    status[rows_done] = STATUS_CONVERGED
+                    attr_index[rows_done] = nearest[done]
                     refresh = True
         if record:
             recorded.append(x)
@@ -246,6 +278,7 @@ def roa_grid(controller, bounds, resolution, attractors: Sequence[np.ndarray],
     'unsafe-start' and not integrated; controller failures become per-node
     error labels rather than run failures.
     """
+    _horizon_steps(t_final, dt)     # rejected even when no node gets integrated
     points, shape = _grid_nodes(bounds, resolution)
     safe = _check_safe_start(controller, points)
     labels = ["unsafe-start"] * points.shape[0]

@@ -32,6 +32,7 @@ from .equilibria import (DESIRABILITY_TOL, EquilibriumReport, collinearity_facto
                          multipliers_on_boundary)
 from .errors import (AssumptionViolationError, InvalidParameterError, NumericsError,
                      PreconditionError)
+from .model import constant_value
 from .qp import _weight_or_identity
 
 D_CHECK_SAMPLES = 16
@@ -59,13 +60,25 @@ class SpectralResult:
     stability: str
 
 
-def constant_d_matrix(model, weight, box=None, rng_seed: int = 0) -> np.ndarray:
-    """D = g G^{-1} g^T, verified constant over 16 sampled states.
+def _d_matrix(g, w) -> np.ndarray:
+    """D = g W^{-1} g^T for one state's g and W."""
+    g = np.asarray(g, dtype=float)
+    return g @ np.linalg.solve(np.asarray(w, dtype=float), g.T)
 
-    The closed-form Jacobians are only valid for constant D; deviation above
-    1e-10 across the samples raises an assumption-violation error.
+
+def constant_d_matrix(model, weight, box=None, rng_seed: int = 0) -> np.ndarray:
+    """D = g G^{-1} g^T, which the closed-form Jacobians need constant.
+
+    When g and G are both marked constant (constant_matrix evaluators, as
+    linear_system builds them), D is formed once from those matrices.
+    Otherwise it is checked at 16 sampled states: deviation above 1e-10
+    raises an assumption-violation error.
     """
     weight = _weight_or_identity(weight, model.m)
+    g = model.constant_g()
+    w = constant_value(weight)
+    if g is not None and w is not None:
+        return _d_matrix(g, w)
     rng = np.random.default_rng(rng_seed)
     if box is None:
         lo = -D_CHECK_SPAN * np.ones(model.n)
@@ -74,15 +87,10 @@ def constant_d_matrix(model, weight, box=None, rng_seed: int = 0) -> np.ndarray:
         lo, hi = (np.asarray(side, dtype=float) for side in box)
     states = lo + (hi - lo) * rng.random((D_CHECK_SAMPLES, model.n))
 
-    def d_at(x):
-        g = np.asarray(model.g(x), dtype=float)
-        w = np.asarray(weight(x), dtype=float)
-        return g @ np.linalg.solve(w, g.T)
-
-    base = d_at(states[0])
+    base = _d_matrix(model.g(states[0]), weight(states[0]))
     worst = 0.0
     for x in states[1:]:
-        worst = max(worst, float(np.max(np.abs(d_at(x) - base))))
+        worst = max(worst, float(np.max(np.abs(_d_matrix(model.g(x), weight(x)) - base))))
     if worst > D_CHECK_TOL:
         raise AssumptionViolationError(
             "D = g G^{-1} g^T varies by %g over sampled states; closed-form "
@@ -100,7 +108,8 @@ def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndar
         raise PreconditionError(
             "strict complementarity needed: lam1 = %g, lam2 = %g must exceed %g"
             % (lam1, lam2, DESIRABILITY_TOL))
-    d = constant_d_matrix(model, weight, box=d_box) if check_d else _d_at(model, weight, x)
+    d = (constant_d_matrix(model, weight, box=d_box) if check_d
+         else _d_matrix(model.g(x), weight(x)))
     grad_v = np.asarray(clf.grad_v(x), dtype=float)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_v = np.asarray(clf.hess_v(x), dtype=float)
@@ -123,12 +132,6 @@ def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndar
             - np.outer(s1, r_v) / det - np.outer(s2, r_h) / det)
 
 
-def _d_at(model, weight, x: np.ndarray) -> np.ndarray:
-    g = np.asarray(model.g(x), dtype=float)
-    w = np.asarray(weight(x), dtype=float)
-    return g @ np.linalg.solve(w, g.T)
-
-
 def jacobian_safety_filter_boundary(model, cbf, weight, x_star: np.ndarray,
                                     d_box=None, check_d: bool = True) -> np.ndarray:
     """Closed-form Jacobian of the filtered loop at a boundary equilibrium."""
@@ -139,7 +142,8 @@ def jacobian_safety_filter_boundary(model, cbf, weight, x_star: np.ndarray,
         raise PreconditionError(
             "boundary equilibrium with delta = %g >= -%g: the filter row is not "
             "strictly active" % (delta, DESIRABILITY_TOL))
-    d = constant_d_matrix(model, weight, box=d_box) if check_d else _d_at(model, weight, x)
+    d = (constant_d_matrix(model, weight, box=d_box) if check_d
+         else _d_matrix(model.g(x), weight(x)))
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_h = np.asarray(cbf.hess_h(x), dtype=float)
     j_ft = np.asarray(model.jdrift(x), dtype=float)

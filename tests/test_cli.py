@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from barrier_lab import (
-    InvalidParameterError,
     builtin_scenario,
     comparison_config,
     main,
     parse_config_text,
 )
 from barrier_lab.artifacts import json_dumps
-from barrier_lab.parallel import chunked_map, worker_count
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -89,6 +87,19 @@ class TestScenarioRun:
         assert "failed" in capsys.readouterr().err
         assert "error" in (tmp_path / "out" / "summary.txt").read_text()
 
+    def test_roa_horizon_off_the_step_grid_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = builtin_scenario("fig3").to_json_dict()
+        data["tasks"] = [{"kind": "roa", "bounds": [[3.5, 4.0], [-0.5, 0.5]],
+                          "resolution": [2, 2], "t_final": 0.0105}]
+        data["output_dir"] = "out"
+        assert main(["run", "--config", write_config(tmp_path / "cfg.json", data)]) == 1
+        capsys.readouterr()
+        text = (tmp_path / "out" / "summary.txt").read_text()
+        assert ("task 0 (roa) failed: t_final 0.0105 is not a whole number of steps "
+                "dt 0.001; the nearest reachable horizon is 0.01") in text
+        assert not (tmp_path / "out" / "roa.csv").exists()
+
     def test_out_flag_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         data = builtin_scenario("fig3").to_json_dict()
@@ -127,7 +138,6 @@ class TestEmitConfig:
 class TestComparison:
     def test_two_barrier_invariance(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("BARRIER_LAB_THREADS", "2")
         data = comparison_config("fig2").to_json_dict()
         assert main(["compare", "--config", write_config(tmp_path / "cmp.json", data)]) == 0
         report = json.loads(
@@ -153,23 +163,3 @@ class TestComparison:
         assert main(["compare", "--config", write_config(tmp_path / "mm.json", data)]) == 1
         assert "error:" in capsys.readouterr().err
 
-
-class TestWorkerSelection:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("BARRIER_LAB_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_default_is_positive(self, monkeypatch):
-        monkeypatch.delenv("BARRIER_LAB_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_invalid_values_are_rejected(self, monkeypatch):
-        for bad in ("0", "-2", "many"):
-            monkeypatch.setenv("BARRIER_LAB_THREADS", bad)
-            with pytest.raises(InvalidParameterError):
-                worker_count()
-
-    def test_chunked_map_keeps_order(self):
-        items = list(range(57))
-        assert chunked_map(lambda i: i * i, items, workers=4) == [i * i for i in items]
-        assert chunked_map(lambda i: i * i, items, workers=1) == [i * i for i in items]

@@ -7,8 +7,10 @@ import pytest
 
 from barrier_lab import (
     ClfCbfController,
+    InvalidParameterError,
     NominalClosedLoop,
     PreconditionError,
+    SafetyFilterController,
     field_grid,
     integrate,
     integrate_batch,
@@ -18,6 +20,66 @@ from barrier_lab import (
     quadratic_clf,
     roa_grid,
 )
+from barrier_lab.sim import CONV_HOLD, CONV_RADIUS
+
+
+class DuckLoop:
+    """Duck-typed closed loop with no barriers: the subclass gives the field."""
+
+    cbf_pairs = ()
+
+    def evaluate(self, x):
+        velocity = self.field(x)
+        batch = np.shape(x)[:-1]
+        return velocity, velocity, np.zeros(batch + (0,)), np.zeros(batch, dtype=int)
+
+
+class ConstantVelocity(DuckLoop):
+    def __init__(self, velocity):
+        self.velocity = np.asarray(velocity, dtype=float)
+
+    def field(self, x):
+        return np.broadcast_to(self.velocity, np.shape(x))
+
+
+class Rotation(DuckLoop):
+    """Counter-clockwise rotation at rate omega about a center."""
+
+    def __init__(self, center, omega):
+        self.center = np.asarray(center, dtype=float)
+        self.omega = float(omega)
+
+    def field(self, x):
+        d = np.asarray(x, dtype=float) - self.center
+        return self.omega * np.stack([-d[..., 1], d[..., 0]], axis=-1)
+
+
+def attractor_label(point) -> str:
+    return "converged-to(" + ";".join("%.9g" % v for v in point) + ")"
+
+
+def reference_labels(trajectories, attractors):
+    """Terminal labels by the per-step rule, scanned over recorded states.
+
+    A trajectory converges at the first step that ends CONV_HOLD consecutive
+    steps within CONV_RADIUS of the same attractor; the initial state does
+    not count.
+    """
+    attractors = np.asarray(attractors, dtype=float)
+    labels = []
+    for traj in trajectories:
+        dists = np.linalg.norm(traj.states[1:, None, :] - attractors[None, :, :], axis=-1)
+        label, hold, last = "max-time", 0, -1
+        for row in dists:
+            nearest = int(np.argmin(row))
+            near = row[nearest] < CONV_RADIUS
+            hold = hold + 1 if near and nearest == last else int(near)
+            last = nearest if near else -1
+            if hold >= CONV_HOLD:
+                label = attractor_label(attractors[nearest])
+                break
+        labels.append(label)
+    return labels
 
 
 class TestIntegrator:
@@ -80,6 +142,24 @@ class TestIntegrator:
         traj = integrate(controller, np.array([0.0, 1.0]), t_final=0.05, dt=1e-3)
         assert traj.terminal_label == "error:infeasible@t=0"
 
+    def test_horizon_must_be_a_whole_number_of_steps(self, fig3):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            integrate(fig3.controller, np.array([0.5, 0.5]), t_final=0.0105, dt=1e-3)
+        message = str(excinfo.value)
+        assert "t_final 0.0105" in message
+        assert "dt 0.001" in message
+        assert message.endswith("nearest reachable horizon is 0.01")
+        # a grid whose every node starts unsafe integrates nothing, and still fails
+        with pytest.raises(InvalidParameterError):
+            roa_grid(fig3.controller, ((2.0, 2.5), (-0.5, 0.5)), 2, attractors=(),
+                     t_final=0.0105, dt=1e-3)
+
+    def test_long_horizon_in_whole_steps_passes(self):
+        traj = integrate(ConstantVelocity([1.0, 0.0]), np.zeros(2), t_final=20.0, dt=1e-3)
+        assert traj.times.shape == (20001,)
+        assert traj.times[-1] == 20.0
+        assert traj.terminal_label == "max-time"
+
     def test_batch_matches_single(self, fig3):
         x0s = [np.array([0.5, 0.5]), np.array([4.0, 1.0])]
         batch = integrate_batch(fig3.controller, x0s, t_final=0.02, dt=1e-3)
@@ -117,6 +197,20 @@ class TestRoaGrid:
         assert unsafe == {5, 6, 9, 10}
         assert all(lab == "max-time" for i, lab in enumerate(grid.labels) if i not in unsafe)
 
+    def test_labels_match_the_per_step_rule_on_recorded_states(self):
+        # fast plant: k(x) = -20 x around an obstacle at (2, 0), alpha slope 20
+        model = linear_system(np.zeros((2, 2)), np.eye(2), gain=-20.0 * np.eye(2))
+        controller = SafetyFilterController(model, make_ball_cbf((2.0, 0.0), 1.0,
+                                                                 alpha_slope=20.0))
+        attractors = [np.zeros(2), np.array([3.0, 0.0])]
+        bounds, resolution = ((-1.0, 4.5), (-1.0, 1.0)), [12, 5]
+        grid = roa_grid(controller, bounds, resolution, attractors, t_final=0.8, dt=1e-3)
+        safe = [i for i, label in enumerate(grid.labels) if label != "unsafe-start"]
+        recorded = integrate_batch(controller, grid.points[safe], t_final=0.8, dt=1e-3)
+        expected = reference_labels(recorded, attractors)
+        assert [grid.labels[i] for i in safe] == expected
+        assert {"converged-to(0;0)", "converged-to(3;0)", "max-time"} <= set(expected)
+
     def test_rejects_degenerate_resolution(self, fig3):
         from barrier_lab.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError):
@@ -142,3 +236,57 @@ class TestFieldGrid:
         grid = field_grid(fig2.controller, ((-3.0, 3.0), (0.0, 6.0)), 7)
         assert np.array_equal(grid.masked, (grid.h < 0.0).astype(int))
         assert grid.velocity.shape == (49, 2)
+
+
+class TestConvergenceHold:
+    """A pass through an attractor's radius converges only after CONV_HOLD steps."""
+
+    @staticmethod
+    def crossing(steps_inside: int, attractors, dt: float = 1e-3):
+        # steps_inside positions, spaced 2 R / steps_inside, sit symmetrically
+        # inside (-R, R) with a margin of R / steps_inside on either side
+        spacing = 2.0 * CONV_RADIUS / steps_inside
+        first = -0.5 * (steps_inside - 1) * spacing
+        x0 = np.array([first - 5.0 * spacing, 0.0])
+        controller = ConstantVelocity([spacing / dt, 0.0])
+        return integrate(controller, x0, t_final=0.03, dt=dt, attractors=attractors)
+
+    def test_one_step_short_does_not_converge(self):
+        traj = self.crossing(CONV_HOLD - 1, [np.zeros(2)])
+        assert traj.terminal_label == "max-time"
+        assert traj.attractor_index is None
+        inside = np.linalg.norm(traj.states, axis=-1) < CONV_RADIUS
+        assert int(inside.sum()) == CONV_HOLD - 1
+
+    def test_one_step_over_converges(self):
+        traj = self.crossing(CONV_HOLD + 1, [np.array([5.0, 5.0]), np.zeros(2)])
+        assert traj.terminal_label == "converged-to(0;0)"
+        assert traj.attractor_index == 1
+        inside = np.linalg.norm(traj.states, axis=-1) < CONV_RADIUS
+        assert int(inside.sum()) == CONV_HOLD + 1
+
+    def test_switching_attractor_restarts_the_count(self):
+        # two attractors 1.2 R apart: the path stays near one or the other for
+        # more than CONV_HOLD steps, but never CONV_HOLD steps near the same one
+        half = 0.6 * CONV_RADIUS
+        attractors = [np.array([-half, 0.0]), np.array([half, 0.0])]
+        traj = self.crossing(CONV_HOLD + 1, attractors)
+        assert traj.terminal_label == "max-time"
+        points = np.asarray(attractors)
+        dists = np.linalg.norm(traj.states[:, None, :] - points[None], axis=-1)
+        assert int((dists.min(axis=-1) < CONV_RADIUS).sum()) > CONV_HOLD
+
+    def test_leaving_the_radius_restarts_the_count(self):
+        # a circle of radius 1e-5 through the attractor, about 6.5 steps of
+        # dt inside the radius per pass: two passes add up to more than
+        # CONV_HOLD steps, but neither pass alone reaches it
+        radius, dt = 1e-5, 1e-3
+        omega = 2.0 * CONV_RADIUS / 6.5 / radius / dt
+        start = np.array([radius * math.sin(0.5), radius * (math.cos(0.5) - 1.0)])
+        traj = integrate(Rotation([0.0, -radius], omega), start, t_final=0.3, dt=dt,
+                         attractors=[np.zeros(2)])
+        assert traj.terminal_label == "max-time"
+        inside = np.linalg.norm(traj.states, axis=-1) < CONV_RADIUS
+        assert int(inside.sum()) > CONV_HOLD
+        runs = np.diff(np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]]))))[::2]
+        assert len(runs) == 2 and max(runs) < CONV_HOLD

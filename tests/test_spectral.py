@@ -1,6 +1,7 @@
 """Characteristic polynomials, closed-form Jacobians, reduced-spectrum checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from barrier_lab import (
     char_poly_coefficients,
     clf_cbf_control,
     constant_d_matrix,
+    constant_matrix,
     eigen_and_classify,
     fd_jacobian,
     jacobian_clf_cbf_boundary,
@@ -186,6 +188,24 @@ class TestAssumptionGuards:
     def test_constant_d_for_builtin_model(self, fig3):
         d = constant_d_matrix(fig3.model, fig3.controller.weight)
         assert np.array_equal(d, np.eye(2))
+
+    def test_marked_model_forms_d_without_sampling(self):
+        marked = linear_system(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 2.0]]))
+        weight = constant_matrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        calls = []
+
+        def counted_g(x):
+            calls.append(1)
+            return marked.g(x)
+
+        # the same g without the constant mark takes the sampled path
+        sampled = constant_d_matrix(replace(marked, g=counted_g), weight)
+        assert len(calls) == 16
+        counted_g.constant = marked.constant_g()
+        del calls[:]
+        d = constant_d_matrix(replace(marked, g=counted_g), weight)
+        assert calls == []
+        assert np.array_equal(d, sampled)
 
     def test_state_dependent_g_is_rejected(self):
         def g(x):
