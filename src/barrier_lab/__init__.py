@@ -42,7 +42,7 @@ from .sim import (FieldGrid, RoaGrid, Trajectory, field_grid, integrate,
                   integrate_batch, invariance_audit, roa_grid)
 from .spectral import (InvarianceVerdict, SpectralResult, aberth_roots,
                        attach_spectra, char_poly_coefficients,
-                       constant_d_matrix, eigen_and_classify, fd_jacobian,
+                       constant_d_matrix, eigen_and_classify,
                        jacobian_clf_cbf_boundary,
                        jacobian_safety_filter_boundary,
                        spectral_invariance_check, stability_label,
@@ -70,7 +70,7 @@ __all__ = [
     "clf_cbf_qp", "collinearity_factor", "compare_pairs",
     "comparison_config", "compose_transforms", "constant_d_matrix",
     "constant_matrix", "constant_state_map", "default_boundary_samples",
-    "eigen_and_classify", "fd_jacobian", "field_grid",
+    "eigen_and_classify", "field_grid",
     "find_boundary_equilibria", "find_interior_equilibria",
     "gauss_newton_root", "gradient_ratio", "hausdorff_distance",
     "hessian_equivalence", "identity_map", "integrate", "integrate_batch",

@@ -30,7 +30,7 @@ from .equivalence import (boundary_field_difference, default_boundary_samples,
                           gradient_ratio, hausdorff_distance, hessian_equivalence)
 from .errors import BarrierLabError, ConfigError
 from .sim import DT_DEFAULT, T_DEFAULT, field_grid, integrate_batch, roa_grid
-from .spectral import attach_spectra, eigen_and_classify, spectral_invariance_check
+from .spectral import attach_spectra, spectral_invariance_check
 
 HAUSDORFF_TOL = 1e-6
 REDUCED_POLY_TOL = 1e-7
@@ -109,7 +109,6 @@ class ScenarioRun:
         self.clf = build_clf(config)
         self.controller = build_controller(config, self.model, self.pairs, self.clf)
         self.reports = None
-        self.spectra = None
         self.artifacts: List[str] = []
         self.task_lines: List[str] = []
         self.warnings: List[str] = []
@@ -158,14 +157,9 @@ class ScenarioRun:
     def run_jacobians(self, params: dict) -> None:
         self.ensure_equilibria()
         self.reports = attach_spectra(self.reports, self.controller)
-        self.spectra = []
         entries = []
         for report in self.reports:
-            known = None
-            if report.kind == "boundary" and report.desirability == "undesirable":
-                known = float(self.controller.pair.alpha_prime(0.0))
-            result = eigen_and_classify(np.asarray(report.jacobian, dtype=float), known)
-            self.spectra.append(result)
+            result = report.spectrum
             entries.append({
                 "x_star": _vec(report.x_star),
                 "kind": report.kind,

@@ -16,14 +16,16 @@ loop coincide with equilibria of the unfiltered loop and are desirable.
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (InvalidParameterError, NotOnBoundaryError, PreconditionError,
-                     StrictFeasibilityError)
-from .model import central_difference_jacobian, dot, matvec
-from .qp import _apply_inverse
+from .errors import NotOnBoundaryError, PreconditionError, StrictFeasibilityError
+from .model import central_difference_jacobian
+from .qp import _LoopTerms, _reference_fields
+
+if TYPE_CHECKING:
+    from .spectral import SpectralResult
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +45,10 @@ DIVERGE_NORM = 1e6
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """One equilibrium with its classification; spectra fill the tail fields."""
+    """One equilibrium with its classification; attach_spectra fills spectrum.
+
+    jacobian, eigenvalues and stability read the spectrum (None without one).
+    """
 
     x_star: np.ndarray
     kind: str                      # interior | boundary
@@ -51,34 +56,39 @@ class EquilibriumReport:
     controller: str                # safety-filter | clf-cbf-qp | clf | nominal
     multipliers: Tuple[float, ...]
     residual: float
-    jacobian: Optional[np.ndarray] = None
-    eigenvalues: Optional[Tuple[complex, ...]] = None
-    stability: Optional[str] = None
+    spectrum: Optional["SpectralResult"] = None
+
+    @property
+    def jacobian(self) -> Optional[np.ndarray]:
+        return None if self.spectrum is None else self.spectrum.jacobian
+
+    @property
+    def eigenvalues(self) -> Optional[Tuple[complex, ...]]:
+        return None if self.spectrum is None else self.spectrum.eigenvalues
+
+    @property
+    def stability(self) -> Optional[str]:
+        return None if self.spectrum is None else self.spectrum.stability
 
 
 def multipliers_on_boundary(model, cbf, clf, weight, p: float, x: np.ndarray):
-    """Both-rows-active multipliers (lam1, lam2, Delta, det) at a boundary state."""
+    """Both-rows-active multipliers (lam1, lam2, Delta, det) at a boundary state.
+
+    F_V, F_h, g^T grad_h and the D-weighted products come from the law code
+    the controllers run (qp._reference_fields).
+    """
     x = np.asarray(x, dtype=float)
     h = float(cbf.h(x))
     if abs(h) >= BOUNDARY_TOL:
         raise NotOnBoundaryError("|h(x)| = %g is not below %g" % (abs(h), BOUNDARY_TOL))
-    g = np.asarray(model.g(x), dtype=float)
-    gt = g.T
-    grad_h = np.asarray(cbf.grad_h(x), dtype=float)
-    grad_v = np.asarray(clf.grad_v(x), dtype=float)
-    ah = gt @ grad_h
-    if float(np.linalg.norm(ah)) <= NORMAL_MIN:
+    data = _reference_fields(model, cbf, clf, weight, x)
+    if float(np.linalg.norm(data["ah"])) <= NORMAL_MIN:
         raise StrictFeasibilityError("||g^T grad_h|| vanishes on the boundary")
-    w = np.asarray(weight(x), dtype=float)
-    av = gt @ grad_v
-    winv_ah = _apply_inverse(w, ah)
-    winv_av = _apply_inverse(w, av)
-    c = float(ah @ winv_ah)
-    bb = float(av @ winv_ah)
-    a = float(av @ winv_av) + 1.0 / float(p)
+    fv, fh = float(data["fv"]), float(data["fh"])
+    a = float(data["vdv"]) + 1.0 / float(p)
+    bb = float(data["vdh"])
+    c = float(data["hdh"])
     det = a * c - bb * bb
-    fv = float(grad_v @ model.f(x)) + float(clf.beta(clf.v(x)))
-    fh = float(grad_h @ model.f(x)) + float(cbf.alpha(h))
     lam1 = (fv * c - fh * bb) / det
     lam2 = (fv * bb - fh * a) / det
     delta_mat = np.array([[a, -bb], [-bb, c]])
@@ -86,16 +96,19 @@ def multipliers_on_boundary(model, cbf, clf, weight, p: float, x: np.ndarray):
 
 
 def collinearity_factor(model, pair, weight, x: np.ndarray) -> float:
-    """Least-squares delta in f + g k = delta D grad_h for the safety filter."""
+    """Least-squares delta in f + g k = delta D grad_h for the safety filter.
+
+    D grad_h = g (W^{-1} g^T grad_h) and f + g k come from the filter's
+    loop terms (qp._LoopTerms).
+    """
     x = np.asarray(x, dtype=float)
-    g = np.asarray(model.g(x), dtype=float)
-    grad_h = np.asarray(pair.grad_h(x), dtype=float)
-    w = np.asarray(weight(x), dtype=float)
-    d_grad = g @ _apply_inverse(w, g.T @ grad_h)
+    terms = _LoopTerms(model, weight, nominal=True, hoist=False)
+    [(_, winv_a)] = terms.rows(x, np.asarray(pair.grad_h(x), dtype=float))
+    d_grad = terms.apply_g(x, winv_a)
     den = float(d_grad @ d_grad)
     if den <= NORMAL_MIN ** 2:
         raise StrictFeasibilityError("D grad_h vanishes; no collinearity factor")
-    return float(d_grad @ model.drift(x)) / den
+    return float(d_grad @ terms.drift(x)) / den
 
 
 def classify_desirability(report: EquilibriumReport, controller) -> str:
@@ -300,16 +313,25 @@ def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
     def field_at(x):
         return np.asarray(controller.unfiltered_field(x), dtype=float)
 
+    # states go to the log as lazy %s arguments: no formatting below the level
     roots: List[np.ndarray] = []
     for x0 in seeds:
         if any(float(pair.h(x0)) < 0.0 for pair in controller.cbf_pairs):
+            log.debug("interior seed %s dropped: outside the safe set", x0)
             continue
         root = gauss_newton_root(field_at, x0)
         if root is None:
+            log.warning("interior seed %s dropped: no convergence in %d iterations",
+                        x0, POLISH_MAX_ITER)
             continue
         if any(float(pair.h(root)) <= INTERIOR_MIN_H for pair in controller.cbf_pairs):
+            log.debug("interior seed %s dropped: its root %s is not inside the safe set",
+                      x0, root)
             continue
-        if float(np.linalg.norm(controller.field(root))) >= RESIDUAL_TOL:
+        residual = float(np.linalg.norm(controller.field(root)))
+        if not residual < RESIDUAL_TOL:   # a NaN residual fails the gate too
+            log.warning("interior seed %s dropped: closed-loop residual %g at its root %s"
+                        " is not below %g", x0, residual, root, RESIDUAL_TOL)
             continue
         roots.append(root)
 

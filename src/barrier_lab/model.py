@@ -293,17 +293,6 @@ class SafeSetGeometry:
         theta = 2.0 * np.pi * np.arange(count) / count
         return self.center + self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Radial projection onto the circle (ball geometry only)."""
-        if self.kind != "ball-complement-2d":
-            raise InvalidParameterError("radial projection needs a ball geometry")
-        x = np.asarray(x, dtype=float)
-        d = x - self.center
-        norm = np.sqrt(dot(d, d))
-        if np.any(norm < 1e-14):
-            raise InvalidParameterError("cannot project the ball center onto the boundary")
-        return self.center + self.radius * d / norm[..., None]
-
 
 @dataclass(frozen=True)
 class BarrierPair:

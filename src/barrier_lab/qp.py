@@ -226,6 +226,13 @@ def _weight_or_identity(weight: Optional[Weight], m: int) -> Weight:
     return identity_weight(m) if weight is None else weight
 
 
+def _penalty(p: float) -> float:
+    p = float(p)
+    if p <= 0.0:
+        raise InvalidParameterError("penalty p must be positive, got %g" % p)
+    return p
+
+
 def _apply_inverse(w: np.ndarray, vec: np.ndarray) -> np.ndarray:
     # batched W^{-1} vec over trailing axes; the identity check is exact, so
     # skipping the LU solve cannot move any value
@@ -368,19 +375,22 @@ def safety_filter_point(model: SystemModel, pair: BarrierPair, weight: Optional[
     return KktPoint(u=u, delta=0.0, multipliers=(lam,), active_set=(0,), stationarity_residual=residual)
 
 
+def _clf_row(model: SystemModel, clf: LyapunovPair) -> ConstraintRow:
+    """The relaxed clf row: a = g^T grad_v, c = grad_v^T f + beta(V)."""
+
+    def normal(x):
+        return matvec(np.swapaxes(model.g(x), -1, -2), clf.grad_v(x))
+
+    def offset(x):
+        return dot(clf.grad_v(x), model.f(x)) + clf.beta(clf.v(x))
+
+    return ConstraintRow(kind="clf-relaxed", normal=normal, offset=offset, relax_coeff=1.0)
+
+
 def clf_cbf_problem(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
                     weight: Optional[Weight] = None, p: float = 1.0) -> QpProblem:
     """QP with one relaxed clf row (index 0) and one cbf row (index 1)."""
-    p = float(p)
-    if p <= 0.0:
-        raise InvalidParameterError("penalty p must be positive, got %g" % p)
-    weight = _weight_or_identity(weight, model.m)
-
-    def clf_normal(x):
-        return matvec(np.swapaxes(model.g(x), -1, -2), clf.grad_v(x))
-
-    def clf_offset(x):
-        return dot(clf.grad_v(x), model.f(x)) + clf.beta(clf.v(x))
+    p = _penalty(p)
 
     def cbf_normal(x):
         return matvec(np.swapaxes(model.g(x), -1, -2), cbf.grad_h(x))
@@ -388,30 +398,16 @@ def clf_cbf_problem(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
     def cbf_offset(x):
         return dot(cbf.grad_h(x), model.f(x)) + cbf.alpha(cbf.h(x))
 
-    rows = (
-        ConstraintRow(kind="clf-relaxed", normal=clf_normal, offset=clf_offset, relax_coeff=1.0),
-        ConstraintRow(kind="cbf", normal=cbf_normal, offset=cbf_offset, relax_coeff=0.0),
-    )
-    return QpProblem(weight=weight, penalty=p, rows=rows)
+    rows = (_clf_row(model, clf),
+            ConstraintRow(kind="cbf", normal=cbf_normal, offset=cbf_offset, relax_coeff=0.0))
+    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=p, rows=rows)
 
 
 def clf_problem(model: SystemModel, clf: LyapunovPair,
                 weight: Optional[Weight] = None, p: float = 1.0) -> QpProblem:
-    """The clf_cbf_problem with the cbf row deleted (unfiltered controller)."""
-    full = clf_cbf_problem(model, _DUMMY_PAIR, clf, weight=weight, p=p)
-    return QpProblem(weight=full.weight, penalty=full.penalty, rows=(full.rows[0],))
-
-
-def _dummy_scalar(x):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1])
-
-
-_DUMMY_PAIR = BarrierPair(h=_dummy_scalar,
-                          grad_h=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                          hess_h=lambda x: np.zeros(np.asarray(x).shape[:-1] + (np.asarray(x).shape[-1],) * 2),
-                          alpha=lambda s: np.asarray(s, dtype=float),
-                          alpha_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)))
+    """The clf_cbf_problem without its cbf row (unfiltered controller)."""
+    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p),
+                     rows=(_clf_row(model, clf),))
 
 
 def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: LyapunovPair,
@@ -507,9 +503,7 @@ def clf_cbf_qp(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidParameterError("clf_cbf_qp takes a single state; use clf_cbf_control for batches")
-    p = float(p)
-    if p <= 0.0:
-        raise InvalidParameterError("penalty p must be positive, got %g" % p)
+    p = _penalty(p)
     weight = _weight_or_identity(weight, model.m)
     data = _reference_fields(model, cbf, clf, weight, x)
     u, delta, lam1, lam2, code = _clf_cbf_solution(data, p)
@@ -536,9 +530,7 @@ def unfiltered_control(model: SystemModel, clf: LyapunovPair, weight: Optional[W
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidParameterError("unfiltered_control takes a single state")
-    p = float(p)
-    if p <= 0.0:
-        raise InvalidParameterError("penalty p must be positive, got %g" % p)
+    p = _penalty(p)
     weight = _weight_or_identity(weight, model.m)
     data = _reference_fields(model, None, clf, weight, x)
     fv = float(data["fv"])
@@ -627,14 +619,37 @@ def check_strict_feasibility(model: SystemModel, pair: BarrierPair,
                              violations=tuple(violations))
 
 
-class SafetyFilterController:
+class _ControllerViews:
+    """control, multipliers and active_code as views of evaluate(x).
+
+    Each controller defines evaluate(x) -> (u, field, multipliers,
+    active_code) and field(x), the same pass without the multiplier and
+    active-code arithmetic the integrator never reads. A loop with no
+    barrier row is its own unfiltered loop; filtered controllers override
+    unfiltered_field.
+    """
+
+    def control(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x)[0]
+
+    def multipliers(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x)[2]
+
+    def active_code(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x)[3]
+
+    def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
+        return self.field(x)
+
+
+class SafetyFilterController(_ControllerViews):
     """Nominal closed loop f + g k wrapped by the explicit safety filter.
 
     evaluate(x) returns (u, field, multipliers, active_code) from one pass
-    over the law, and control, field, multipliers, active_code and eta are
-    views of that pass. State-independent parts of the loop are computed
-    once, on the first evaluation (see _LoopTerms), so building a
-    controller stays cheap. The controllers below follow the same layout.
+    over the law; eta and the views of _ControllerViews read that pass.
+    State-independent parts of the loop are computed once, on the first
+    evaluation (see _LoopTerms), so building a controller stays cheap. The
+    controllers below follow the same layout.
     """
 
     kind = "safety-filter"
@@ -666,9 +681,6 @@ class SafetyFilterController:
         lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
         return u, field, np.maximum(lam, 0.0)[..., None], code
 
-    def control(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[0]
-
     def eta(self, x: np.ndarray) -> np.ndarray:
         return _filter_row(self._terms, self.pair, np.asarray(x, dtype=float))[0]
 
@@ -678,12 +690,6 @@ class SafetyFilterController:
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return self._terms.drift(np.asarray(x, dtype=float))
 
-    def active_code(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[3]
-
-    def multipliers(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[2]
-
     def problem(self) -> QpProblem:
         return safety_filter_problem(self.model, self.pair, self.weight)
 
@@ -691,7 +697,7 @@ class SafetyFilterController:
         return safety_filter_point(self.model, self.pair, self.weight, x)
 
 
-class ClfCbfController:
+class ClfCbfController(_ControllerViews):
     """CLF-CBF QP controller on the raw plant (no nominal k)."""
 
     kind = "clf-cbf-qp"
@@ -702,9 +708,7 @@ class ClfCbfController:
         self.pair = cbf
         self.clf = clf
         self.weight = _weight_or_identity(weight, model.m)
-        self.p = float(p)
-        if self.p <= 0.0:
-            raise InvalidParameterError("penalty p must be positive, got %g" % self.p)
+        self.p = _penalty(p)
         self.cbf_pairs: Tuple[BarrierPair, ...] = (cbf,)
 
     @cached_property
@@ -726,20 +730,11 @@ class ClfCbfController:
         multipliers = np.stack([np.maximum(lam1, 0.0), np.maximum(lam2, 0.0)], axis=-1)
         return u, field, multipliers, code
 
-    def control(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[0]
-
     def field(self, x: np.ndarray) -> np.ndarray:
         return self._pass(x)[1]
 
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return _unfiltered_pass(self._terms, self.clf, self.p, x)[1]
-
-    def active_code(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[3]
-
-    def multipliers(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[2]
 
     def problem(self) -> QpProblem:
         return clf_cbf_problem(self.model, self.pair, self.clf, self.weight, self.p)
@@ -748,7 +743,7 @@ class ClfCbfController:
         return clf_cbf_qp(self.model, self.pair, self.clf, self.weight, self.p, x)
 
 
-class ClfController:
+class ClfController(_ControllerViews):
     """Unfiltered min-norm CLF controller (the clf-cbf QP without its cbf row)."""
 
     kind = "clf"
@@ -758,9 +753,7 @@ class ClfController:
         self.model = model
         self.clf = clf
         self.weight = _weight_or_identity(weight, model.m)
-        self.p = float(p)
-        if self.p <= 0.0:
-            raise InvalidParameterError("penalty p must be positive, got %g" % self.p)
+        self.p = _penalty(p)
         self.cbf_pairs: Tuple[BarrierPair, ...] = ()
 
     @cached_property
@@ -771,20 +764,8 @@ class ClfController:
         u, field, lam1 = _unfiltered_pass(self._terms, self.clf, self.p, x)
         return u, field, np.maximum(lam1, 0.0)[..., None], (np.asarray(lam1) > 0.0).astype(int)
 
-    def control(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[0]
-
     def field(self, x: np.ndarray) -> np.ndarray:
         return _unfiltered_pass(self._terms, self.clf, self.p, x)[1]
-
-    def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
-        return self.field(x)
-
-    def active_code(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[3]
-
-    def multipliers(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[2]
 
     def problem(self) -> QpProblem:
         return clf_problem(self.model, self.clf, self.weight, self.p)
@@ -793,7 +774,7 @@ class ClfController:
         return unfiltered_control(self.model, self.clf, self.weight, self.p, x)
 
 
-class NominalClosedLoop:
+class NominalClosedLoop(_ControllerViews):
     """The nominal closed loop f + g k with no optimization in the loop."""
 
     kind = "nominal"
@@ -813,17 +794,5 @@ class NominalClosedLoop:
         batch = x.shape[:-1]
         return self.model.k(x), self._drift(x), np.zeros(batch + (0,)), np.zeros(batch, dtype=int)
 
-    def control(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[0]
-
     def field(self, x: np.ndarray) -> np.ndarray:
         return self._drift(np.asarray(x, dtype=float))
-
-    def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
-        return self.field(x)
-
-    def active_code(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[3]
-
-    def multipliers(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[2]

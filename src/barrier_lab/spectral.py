@@ -32,13 +32,13 @@ from .equilibria import (DESIRABILITY_TOL, EquilibriumReport, collinearity_facto
                          multipliers_on_boundary)
 from .errors import (AssumptionViolationError, InvalidParameterError, NumericsError,
                      PreconditionError)
-from .model import constant_value
+from .model import central_difference_jacobian, constant_value
 from .qp import _weight_or_identity
 
 D_CHECK_SAMPLES = 16
 D_CHECK_TOL = 1e-10
-D_CHECK_SPAN = 10.0        # sampling box [-10, 10]^n unless overridden
-FD_STEP = 1e-5
+D_CHECK_SPAN = 10.0        # sampling box [-10, 10]^n for models without constant marks
+D_CHECK_SEED = 0
 MAX_MATRIX_DIM = 8
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 200
@@ -66,26 +66,21 @@ def _d_matrix(g, w) -> np.ndarray:
     return g @ np.linalg.solve(np.asarray(w, dtype=float), g.T)
 
 
-def constant_d_matrix(model, weight, box=None, rng_seed: int = 0) -> np.ndarray:
+def constant_d_matrix(model, weight) -> np.ndarray:
     """D = g G^{-1} g^T, which the closed-form Jacobians need constant.
 
     When g and G are both marked constant (constant_matrix evaluators, as
     linear_system builds them), D is formed once from those matrices.
-    Otherwise it is checked at 16 sampled states: deviation above 1e-10
-    raises an assumption-violation error.
+    Otherwise it is checked at 16 states drawn from [-10, 10]^n with seed 0:
+    deviation above 1e-10 raises an assumption-violation error.
     """
     weight = _weight_or_identity(weight, model.m)
     g = model.constant_g()
     w = constant_value(weight)
     if g is not None and w is not None:
         return _d_matrix(g, w)
-    rng = np.random.default_rng(rng_seed)
-    if box is None:
-        lo = -D_CHECK_SPAN * np.ones(model.n)
-        hi = D_CHECK_SPAN * np.ones(model.n)
-    else:
-        lo, hi = (np.asarray(side, dtype=float) for side in box)
-    states = lo + (hi - lo) * rng.random((D_CHECK_SAMPLES, model.n))
+    rng = np.random.default_rng(D_CHECK_SEED)
+    states = -D_CHECK_SPAN + 2.0 * D_CHECK_SPAN * rng.random((D_CHECK_SAMPLES, model.n))
 
     base = _d_matrix(model.g(states[0]), weight(states[0]))
     worst = 0.0
@@ -98,8 +93,7 @@ def constant_d_matrix(model, weight, box=None, rng_seed: int = 0) -> np.ndarray:
     return base
 
 
-def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndarray,
-                              d_box=None, check_d: bool = True) -> np.ndarray:
+def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndarray) -> np.ndarray:
     """Closed-form Jacobian of the CLF-CBF loop at a strict boundary equilibrium."""
     x = np.asarray(x_star, dtype=float)
     weight = _weight_or_identity(weight, model.m)
@@ -108,8 +102,7 @@ def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndar
         raise PreconditionError(
             "strict complementarity needed: lam1 = %g, lam2 = %g must exceed %g"
             % (lam1, lam2, DESIRABILITY_TOL))
-    d = (constant_d_matrix(model, weight, box=d_box) if check_d
-         else _d_matrix(model.g(x), weight(x)))
+    d = constant_d_matrix(model, weight)
     grad_v = np.asarray(clf.grad_v(x), dtype=float)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_v = np.asarray(clf.hess_v(x), dtype=float)
@@ -132,8 +125,7 @@ def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndar
             - np.outer(s1, r_v) / det - np.outer(s2, r_h) / det)
 
 
-def jacobian_safety_filter_boundary(model, cbf, weight, x_star: np.ndarray,
-                                    d_box=None, check_d: bool = True) -> np.ndarray:
+def jacobian_safety_filter_boundary(model, cbf, weight, x_star: np.ndarray) -> np.ndarray:
     """Closed-form Jacobian of the filtered loop at a boundary equilibrium."""
     x = np.asarray(x_star, dtype=float)
     weight = _weight_or_identity(weight, model.m)
@@ -142,8 +134,7 @@ def jacobian_safety_filter_boundary(model, cbf, weight, x_star: np.ndarray,
         raise PreconditionError(
             "boundary equilibrium with delta = %g >= -%g: the filter row is not "
             "strictly active" % (delta, DESIRABILITY_TOL))
-    d = (constant_d_matrix(model, weight, box=d_box) if check_d
-         else _d_matrix(model.g(x), weight(x)))
+    d = constant_d_matrix(model, weight)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_h = np.asarray(cbf.hess_h(x), dtype=float)
     j_ft = np.asarray(model.jdrift(x), dtype=float)
@@ -155,20 +146,6 @@ def jacobian_safety_filter_boundary(model, cbf, weight, x_star: np.ndarray,
     return (j_ft
             - np.outer(dh, grad_h) @ (j_ft + a_p0 * np.eye(n)) / q
             - d @ (float(grad_h @ ft) * np.eye(n) - np.outer(grad_h, ft)) @ h_h / q)
-
-
-def fd_jacobian(field, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian, step scaled per coordinate by 1 + |x_i|."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.shape[-1]):
-        delta = step * (1.0 + abs(float(x[i])))
-        e = np.zeros_like(x)
-        e[i] = delta
-        hi = np.asarray(field(x + e), dtype=float)
-        lo = np.asarray(field(x - e), dtype=float)
-        cols.append((hi - lo) / (2.0 * delta))
-    return np.stack(cols, axis=-1)
 
 
 def char_poly_coefficients(mat: np.ndarray) -> np.ndarray:
@@ -324,40 +301,34 @@ def spectral_invariance_check(j1: np.ndarray, alpha1_prime0: float,
     return InvarianceVerdict(verdict=verdict, max_coeff_difference=diff, remainders=remainders)
 
 
-def _closed_form_jacobian(controller, report: EquilibriumReport, d_box=None,
-                          check_d: bool = True) -> Optional[np.ndarray]:
+def _closed_form_jacobian(controller, report: EquilibriumReport) -> Optional[np.ndarray]:
     if report.kind != "boundary" or report.desirability != "undesirable":
         return None
     if controller.kind == "clf-cbf-qp":
         return jacobian_clf_cbf_boundary(controller.model, controller.pair, controller.clf,
-                                         controller.weight, controller.p, report.x_star,
-                                         d_box=d_box, check_d=check_d)
+                                         controller.weight, controller.p, report.x_star)
     if controller.kind == "safety-filter":
         return jacobian_safety_filter_boundary(controller.model, controller.pair,
-                                               controller.weight, report.x_star,
-                                               d_box=d_box, check_d=check_d)
+                                               controller.weight, report.x_star)
     return None
 
 
-def attach_spectra(reports: Sequence[EquilibriumReport], controller,
-                   d_box=None, check_d: bool = True) -> List[EquilibriumReport]:
-    """Fill jacobian / eigenvalues / stability on equilibrium reports.
+def _spectrum(controller, report: EquilibriumReport) -> SpectralResult:
+    closed = _closed_form_jacobian(controller, report)
+    if closed is not None:
+        return eigen_and_classify(closed, float(controller.pair.alpha_prime(0.0)))
+    jac = central_difference_jacobian(lambda s: np.asarray(controller.field(s), dtype=float),
+                                      report.x_star)
+    return eigen_and_classify(jac, None)
+
+
+def attach_spectra(reports: Sequence[EquilibriumReport], controller) -> List[EquilibriumReport]:
+    """Copies of the reports with their spectrum filled in.
 
     Undesirable boundary equilibria get the closed-form Jacobian and the
     known-factor division at -alpha'(0); everything else (interior points,
-    non-strict boundary points) gets a finite-difference Jacobian of the
-    closed-loop field with no known factor.
+    non-strict boundary points) gets a central-difference Jacobian of the
+    closed-loop field (model.central_difference_jacobian) with no known
+    factor.
     """
-    out: List[EquilibriumReport] = []
-    for report in reports:
-        closed = _closed_form_jacobian(controller, report, d_box=d_box, check_d=check_d)
-        if closed is not None:
-            alpha_p0 = float(controller.pair.alpha_prime(0.0))
-            result = eigen_and_classify(closed, alpha_p0)
-        else:
-            jac = fd_jacobian(lambda s: np.asarray(controller.field(s), dtype=float),
-                              report.x_star)
-            result = eigen_and_classify(jac, None)
-        out.append(replace(report, jacobian=result.jacobian,
-                           eigenvalues=result.eigenvalues, stability=result.stability))
-    return out
+    return [replace(report, spectrum=_spectrum(controller, report)) for report in reports]

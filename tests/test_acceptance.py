@@ -21,12 +21,12 @@ from barrier_lab import (
     build_controller,
     build_model,
     build_pairs,
+    central_difference_jacobian,
     certificate_errors,
     clf_cbf_qp,
     comparison_config,
     compose_transforms,
     default_boundary_samples,
-    fd_jacobian,
     find_boundary_equilibria,
     find_interior_equilibria,
     hausdorff_distance,
@@ -170,8 +170,9 @@ class TestJacobianAccuracy:
             slope = float(bundle.pair.alpha_prime(0.0))
             assert undesirable(boundary)
             for r in undesirable(boundary):
-                fd = fd_jacobian(lambda s: np.asarray(bundle.controller.field(s), dtype=float),
-                                 r.x_star, step=1e-5)
+                fd = central_difference_jacobian(
+                    lambda s: np.asarray(bundle.controller.field(s), dtype=float),
+                    r.x_star, step=1e-5)
                 assert np.max(np.abs(fd - r.jacobian)) < 1e-5
                 grad = np.asarray(bundle.pair.grad_h(r.x_star), dtype=float)
                 assert np.max(np.abs(grad @ r.jacobian + slope * grad)) < 1e-8

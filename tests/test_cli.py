@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,35 @@ class TestScenarioRun:
         assert "task log" in text
         summary_stdout = capsys.readouterr().out
         assert "equilibria (4)" in summary_stdout
+
+    def test_jacobians_classify_each_equilibrium_once(self, tmp_path, monkeypatch):
+        # fig2 mixes closed-form (boundary) and finite-difference (interior) spectra
+        from barrier_lab import spectral
+        calls = []
+        original = spectral.eigen_and_classify
+
+        def counted(jacobian, alpha_prime0=None):
+            calls.append(alpha_prime0)
+            return original(jacobian, alpha_prime0)
+
+        # every alias in the package counts, not only the spectral module's
+        for name, module in list(sys.modules.items()):
+            aliased = getattr(module, "eigen_and_classify", None) is original
+            if name.split(".")[0] == "barrier_lab" and aliased:
+                monkeypatch.setattr(module, "eigen_and_classify", counted)
+        monkeypatch.chdir(tmp_path)
+        assert main(["scenario", "fig2"]) == 0
+        out = tmp_path / "fig2-artifacts"
+        reports = json.loads((out / "equilibria.json").read_text())["reports"]
+        spectra = json.loads((out / "spectra.json").read_text())["spectra"]
+        assert len(reports) == 4
+        assert len(calls) == len(reports) == len(spectra)
+        for report, entry, known in zip(reports, spectra, calls):
+            assert entry["stability"] == report["stability"]
+            assert entry["eigenvalues"] == report["eigenvalues"]
+            undesirable = report["desirability"] == "undesirable"
+            assert (known is not None) == undesirable
+            assert (entry["known_factor_root"] is not None) == undesirable
 
     def test_task_error_keeps_partial_artifacts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

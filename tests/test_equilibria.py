@@ -1,5 +1,6 @@
 """Equilibrium search, boundary multipliers, desirability classification."""
 
+import logging
 import math
 
 import numpy as np
@@ -11,9 +12,14 @@ from barrier_lab import (
     PreconditionError,
     classify_desirability,
     collinearity_factor,
+    constant_matrix,
     find_boundary_equilibria,
+    find_interior_equilibria,
     gauss_newton_root,
+    linear_system,
+    make_ball_cbf,
     multipliers_on_boundary,
+    quadratic_clf,
 )
 from barrier_lab.equilibria import state_sort_key
 
@@ -143,6 +149,114 @@ class TestCollinearityFactor:
                                    desirability="inconclusive", controller="safety-filter",
                                    multipliers=(), residual=0.0)
         assert classify_desirability(report, fig3.controller) == "desirable"
+
+
+# a plant on which every D-weighted term matters: A != 0, B != I, W != I,
+# with a rank-deficient m = 1 case; the references form D = B W^{-1} B^T
+# explicitly, so W^{-1} g^T taken as g^T (or D from g alone) shows up
+PLANT_A = np.array([[0.3, -1.0], [0.5, -0.2]])
+GENERAL_PLANTS = (
+    (np.array([[1.0, 0.5], [0.0, 2.0]]), np.array([[2.0, 0.3], [0.3, 1.0]]),
+     np.array([[-1.0, 0.2], [0.1, -2.0]])),
+    (np.array([[1.0], [0.4]]), np.array([[2.5]]), np.array([[-1.5, 0.3]])),
+)
+BALL_CENTER = np.array([0.5, 2.0])
+BALL_RADIUS = 1.2
+BOUNDARY_ANGLES = (0.3, 1.9, 3.4, 5.0)
+
+
+def boundary_state(theta: float) -> np.ndarray:
+    return BALL_CENTER + BALL_RADIUS * np.array([math.cos(theta), math.sin(theta)])
+
+
+class TestFoldsOnGeneralPlant:
+    def test_multipliers_match_an_explicit_two_by_two_solve(self):
+        q = np.array([[3.0, 0.5], [0.5, 1.0]])
+        p = 2.0
+        clf = quadratic_clf(q, beta_slope=1.5)
+        cbf = make_ball_cbf(BALL_CENTER, BALL_RADIUS, alpha_slope=2.0)
+        for b, w, _ in GENERAL_PLANTS:
+            model = linear_system(PLANT_A, b)
+            d = b @ np.linalg.inv(w) @ b.T
+            for theta in BOUNDARY_ANGLES:
+                x = boundary_state(theta)
+                grad_v = q @ x
+                grad_h = 2.0 * (x - BALL_CENTER)
+                fv = grad_v @ PLANT_A @ x + 1.5 * 0.5 * x @ q @ x
+                fh = grad_h @ PLANT_A @ x
+                a = grad_v @ d @ grad_v + 1.0 / p
+                bb = grad_v @ d @ grad_h
+                c = grad_h @ d @ grad_h
+                ref = np.linalg.solve([[a, -bb], [-bb, c]], [fv, -fh])
+                lam1, lam2, delta_mat, det = multipliers_on_boundary(
+                    model, cbf, clf, constant_matrix(w), p, x)
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert abs(lam1 - ref[0]) < 1e-12 * scale
+                assert abs(lam2 - ref[1]) < 1e-12 * scale
+                assert np.max(np.abs(delta_mat - [[a, -bb], [-bb, c]])) < 1e-12 * max(a, c)
+                assert abs(det - (a * c - bb * bb)) < 1e-12 * a * c
+
+    def test_collinearity_factor_matches_the_projection_formula(self):
+        pair = make_ball_cbf(BALL_CENTER, BALL_RADIUS)
+        for b, w, gain in GENERAL_PLANTS:
+            model = linear_system(PLANT_A, b, gain=gain)
+            d = b @ np.linalg.inv(w) @ b.T
+            for theta in BOUNDARY_ANGLES:
+                x = boundary_state(theta)
+                d_grad = d @ (2.0 * (x - BALL_CENTER))
+                ref = d_grad @ ((PLANT_A + b @ gain) @ x) / (d_grad @ d_grad)
+                delta = collinearity_factor(model, pair, constant_matrix(w), x)
+                assert abs(delta - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+class _DuckLoop:
+    """A barrier-free loop whose unfiltered and closed-loop fields are given."""
+
+    kind = "clf"
+    cbf_pairs = ()
+
+    def __init__(self, unfiltered, closed):
+        self.unfiltered_field = unfiltered
+        self.field = closed
+
+
+class TestInteriorSeedLog:
+    def test_failed_polish_is_logged(self, caplog):
+        rootless = _DuckLoop(lambda x: x * x + 1.0, lambda x: x * x + 1.0)
+        seeds = [np.array([0.5, -1.0]), np.array([2.0, 3.0])]
+        with caplog.at_level(logging.WARNING, logger="barrier_lab.equilibria"):
+            assert find_interior_equilibria(rootless, seeds=seeds) == []
+        records = [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        assert [r.levelno for r in records] == [logging.WARNING] * 2
+        for record, seed in zip(records, seeds):
+            assert "no convergence" in record.getMessage()
+            assert record.args[0] is seed   # the state is formatted only if emitted
+
+    def test_residual_gate_is_logged(self, caplog):
+        # the unfiltered root at the origin is not a root of the closed loop,
+        # whose field there is offset or NaN
+        for closed in (lambda x: x + 1.0, lambda x: np.full(2, np.nan)):
+            caplog.clear()
+            loop = _DuckLoop(lambda x: x, closed)
+            with caplog.at_level(logging.WARNING, logger="barrier_lab.equilibria"):
+                assert find_interior_equilibria(loop, seeds=[np.array([1.0, 1.0])]) == []
+            [record] = [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+            assert record.levelno == logging.WARNING
+            assert "residual" in record.getMessage()
+
+    def test_unsafe_seed_is_logged_at_debug_only(self, fig3, caplog):
+        seeds = [np.array([2.0, 0.0]), np.array([4.0, 1.0])]
+        with caplog.at_level(logging.WARNING, logger="barrier_lab.equilibria"):
+            find_interior_equilibria(fig3.controller, seeds=seeds)
+        assert not [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="barrier_lab.equilibria"):
+            reports = find_interior_equilibria(fig3.controller, seeds=seeds)
+        assert len(reports) == 1
+        [record] = [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        assert record.levelno == logging.DEBUG
+        assert "outside the safe set" in record.getMessage()
+        assert record.args[0] is seeds[0]
 
 
 class TestRootPolish:

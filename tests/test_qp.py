@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from barrier_lab import (
     ClfCbfController,
+    ClfController,
     DefinitenessError,
     InfeasibleProblemError,
     InvalidParameterError,
@@ -227,10 +228,19 @@ class TestSolverStructure:
                           offset=lambda x: 0.0, relax_coeff=1.0)
 
     def test_penalty_must_be_positive(self, fig2):
-        with pytest.raises(InvalidParameterError):
-            clf_cbf_qp(fig2.model, fig2.pair, fig2.clf, None, 0.0, np.array([0.0, 4.5]))
-        with pytest.raises(InvalidParameterError):
-            clf_cbf_problem(fig2.model, fig2.pair, fig2.clf, p=-1.0)
+        from barrier_lab.qp import clf_problem
+        x = np.array([0.0, 4.5])
+        calls = (
+            lambda: clf_cbf_qp(fig2.model, fig2.pair, fig2.clf, None, 0.0, x),
+            lambda: clf_cbf_problem(fig2.model, fig2.pair, fig2.clf, p=-1.0),
+            lambda: clf_problem(fig2.model, fig2.clf, p=0.0),
+            lambda: unfiltered_control(fig2.model, fig2.clf, None, -1.0, x),
+            lambda: ClfCbfController(fig2.model, fig2.pair, fig2.clf, p=0.0),
+            lambda: ClfController(fig2.model, fig2.clf, p=-2.0),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="penalty p must be positive"):
+                call()
 
 
 class TestStrictFeasibilityAudit:

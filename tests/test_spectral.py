@@ -12,12 +12,12 @@ from barrier_lab import (
     PreconditionError,
     SystemModel,
     aberth_roots,
+    central_difference_jacobian,
     char_poly_coefficients,
     clf_cbf_control,
     constant_d_matrix,
     constant_matrix,
     eigen_and_classify,
-    fd_jacobian,
     jacobian_clf_cbf_boundary,
     jacobian_safety_filter_boundary,
     linear_system,
@@ -140,8 +140,8 @@ class TestJacobianCrossChecks:
             bundle = bundles(name)
             boundary, _ = analyzed(name)
             for r in boundary:
-                fd = fd_jacobian(lambda s: np.asarray(bundle.controller.field(s), dtype=float),
-                                 r.x_star)
+                fd = central_difference_jacobian(
+                    lambda s: np.asarray(bundle.controller.field(s), dtype=float), r.x_star)
                 assert np.max(np.abs(fd - r.jacobian)) < 1e-5
 
     def test_left_eigenvector_identity(self, bundles, analyzed):
