@@ -12,10 +12,11 @@ from .config import (ScenarioConfig, build_clf, build_controller, build_model,
                      build_pairs, builtin_scenario, comparison_config,
                      parse_config, parse_config_text, unfiltered_controller,
                      validate_config)
-from .equilibria import (EquilibriumReport, classify_desirability,
-                         collinearity_factor, find_boundary_equilibria,
-                         find_interior_equilibria, gauss_newton_root,
-                         multipliers_on_boundary)
+from .equilibria import (EquilibriumReport, PolishCounts, PolishResult,
+                         classify_desirability, collinearity_factor,
+                         find_boundary_equilibria, find_interior_equilibria,
+                         gauss_newton_root, multipliers_on_boundary,
+                         polish_roots)
 from .equivalence import (EquivalenceReport, TransformStep,
                           boundary_field_difference, compose_transforms,
                           default_boundary_samples, gradient_ratio,
@@ -57,7 +58,8 @@ __all__ = [
     "DefinitenessError", "EquilibriumReport", "EquivalenceReport",
     "FieldGrid", "InfeasibleProblemError", "InvalidParameterError",
     "InvarianceVerdict", "KktPoint", "LyapunovPair", "NominalClosedLoop",
-    "NotOnBoundaryError", "NumericsError", "PreconditionError", "QpProblem",
+    "NotOnBoundaryError", "NumericsError", "PolishCounts", "PolishResult",
+    "PreconditionError", "QpProblem",
     "RoaGrid", "SafeSetGeometry", "SafetyFilterController", "ScalarMap",
     "ScenarioConfig", "SpectralResult", "StateMap", "StrictFeasibilityError",
     "StructuralError", "SystemModel", "Trajectory", "TransformStep",
@@ -77,7 +79,7 @@ __all__ = [
     "invariance_audit", "jacobian_clf_cbf_boundary",
     "jacobian_safety_filter_boundary", "linear_map", "linear_system", "main",
     "make_ball_cbf", "multipliers_on_boundary", "parse_config",
-    "parse_config_text", "predicted_zeta", "predicted_zeta_tilde",
+    "parse_config_text", "polish_roots", "predicted_zeta", "predicted_zeta_tilde",
     "project_to_boundary", "quadratic_clf", "quadratic_map",
     "quadratic_offset_map", "roa_grid", "run_scenario", "safety_filter",
     "safety_filter_point", "safety_filter_problem", "single_integrator_2d",

@@ -7,7 +7,10 @@ document and writes JSON/CSV artifacts plus a plain-text summary.
 invariance across every barrier listed in the config.
 
 Exit codes: 0 success, 1 task error (partial artifacts retained), 2 config
-parse or validation error.
+parse or validation error. A task error is a BarrierLabError, a numpy
+LinAlgError, a ValueError or an ArithmeticError (ZeroDivisionError,
+OverflowError, FloatingPointError) raised by a task; any other exception is
+a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .artifacts import json_dumps, table, write_csv, write_json, write_text
 from .config import (BUILTIN_SCENARIOS, ScenarioConfig, build_clf,
                      build_controller, build_model, build_pairs,
                      builtin_scenario, parse_config, unfiltered_controller)
-from .equilibria import (SWEEP_DEFAULT, find_boundary_equilibria,
+from .equilibria import (SWEEP_DEFAULT, PolishCounts, find_boundary_equilibria,
                          find_interior_equilibria, state_sort_key)
 from .equivalence import (boundary_field_difference, default_boundary_samples,
                           gradient_ratio, hausdorff_distance, hessian_equivalence)
@@ -141,18 +144,25 @@ class ScenarioRun:
             self.run_equilibria({"kind": "equilibria"})
 
     def run_equilibria(self, params: dict) -> None:
+        counts = PolishCounts()
         boundary = find_boundary_equilibria(self.controller,
-                                            sweep=params.get("sweep", SWEEP_DEFAULT))
+                                            sweep=params.get("sweep", SWEEP_DEFAULT),
+                                            counts=counts)
         box = params.get("box", ((-5.0, -5.0), (5.0, 5.0)))
         interior = find_interior_equilibria(self.controller, box=box,
                                             per_axis=params.get("per_axis",
-                                                                INTERIOR_PER_AXIS))
+                                                                INTERIOR_PER_AXIS),
+                                            counts=counts)
         self.reports = sorted(boundary + interior, key=lambda r: state_sort_key(r.x_star))
         self._write_equilibria_json()
-        self.task_lines.append("equilibria: %d boundary (%d undesirable), %d interior"
+        stops = ", ".join("%s x%d" % (reason, counts.stops[reason])
+                          for reason in sorted(counts.stops))
+        self.task_lines.append("equilibria: %d boundary (%d undesirable), %d interior;"
+                               " polished %d candidates in %d iterations (%s), %d dropped"
                                % (len(boundary),
                                   sum(r.desirability == "undesirable" for r in boundary),
-                                  len(interior)))
+                                  len(interior), counts.polished, counts.iterations,
+                                  stops or "none", counts.dropped))
 
     def run_jacobians(self, params: dict) -> None:
         self.ensure_equilibria()
@@ -272,7 +282,8 @@ class ScenarioRun:
                 kind = task["kind"]
                 try:
                     getattr(self, "run_" + kind)(task)
-                except (BarrierLabError, np.linalg.LinAlgError, ValueError) as exc:
+                except (BarrierLabError, np.linalg.LinAlgError, ValueError,
+                        ArithmeticError) as exc:
                     self.error = "task %d (%s) failed: %s" % (index, kind, exc)
                     break
         finally:

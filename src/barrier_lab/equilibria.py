@@ -16,7 +16,7 @@ loop coincide with equilibria of the unfiltered loop and are desirable.
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,8 @@ DESIRABILITY_TOL = 1e-8     # strict-complementarity margin on lam / delta
 INTERIOR_MIN_H = 1e-6       # reported interior points must clear this
 NORMAL_MIN = 1e-10          # ||g^T grad_h|| floor for multiplier formulas
 DIVERGE_NORM = 1e6
+BACKTRACK_HALVINGS = 30     # trials per Gauss-Newton step before no-descent
+STOP_REASONS = ("step-stalled", "no-descent", "max-iterations", "diverged", "singular")
 
 
 @dataclass(frozen=True)
@@ -128,39 +130,131 @@ def classify_desirability(report: EquilibriumReport, controller) -> str:
     return "inconclusive"
 
 
+@dataclass(frozen=True)
+class PolishResult:
+    """One candidate's Gauss-Newton polish.
+
+    x is the last accepted iterate, iterations the number of accepted steps,
+    residual ||fun(x)|| and reason why the iteration stopped (one of
+    STOP_REASONS). converged: residual below the target, and the stop was
+    neither diverged nor singular.
+    """
+
+    x: np.ndarray
+    iterations: int
+    residual: float
+    reason: str
+    converged: bool
+
+    @property
+    def root(self) -> Optional[np.ndarray]:
+        return self.x if self.converged else None
+
+
+class PolishCounts:
+    """Running totals of equilibrium searches, for the run summary.
+
+    polished: candidates polished; iterations: their accepted steps in
+    total; stops: candidates per stop reason; dropped: seeds, candidates and
+    roots a search discarded, each with a log line.
+    """
+
+    def __init__(self):
+        self.polished = 0
+        self.iterations = 0
+        self.stops: Dict[str, int] = {}
+        self.dropped = 0
+
+    def add(self, result: PolishResult) -> None:
+        self.polished += 1
+        self.iterations += result.iterations
+        self.stops[result.reason] = self.stops.get(result.reason, 0) + 1
+
+
+def polish_roots(fun, x0s, max_iter: int = POLISH_MAX_ITER,
+                 tol: float = POLISH_TOL) -> List[PolishResult]:
+    """Gauss-Newton with backtracking on a batch of candidates, one result each.
+
+    fun maps states (k, n) to residuals (k, p), row by row. Each round makes
+    one fun call for all running rows: a row evaluates its next state (its
+    seed, then each backtracking trial x - scale * step) together with the
+    2 n central-difference offsets around it, so an accepted trial already
+    carries the Jacobian of its next iteration. A row iterates until its
+    step stalls, so that roots of high multiplicity are located accurately,
+    not just to the residual target; the target still gates success. A row
+    that stops is frozen and leaves the batch. Per row, the arithmetic is
+    that of a one-row polish: norms and least-squares solves are per row.
+    """
+    if not len(x0s):
+        return []
+    x = np.array(x0s, dtype=float)
+    k = x.shape[0]
+    trial = x.copy()               # the state each running row evaluates next
+    norm = [0.0] * k               # ||fun(x)|| at each row's accepted iterate
+    step: List[Optional[np.ndarray]] = [None] * k
+    scale = [1.0] * k
+    halvings = [0] * k
+    iterations = [0] * k
+    results: List[Optional[PolishResult]] = [None] * k
+
+    def stop(i: int, residual: float, reason: str) -> None:
+        converged = reason not in ("diverged", "singular") and residual < tol
+        results[i] = PolishResult(x=x[i].copy(), iterations=iterations[i], residual=residual,
+                                  reason=reason, converged=converged)
+
+    running = list(range(k))
+    while running:
+        values, jacs = central_difference_jacobian(fun, trial[running], value=True)
+        still = []
+        for j, i in enumerate(running):
+            value_norm = float(np.linalg.norm(values[j]))
+            if step[i] is not None:
+                # a backtracking trial: accept on strict descent, else halve
+                if not value_norm < norm[i]:
+                    halvings[i] += 1
+                    if halvings[i] == BACKTRACK_HALVINGS:
+                        stop(i, norm[i], "no-descent")
+                        continue
+                    scale[i] *= 0.5
+                    trial[i] = x[i] - scale[i] * step[i]
+                    still.append(i)
+                    continue
+                iterations[i] += 1
+            x[i] = trial[i]
+            norm[i] = value_norm
+            if iterations[i] >= max_iter:
+                stop(i, value_norm, "max-iterations")
+                continue
+            if not np.isfinite(value_norm) or value_norm > DIVERGE_NORM:
+                stop(i, value_norm, "diverged")
+                continue
+            try:
+                step[i] = np.linalg.lstsq(jacs[j], values[j], rcond=None)[0]
+            except np.linalg.LinAlgError:
+                stop(i, value_norm, "singular")
+                continue
+            if float(np.linalg.norm(step[i])) <= STEP_TOL * (1.0 + float(np.linalg.norm(x[i]))):
+                stop(i, value_norm, "step-stalled")
+                continue
+            scale[i] = 1.0
+            halvings[i] = 0
+            trial[i] = x[i] - scale[i] * step[i]
+            still.append(i)
+        running = still
+    return results
+
+
 def gauss_newton_root(fun, x0: np.ndarray, max_iter: int = POLISH_MAX_ITER,
                       tol: float = POLISH_TOL) -> Optional[np.ndarray]:
-    """Gauss-Newton with backtracking on a (possibly overdetermined) system.
+    """Gauss-Newton polish of one state: polish_roots with a fun of one state.
 
-    Iterates until the step stalls so that roots of high multiplicity are
-    located accurately, not just to the residual target; the target still
-    gates success. Returns the root with ||fun|| < tol, else None.
+    Returns the root with ||fun|| < tol, else None.
     """
-    x = np.array(x0, dtype=float)
-    value = np.asarray(fun(x), dtype=float)
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(value))
-        if not np.isfinite(norm) or norm > DIVERGE_NORM:
-            return None
-        jac = central_difference_jacobian(fun, x)
-        try:
-            step = np.linalg.lstsq(jac, value, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return None
-        if float(np.linalg.norm(step)) <= STEP_TOL * (1.0 + float(np.linalg.norm(x))):
-            break
-        scale = 1.0
-        for _ in range(30):
-            trial = x - scale * step
-            trial_value = np.asarray(fun(trial), dtype=float)
-            if float(np.linalg.norm(trial_value)) < norm:
-                break
-            scale *= 0.5
-        else:
-            break
-        x = trial
-        value = trial_value
-    return x if float(np.linalg.norm(value)) < tol else None
+    def stacked(states):
+        return np.stack([np.asarray(fun(s), dtype=float) for s in states])
+
+    [result] = polish_roots(stacked, np.asarray(x0, dtype=float)[None], max_iter, tol)
+    return result.root
 
 
 def state_sort_key(q: np.ndarray):
@@ -221,52 +315,67 @@ def _boundary_multipliers(controller, x: np.ndarray) -> Tuple[float, ...]:
     return ()
 
 
+def _sweep_candidates(controller, sweep: int) -> List[np.ndarray]:
+    """Boundary samples where the closed-loop field norm has a local minimum near 0."""
+    geometry = controller.pair.geometry
+    if geometry is None or geometry.kind != "ball-complement-2d":
+        raise PreconditionError("non-ball geometry needs explicit seeds")
+    samples = geometry.boundary_points(sweep)
+    field = np.asarray(controller.field(samples), dtype=float)
+    norms = np.linalg.norm(field, axis=-1)
+    norms = np.where(np.isfinite(norms), norms, np.inf)
+    prev_n = np.roll(norms, 1)
+    next_n = np.roll(norms, -1)
+    # a zero between samples shows up as a V-shaped local minimum whose
+    # sampled value can exceed DETECT_TOL by up to slope * spacing; accept
+    # when the interpolated minimum could reach the threshold
+    slack = np.maximum(np.abs(prev_n - norms), np.abs(next_n - norms))
+    slack = np.where(np.isfinite(slack), slack, 0.0)
+    mask = (np.isfinite(norms)
+            & (norms <= prev_n) & (norms <= next_n)
+            & (norms < DETECT_TOL + slack))
+    return [samples[i] for i in np.flatnonzero(mask)]
+
+
+def _boundary_system(controller):
+    """The stacked residual [field(x); h(x)] of the boundary search, batched."""
+    def stacked(x):
+        return np.concatenate([np.asarray(controller.field(x), dtype=float),
+                               np.asarray(controller.pair.h(x), dtype=float)[..., None]],
+                              axis=-1)
+
+    return stacked
+
+
 def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
-                             seeds: Optional[Sequence[np.ndarray]] = None) -> List[EquilibriumReport]:
+                             seeds: Optional[Sequence[np.ndarray]] = None,
+                             counts: Optional[PolishCounts] = None) -> List[EquilibriumReport]:
     """Equilibria of the closed loop on the boundary of the safe set.
 
     For a planar ball boundary: sweep the circle, keep local minima of the
-    closed-loop field norm under 1e-3, polish each with Gauss-Newton on the
-    stacked system [field(x); h(x)] = 0, deduplicate, attach multipliers and
-    desirability. Non-ball geometries need explicit seeds.
+    closed-loop field norm under 1e-3, polish them in one batch with
+    Gauss-Newton on the stacked system [field(x); h(x)] = 0, deduplicate,
+    attach multipliers and desirability. Non-ball geometries need explicit
+    seeds. counts, when given, receives each polish and each drop.
     """
     if not controller.cbf_pairs:
         raise PreconditionError("controller carries no barrier; no boundary to search")
-    pair = controller.pair
-    candidates: List[np.ndarray] = []
     if seeds is not None:
         candidates = [np.asarray(s, dtype=float) for s in seeds]
-    elif pair.geometry is not None and pair.geometry.kind == "ball-complement-2d":
-        samples = pair.geometry.boundary_points(sweep)
-        field = np.asarray(controller.field(samples), dtype=float)
-        norms = np.linalg.norm(field, axis=-1)
-        norms = np.where(np.isfinite(norms), norms, np.inf)
-        prev_n = np.roll(norms, 1)
-        next_n = np.roll(norms, -1)
-        # a zero between samples shows up as a V-shaped local minimum whose
-        # sampled value can exceed DETECT_TOL by up to slope * spacing; accept
-        # when the interpolated minimum could reach the threshold
-        slack = np.maximum(np.abs(prev_n - norms), np.abs(next_n - norms))
-        slack = np.where(np.isfinite(slack), slack, 0.0)
-        mask = (np.isfinite(norms)
-                & (norms <= prev_n) & (norms <= next_n)
-                & (norms < DETECT_TOL + slack))
-        candidates = [samples[i] for i in np.flatnonzero(mask)]
     else:
-        raise PreconditionError("non-ball geometry needs explicit seeds")
+        candidates = _sweep_candidates(controller, sweep)
 
-    def stacked(x):
-        return np.concatenate([np.asarray(controller.field(x), dtype=float),
-                               np.atleast_1d(np.asarray(pair.h(x), dtype=float))])
-
+    counts = PolishCounts() if counts is None else counts
     polished: List[np.ndarray] = []
-    for x0 in candidates:
-        root = gauss_newton_root(stacked, x0)
-        if root is None:
-            log.warning("boundary candidate at %s dropped: no convergence in %d iterations",
-                        np.array2string(x0, precision=6), POLISH_MAX_ITER)
+    for x0, result in zip(candidates, polish_roots(_boundary_system(controller), candidates)):
+        counts.add(result)
+        if not result.converged:
+            log.warning("boundary candidate at %s dropped: no convergence (%s after %d"
+                        " iterations, residual %g)", np.array2string(x0, precision=6),
+                        result.reason, result.iterations, result.residual)
+            counts.dropped += 1
             continue
-        polished.append(root)
+        polished.append(result.x)
 
     reports: List[EquilibriumReport] = []
     for x in _dedup(polished):
@@ -276,6 +385,7 @@ def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
         except (StrictFeasibilityError, NotOnBoundaryError) as exc:
             log.error("boundary candidate at %s rejected: %s",
                       np.array2string(x, precision=6), exc)
+            counts.dropped += 1
             continue
         report = EquilibriumReport(x_star=x, kind="boundary", desirability="inconclusive",
                                    controller=controller.kind, multipliers=multipliers,
@@ -295,14 +405,17 @@ def _default_seed_grid(box, per_axis: int) -> List[np.ndarray]:
 
 def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
                              seeds: Optional[Sequence[np.ndarray]] = None,
-                             per_axis: int = 5) -> List[EquilibriumReport]:
+                             per_axis: int = 5,
+                             counts: Optional[PolishCounts] = None) -> List[EquilibriumReport]:
     """Equilibria of the closed loop in the strict interior of the safe set.
 
     Interior equilibria coincide with equilibria of the unfiltered loop
     (an active barrier row forces grad_h^T field = -alpha(h) != 0 there), so
     Newton runs on the unfiltered field, which has no solver-tolerance
-    plateaus; the filtered field still gates the reported residual.
-    Converged points with h > 1e-6 for every carried barrier are reported.
+    plateaus; the filtered field still gates the reported residual. The
+    seeds inside the safe set are polished in one batch. Converged points
+    with h > 1e-6 for every carried barrier are reported. counts, when
+    given, receives each polish and each drop.
     """
     if seeds is None:
         seeds = _default_seed_grid(box, per_axis)
@@ -313,25 +426,34 @@ def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
     def field_at(x):
         return np.asarray(controller.unfiltered_field(x), dtype=float)
 
+    counts = PolishCounts() if counts is None else counts
+    safe = [not any(float(pair.h(x0)) < 0.0 for pair in controller.cbf_pairs) for x0 in seeds]
+    polished = iter(polish_roots(field_at, [x0 for x0, ok in zip(seeds, safe) if ok]))
     # states go to the log as lazy %s arguments: no formatting below the level
     roots: List[np.ndarray] = []
-    for x0 in seeds:
-        if any(float(pair.h(x0)) < 0.0 for pair in controller.cbf_pairs):
+    for x0, ok in zip(seeds, safe):
+        if not ok:
             log.debug("interior seed %s dropped: outside the safe set", x0)
+            counts.dropped += 1
             continue
-        root = gauss_newton_root(field_at, x0)
-        if root is None:
-            log.warning("interior seed %s dropped: no convergence in %d iterations",
-                        x0, POLISH_MAX_ITER)
+        result = next(polished)
+        counts.add(result)
+        if not result.converged:
+            log.warning("interior seed %s dropped: no convergence (%s after %d iterations,"
+                        " residual %g)", x0, result.reason, result.iterations, result.residual)
+            counts.dropped += 1
             continue
+        root = result.x
         if any(float(pair.h(root)) <= INTERIOR_MIN_H for pair in controller.cbf_pairs):
             log.debug("interior seed %s dropped: its root %s is not inside the safe set",
                       x0, root)
+            counts.dropped += 1
             continue
         residual = float(np.linalg.norm(controller.field(root)))
         if not residual < RESIDUAL_TOL:   # a NaN residual fails the gate too
             log.warning("interior seed %s dropped: closed-loop residual %g at its root %s"
                         " is not below %g", x0, residual, root, RESIDUAL_TOL)
+            counts.dropped += 1
             continue
         roots.append(root)
 

@@ -560,16 +560,36 @@ class ValidationReport:
 
 
 def central_difference_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                                step: float = FD_STEP) -> np.ndarray:
-    """Central differences with a common step step * (1 + ||x||)."""
+                                step: float = FD_STEP, value: bool = False):
+    """Central differences with a common step step * (1 + ||x||) per state.
+
+    One state x (n,) takes a fun of one state. A batch x (k, n) takes a
+    batched fun, called once on the 2 n k offset states; with value=True the
+    k states themselves join that call and (fun(x), jacobian) is returned.
+    The jacobian has shape (k,) + fun's output shape + (n,).
+    """
     x = np.asarray(x, dtype=float)
-    delta = step * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for i in range(x.shape[-1]):
-        e = np.zeros_like(x)
-        e[i] = delta
-        cols.append((np.asarray(fun(x + e), dtype=float) - np.asarray(fun(x - e), dtype=float)) / (2.0 * delta))
-    return np.stack(cols, axis=-1)
+    if x.ndim == 1:
+        def one_at_a_time(states):
+            return np.stack([np.asarray(fun(s), dtype=float) for s in states])
+
+        out = central_difference_jacobian(one_at_a_time, x[None], step, value)
+        return (out[0][0], out[1][0]) if value else out[0]
+    k, n = x.shape
+    # each state's own 1-D norm: an axis-wise norm can differ in the last
+    # bit, and a state's step must not depend on the batch it arrives in
+    delta = step * (1.0 + np.array([float(np.linalg.norm(s)) for s in x]))
+    offsets = np.zeros((k, n, n))
+    offsets[:, np.arange(n), np.arange(n)] = delta[:, None]
+    parts = [x[:, None, :] + offsets, x[:, None, :] - offsets]
+    if value:
+        parts.append(x[:, None, :])
+    states = np.concatenate(parts, axis=1)
+    out = np.asarray(fun(states.reshape(-1, n)), dtype=float)
+    out = out.reshape(states.shape[:2] + out.shape[1:])
+    scale = (2.0 * delta).reshape((k, 1) + (1,) * (out.ndim - 2))
+    jac = np.ascontiguousarray(np.moveaxis((out[:, :n] - out[:, n:2 * n]) / scale, 1, -1))
+    return (out[:, 2 * n], jac) if value else jac
 
 
 def _check_shapes(model: SystemModel, x0: np.ndarray) -> None:

@@ -97,7 +97,7 @@ def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndar
     """Closed-form Jacobian of the CLF-CBF loop at a strict boundary equilibrium."""
     x = np.asarray(x_star, dtype=float)
     weight = _weight_or_identity(weight, model.m)
-    lam1, lam2, _, det = multipliers_on_boundary(model, cbf, clf, weight, p, x)
+    lam1, lam2, delta_mat, det = multipliers_on_boundary(model, cbf, clf, weight, p, x)
     if lam1 <= DESIRABILITY_TOL or lam2 <= DESIRABILITY_TOL:
         raise PreconditionError(
             "strict complementarity needed: lam1 = %g, lam2 = %g must exceed %g"
@@ -111,11 +111,10 @@ def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndar
     a_p0 = float(cbf.alpha_prime(0.0))
     b_pv = float(clf.beta_prime(clf.v(x)))
 
+    # a, bb and c as the multipliers used them (Delta = [[a, -bb], [-bb, c]])
+    a, bb, c = float(delta_mat[0, 0]), -float(delta_mat[0, 1]), float(delta_mat[1, 1])
     dv = d @ grad_v
     dh = d @ grad_h
-    a = float(grad_v @ dv) + 1.0 / float(p)
-    bb = float(grad_v @ dh)
-    c = float(grad_h @ dh)
 
     s1 = c * dv - bb * dh
     s2 = -bb * dv + a * dh

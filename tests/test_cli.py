@@ -15,6 +15,7 @@ from barrier_lab import (
     parse_config_text,
 )
 from barrier_lab.artifacts import json_dumps
+from barrier_lab.cli import ScenarioRun
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -116,6 +117,35 @@ class TestScenarioRun:
         assert names == ["equilibria.json", "summary.txt"]
         assert "failed" in capsys.readouterr().err
         assert "error" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_arithmetic_error_is_a_task_error(self, tmp_path, monkeypatch):
+        run = ScenarioRun(builtin_scenario("fig3"), out_dir=str(tmp_path / "out"))
+
+        def divide(params):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(run, "run_equilibria", divide)
+        assert run.run() == 1
+        text = (tmp_path / "out" / "summary.txt").read_text()
+        assert "task 0 (equilibria) failed: float division by zero" in text
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        run = ScenarioRun(builtin_scenario("fig3"), out_dir=str(tmp_path / "out"))
+
+        def broken(params):
+            return len(None)
+
+        monkeypatch.setattr(run, "run_equilibria", broken)
+        with pytest.raises(TypeError):
+            run.run()
+        assert (tmp_path / "out" / "summary.txt").exists()
+
+    def test_summary_counts_the_equilibrium_polish(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scenario", "fig2"]) == 0
+        text = (tmp_path / "fig2-artifacts" / "summary.txt").read_text()
+        assert ("  - equilibria: 3 boundary (3 undesirable), 1 interior; polished 27 candidates"
+                " in 2306 iterations (max-iterations x23, step-stalled x4), 1 dropped\n") in text
 
     def test_roa_horizon_off_the_step_grid_fails_the_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

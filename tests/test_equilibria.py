@@ -9,6 +9,7 @@ import pytest
 from barrier_lab import (
     EquilibriumReport,
     NotOnBoundaryError,
+    PolishCounts,
     PreconditionError,
     classify_desirability,
     collinearity_factor,
@@ -19,9 +20,22 @@ from barrier_lab import (
     linear_system,
     make_ball_cbf,
     multipliers_on_boundary,
+    polish_roots,
     quadratic_clf,
 )
-from barrier_lab.equilibria import state_sort_key
+from barrier_lab.config import BUILTIN_SCENARIOS
+from barrier_lab.equilibria import (
+    DIVERGE_NORM,
+    POLISH_MAX_ITER,
+    POLISH_TOL,
+    STEP_TOL,
+    STOP_REASONS,
+    SWEEP_DEFAULT,
+    _boundary_system,
+    _default_seed_grid,
+    _sweep_candidates,
+    state_sort_key,
+)
 
 SQ3 = math.sqrt(3.0)
 COORD_TOL = 1e-9
@@ -281,6 +295,151 @@ class TestRootPolish:
             return np.array([x[0] ** 2 + 1.0])
 
         assert gauss_newton_root(fun, np.array([3.0])) is None
+
+
+# The one-seed polish the batched routine replaced, kept verbatim as the
+# slow path (with the per-coordinate central differences it called): the
+# batched roots must equal its roots bit for bit.
+def _reference_jacobian(fun, x, step=1e-5):
+    delta = step * (1.0 + float(np.linalg.norm(x)))
+    cols = []
+    for i in range(x.shape[-1]):
+        e = np.zeros_like(x)
+        e[i] = delta
+        cols.append((np.asarray(fun(x + e), dtype=float) - np.asarray(fun(x - e), dtype=float))
+                    / (2.0 * delta))
+    return np.stack(cols, axis=-1)
+
+
+def _reference_root(fun, x0, max_iter=POLISH_MAX_ITER, tol=POLISH_TOL):
+    x = np.array(x0, dtype=float)
+    value = np.asarray(fun(x), dtype=float)
+    for _ in range(max_iter):
+        norm = float(np.linalg.norm(value))
+        if not np.isfinite(norm) or norm > DIVERGE_NORM:
+            return None
+        jac = _reference_jacobian(fun, x)
+        try:
+            step = np.linalg.lstsq(jac, value, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return None
+        if float(np.linalg.norm(step)) <= STEP_TOL * (1.0 + float(np.linalg.norm(x))):
+            break
+        scale = 1.0
+        for _ in range(30):
+            trial = x - scale * step
+            trial_value = np.asarray(fun(trial), dtype=float)
+            if float(np.linalg.norm(trial_value)) < norm:
+                break
+            scale *= 0.5
+        else:
+            break
+        x = trial
+        value = trial_value
+    return x if float(np.linalg.norm(value)) < tol else None
+
+
+def assert_same_as_reference(results, reference):
+    assert len(results) == len(reference)
+    for result, root in zip(results, reference):
+        assert result.converged == (root is not None)
+        if root is not None:
+            assert result.x.tobytes() == root.tobytes()
+            assert result.root is result.x
+
+
+def mixed_rows(x):
+    # column 1 tags the row's problem and never moves: its residual is 0 at
+    # the seed and its Jacobian column is (0, ~1), so each step keeps it
+    s, tag = x[:, 0], np.round(x[:, 1])
+    g = np.select([tag == 0, tag == 1, tag == 2, tag == 3, tag == 4],
+                  [s - 2.0,                                  # converging
+                   s * s + 1.0,                              # rootless
+                   DIVERGE_NORM * 10.0 + s,                  # diverging at its seed
+                   1.0 + np.where(s > 0.0, s, -3.0 * s),     # kink: no descent from 0
+                   s + 7.0],                                 # lstsq fails (patched)
+                  (s - 1.0) ** 3)                            # triple root: slow
+    return np.stack([g, x[:, 1] - tag], axis=-1)
+
+
+MIXED_SEEDS = np.array([[2.5, 0.0], [3.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0], [1.5, 5.0]])
+MIXED_OUTCOMES = [("step-stalled", 1, True), ("no-descent", 10, False), ("diverged", 0, False),
+                  ("no-descent", 0, False), ("singular", 0, False),
+                  ("max-iterations", POLISH_MAX_ITER, True)]
+
+
+class TestBatchedPolish:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig3-h2a1"])
+    def test_interior_roots_match_the_one_seed_polish(self, bundles, name):
+        controller = bundles(name).controller
+        seeds = [s for s in _default_seed_grid(((-5.0, -5.0), (5.0, 5.0)), 5)
+                 if all(float(pair.h(s)) >= 0.0 for pair in controller.cbf_pairs)]
+        results = polish_roots(controller.unfiltered_field, seeds)
+        reference = [_reference_root(controller.unfiltered_field, s) for s in seeds]
+        assert_same_as_reference(results, reference)
+        assert all(result.converged for result in results)
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_boundary_roots_match_the_one_seed_polish(self, bundles, name):
+        controller = bundles(name).controller
+
+        def one_state(x):
+            return np.concatenate([np.asarray(controller.field(x), dtype=float),
+                                   np.atleast_1d(np.asarray(controller.pair.h(x), dtype=float))])
+
+        candidates = _sweep_candidates(controller, SWEEP_DEFAULT)
+        assert len(candidates) >= 3
+        results = polish_roots(_boundary_system(controller), candidates)
+        assert_same_as_reference(results, [_reference_root(one_state, c) for c in candidates])
+
+    def test_mixed_batch_keeps_each_rows_outcome(self, monkeypatch):
+        lstsq = np.linalg.lstsq
+
+        def failing_on_seven(a, b, rcond=None):
+            if b[0] == 7.0:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing_on_seven)
+        results = polish_roots(mixed_rows, MIXED_SEEDS)
+        assert [(r.reason, r.iterations, r.converged) for r in results] == MIXED_OUTCOMES
+        assert {r.reason for r in results} == set(STOP_REASONS)
+        assert abs(results[0].x[0] - 2.0) < 1e-12 and results[0].x[1] == 0.0
+        assert results[0].residual < POLISH_TOL
+        assert results[2].residual > DIVERGE_NORM
+        assert results[1].root is None and results[1].residual >= 1.0
+        for seed, result in zip(MIXED_SEEDS, results):
+            [alone] = polish_roots(mixed_rows, seed[None])
+            assert (alone.reason, alone.iterations) == (result.reason, result.iterations)
+            assert alone.x.tobytes() == result.x.tobytes()
+            assert alone.residual == result.residual
+
+    def test_empty_batch(self):
+        assert polish_roots(mixed_rows, []) == []
+
+    def test_counts_tally_polishes_and_drops(self, fig3):
+        counts = PolishCounts()
+        seeds = [np.array([2.0, 0.0]), np.array([4.0, 1.0]), np.array([-1.0, 2.0])]
+        reports = find_interior_equilibria(fig3.controller, seeds=seeds, counts=counts)
+        assert len(reports) == 1
+        assert (counts.polished, counts.dropped) == (2, 1)
+        assert counts.stops == {"step-stalled": 2}
+        assert counts.iterations == sum(
+            r.iterations for r in polish_roots(fig3.controller.unfiltered_field, seeds[1:]))
+        find_boundary_equilibria(fig3.controller, counts=counts)
+        assert counts.polished == 2 + len(_sweep_candidates(fig3.controller, SWEEP_DEFAULT))
+
+    def test_dropped_seed_log_names_its_stop_reason(self, caplog):
+        rootless = _DuckLoop(lambda x: x * x + 1.0, lambda x: x * x + 1.0)
+        seed = np.array([0.5, -1.0])
+        [result] = polish_roots(rootless.unfiltered_field, [seed])
+        with caplog.at_level(logging.WARNING, logger="barrier_lab.equilibria"):
+            find_interior_equilibria(rootless, seeds=[seed])
+        [record] = [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        assert record.args[0] is seed
+        message = record.getMessage()
+        assert "no convergence" in message
+        assert "(%s after %d iterations" % (result.reason, result.iterations) in message
 
 
 class TestOrderingAndGuards:

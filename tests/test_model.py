@@ -262,3 +262,28 @@ class TestFiniteDifferences:
         x = np.array([1.0, 2.0])
         jac = central_difference_jacobian(fun, x)
         assert np.max(np.abs(jac[0] - 2.0 * x)) < 1e-8
+
+    def test_batch_matches_one_state_calls_bitwise(self):
+        # a batch of states gives each state the Jacobian (and value) a
+        # one-state call gives it, bit for bit, including the step size
+        def field(x):
+            x = np.asarray(x, dtype=float)
+            return np.stack([x[..., 0] ** 3 - x[..., 1], np.sin(x[..., 0] * x[..., 1]),
+                             x[..., 1] ** 2], axis=-1)
+
+        states = np.random.default_rng(7).uniform(-4.0, 4.0, size=(300, 2))
+        values, jacs = central_difference_jacobian(field, states, value=True)
+        assert jacs.shape == (300, 3, 2)
+        for x, value, jac in zip(states, values, jacs):
+            assert value.tobytes() == field(x).tobytes()
+            assert jac.tobytes() == central_difference_jacobian(field, x).tobytes()
+            delta = 1e-5 * (1.0 + float(np.linalg.norm(x)))
+            cols = [(field(x + delta * e) - field(x - delta * e)) / (2.0 * delta)
+                    for e in np.eye(2)]
+            assert jac.tobytes() == np.stack(cols, axis=-1).tobytes()
+
+    def test_scalar_output_keeps_its_shape(self):
+        jac = central_difference_jacobian(lambda x: np.asarray(x, dtype=float) @ [1.0, 2.0],
+                                          np.array([[0.5, 1.0], [2.0, -1.0]]))
+        assert jac.shape == (2, 2)
+        assert np.max(np.abs(jac - [1.0, 2.0])) < 1e-9
