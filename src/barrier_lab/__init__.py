@@ -35,10 +35,8 @@ from .model import (BarrierPair, LyapunovPair, SafeSetGeometry, ScalarMap,
                     single_integrator_2d, transform_cbf, validate_model)
 from .qp import (ClfCbfController, ClfController, ConstraintRow, KktPoint,
                  NominalClosedLoop, QpProblem, SafetyFilterController,
-                 certificate_errors, check_strict_feasibility, clf_cbf_control,
-                 clf_cbf_problem, clf_cbf_qp, safety_filter,
-                 safety_filter_point, safety_filter_problem, solve_small_qp,
-                 unfiltered_control, unfiltered_control_batch)
+                 certificate_errors, check_strict_feasibility,
+                 clf_cbf_problem, safety_filter_problem, solve_small_qp)
 from .sim import (FieldGrid, RoaGrid, Trajectory, field_grid, integrate,
                   integrate_batch, invariance_audit, roa_grid)
 from .spectral import (InvarianceVerdict, SpectralResult, aberth_roots,
@@ -68,8 +66,8 @@ __all__ = [
     "build_model", "build_pairs", "builtin_scenario",
     "central_difference_jacobian", "certificate_errors",
     "char_poly_coefficients", "check_strict_feasibility",
-    "classify_desirability", "clf_cbf_control", "clf_cbf_problem",
-    "clf_cbf_qp", "collinearity_factor", "compare_pairs",
+    "classify_desirability", "clf_cbf_problem", "collinearity_factor",
+    "compare_pairs",
     "comparison_config", "compose_transforms", "constant_d_matrix",
     "constant_matrix", "constant_state_map", "default_boundary_samples",
     "eigen_and_classify", "field_grid",
@@ -81,10 +79,9 @@ __all__ = [
     "make_ball_cbf", "multipliers_on_boundary", "parse_config",
     "parse_config_text", "polish_roots", "predicted_zeta", "predicted_zeta_tilde",
     "project_to_boundary", "quadratic_clf", "quadratic_map",
-    "quadratic_offset_map", "roa_grid", "run_scenario", "safety_filter",
-    "safety_filter_point", "safety_filter_problem", "single_integrator_2d",
-    "solve_small_qp", "spectral_invariance_check", "stability_label",
-    "synthetic_division", "transform_cbf", "unfiltered_control",
-    "unfiltered_control_batch", "unfiltered_controller", "validate_config",
+    "quadratic_offset_map", "roa_grid", "run_scenario",
+    "safety_filter_problem", "single_integrator_2d", "solve_small_qp",
+    "spectral_invariance_check", "stability_label", "synthetic_division",
+    "transform_cbf", "unfiltered_controller", "validate_config",
     "validate_model",
 ]

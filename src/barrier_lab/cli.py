@@ -353,7 +353,9 @@ class ScenarioRun:
                 lines.append("  - %s" % entry)
         if self.artifacts:
             lines.append("")
-            lines.append("artifacts in %s" % self.out_dir)
+            # the directory's own name only, so the summary does not depend on
+            # where the output tree sits
+            lines.append("artifacts in %s" % os.path.basename(os.path.normpath(self.out_dir)))
             for name in self.artifacts:
                 lines.append("  - %s" % name)
         if self.error:

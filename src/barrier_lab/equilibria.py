@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotOnBoundaryError, PreconditionError, StrictFeasibilityError
 from .model import central_difference_jacobian
-from .qp import _LoopTerms, _reference_fields
+from .qp import _clf_cbf_fields, _LoopTerms
 
 if TYPE_CHECKING:
     from .spectral import SpectralResult
@@ -77,13 +77,13 @@ def multipliers_on_boundary(model, cbf, clf, weight, p: float, x: np.ndarray):
     """Both-rows-active multipliers (lam1, lam2, Delta, det) at a boundary state.
 
     F_V, F_h, g^T grad_h and the D-weighted products come from the law code
-    the controllers run (qp._reference_fields).
+    the controllers run (qp._clf_cbf_fields on the loop's qp._LoopTerms).
     """
     x = np.asarray(x, dtype=float)
     h = float(cbf.h(x))
     if abs(h) >= BOUNDARY_TOL:
         raise NotOnBoundaryError("|h(x)| = %g is not below %g" % (abs(h), BOUNDARY_TOL))
-    data = _reference_fields(model, cbf, clf, weight, x)
+    data = _clf_cbf_fields(_LoopTerms(model, weight, nominal=False), cbf, clf, x)
     if float(np.linalg.norm(data["ah"])) <= NORMAL_MIN:
         raise StrictFeasibilityError("||g^T grad_h|| vanishes on the boundary")
     fv, fh = float(data["fv"]), float(data["fh"])
@@ -104,7 +104,7 @@ def collinearity_factor(model, pair, weight, x: np.ndarray) -> float:
     loop terms (qp._LoopTerms).
     """
     x = np.asarray(x, dtype=float)
-    terms = _LoopTerms(model, weight, nominal=True, hoist=False)
+    terms = _LoopTerms(model, weight, nominal=True)
     [(_, winv_a)] = terms.rows(x, np.asarray(pair.grad_h(x), dtype=float))
     d_grad = terms.apply_g(x, winv_a)
     den = float(d_grad @ d_grad)

@@ -13,12 +13,12 @@ F_V(x) = grad_v^T f + beta(V) for clf rows. Multipliers of >=-rows enter
 stationarity with a minus sign: W u + sum_i lambda_i s_i a_i = 0, s_i = +1
 for <=-rows and -1 for >=-rows.
 
-Closed-form fast paths (safety filter, CLF-CBF QP, unfiltered CLF control)
-are vectorized over leading state axes; the generic solver handles one state
-at a time and serves as the oracle the fast paths are tested against. The
-module-level laws evaluate every part of the model at the given states; the
-controller objects compute the state-independent parts once and evaluate
-their law in one pass per call (evaluate -> u, field, multipliers, code).
+The closed-form laws (safety filter, CLF-CBF QP, unfiltered CLF control)
+live in the controller objects, vectorized over leading state axes: each
+computes the state-independent parts once and evaluates its law in one pass
+per call (evaluate -> u, field, multipliers, code); point(x) reads that pass
+at one state. The generic solver handles one state at a time and serves as
+the oracle the controllers are tested against.
 """
 
 import itertools
@@ -95,7 +95,6 @@ class KktPoint:
     delta: float
     multipliers: Tuple[float, ...]
     active_set: Tuple[int, ...]
-    stationarity_residual: float
 
 
 def _checked_weight(problem_weight: Weight, x: np.ndarray) -> np.ndarray:
@@ -177,15 +176,11 @@ def solve_small_qp(problem: QpProblem, x: np.ndarray) -> KktPoint:
             multipliers = np.zeros(k)
             for j, i in enumerate(subset):
                 multipliers[i] = max(0.0, float(lam_subset[j]))
-            grad = hess @ z
-            for i in subset:
-                grad = grad + multipliers[i] * senses[i] * normals[i]
             return KktPoint(
                 u=z[:m].copy(),
                 delta=float(z[m]) if has_delta else 0.0,
                 multipliers=tuple(multipliers.tolist()),
                 active_set=tuple(subset),
-                stationarity_residual=float(np.max(np.abs(grad))) if nz else 0.0,
             )
 
     viol = [max(0.0, senses[i] * offsets[i]) for i in range(k)]
@@ -245,24 +240,20 @@ def _apply_inverse(w: np.ndarray, vec: np.ndarray) -> np.ndarray:
 class _LoopTerms:
     """Drift, g and W^{-1} g^T of one controller's loop, evaluated at states.
 
-    The drift is f + g k for loops around a nominal controller, else f. With
-    hoist=True the parts the model marks as state-independent are computed
-    once, here: g (a constant_matrix evaluator), W^{-1} g^T (g and W both
-    constant) and the drift matrix A + B K (SystemModel.drift_evaluator);
-    products with them go through linear_evaluator. Unmarked parts, and
-    every part when hoist=False, are evaluated at each state; the
-    module-level laws use hoist=False and serve as the references.
+    The drift is f + g k for loops around a nominal controller, else f. The
+    parts the model marks as state-independent are computed once, here: g
+    (a constant_matrix evaluator), W^{-1} g^T (g and W both constant) and
+    the drift matrix A + B K (SystemModel.drift_evaluator); products with
+    them go through linear_evaluator. Unmarked parts are evaluated at each
+    state.
     """
 
-    def __init__(self, model: SystemModel, weight: Weight, nominal: bool, hoist: bool = True):
+    def __init__(self, model: SystemModel, weight: Weight, nominal: bool):
         self.model = model
         self.weight = weight
-        if hoist:
-            self.drift = model.drift_evaluator(nominal)
-        else:
-            self.drift = model.drift if nominal else model.f
-        g = model.constant_g() if hoist else None
-        w = constant_value(weight) if hoist else None
+        self.drift = model.drift_evaluator(nominal)
+        g = model.constant_g()
+        w = constant_value(weight)
         self.times_g = self.times_gt = self.times_winv_gt = None
         if g is not None:
             self.times_g = linear_evaluator(g)
@@ -307,14 +298,7 @@ def safety_filter_problem(model: SystemModel, pair: BarrierPair,
     def doubled(x):
         return 2.0 * np.asarray(base(x), dtype=float)
 
-    def normal(x):
-        return matvec(np.swapaxes(model.g(x), -1, -2), pair.grad_h(x))
-
-    def offset(x):
-        return dot(pair.grad_h(x), model.drift(x)) + pair.alpha(pair.h(x))
-
-    row = ConstraintRow(kind="cbf", normal=normal, offset=offset, relax_coeff=0.0)
-    return QpProblem(weight=doubled, penalty=None, rows=(row,))
+    return QpProblem(weight=doubled, penalty=None, rows=(_cbf_row(model, pair, model.drift),))
 
 
 def _filter_row(terms: _LoopTerms, pair: BarrierPair, x: np.ndarray):
@@ -345,36 +329,6 @@ def _filter_law(eta: np.ndarray, a: np.ndarray, winv_a: np.ndarray, single: bool
     return u, den
 
 
-def safety_filter(model: SystemModel, pair: BarrierPair, weight: Optional[Weight],
-                  x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Explicit safety-filter law; returns (u, eta), batched over states.
-
-    eta(x) = grad_h^T (f + g k) + alpha(h); u = 0 where eta >= 0, otherwise
-    u = -eta G^{-1} g^T grad_h / ||g^T grad_h||^2_{G^{-1}}.
-    """
-    x = np.asarray(x, dtype=float)
-    terms = _LoopTerms(model, _weight_or_identity(weight, model.m), nominal=True, hoist=False)
-    eta, a, winv_a, _ = _filter_row(terms, pair, x)
-    u, _ = _filter_law(eta, a, winv_a, x.ndim == 1)
-    return u, eta
-
-
-def safety_filter_point(model: SystemModel, pair: BarrierPair, weight: Optional[Weight],
-                        x: np.ndarray) -> KktPoint:
-    """Safety filter at one state as a KktPoint matching safety_filter_problem."""
-    x = np.asarray(x, dtype=float)
-    weight = _weight_or_identity(weight, model.m)
-    terms = _LoopTerms(model, weight, nominal=True, hoist=False)
-    eta, a, winv_a, _ = _filter_row(terms, pair, x)
-    u, den = _filter_law(eta, a, winv_a, single=True)
-    eta = float(eta)
-    if eta >= 0.0:
-        return KktPoint(u=u, delta=0.0, multipliers=(0.0,), active_set=(), stationarity_residual=0.0)
-    lam = max(0.0, -2.0 * eta / float(den))
-    residual = float(np.max(np.abs(2.0 * np.asarray(weight(x), dtype=float) @ u - lam * a)))
-    return KktPoint(u=u, delta=0.0, multipliers=(lam,), active_set=(0,), stationarity_residual=residual)
-
-
 def _clf_row(model: SystemModel, clf: LyapunovPair) -> ConstraintRow:
     """The relaxed clf row: a = g^T grad_v, c = grad_v^T f + beta(V)."""
 
@@ -387,20 +341,24 @@ def _clf_row(model: SystemModel, clf: LyapunovPair) -> ConstraintRow:
     return ConstraintRow(kind="clf-relaxed", normal=normal, offset=offset, relax_coeff=1.0)
 
 
+def _cbf_row(model: SystemModel, pair: BarrierPair,
+             drift: Callable[[np.ndarray], np.ndarray]) -> ConstraintRow:
+    """The cbf row: a = g^T grad_h, c = grad_h^T drift + alpha(h)."""
+
+    def normal(x):
+        return matvec(np.swapaxes(model.g(x), -1, -2), pair.grad_h(x))
+
+    def offset(x):
+        return dot(pair.grad_h(x), drift(x)) + pair.alpha(pair.h(x))
+
+    return ConstraintRow(kind="cbf", normal=normal, offset=offset)
+
+
 def clf_cbf_problem(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
                     weight: Optional[Weight] = None, p: float = 1.0) -> QpProblem:
     """QP with one relaxed clf row (index 0) and one cbf row (index 1)."""
-    p = _penalty(p)
-
-    def cbf_normal(x):
-        return matvec(np.swapaxes(model.g(x), -1, -2), cbf.grad_h(x))
-
-    def cbf_offset(x):
-        return dot(cbf.grad_h(x), model.f(x)) + cbf.alpha(cbf.h(x))
-
-    rows = (_clf_row(model, clf),
-            ConstraintRow(kind="cbf", normal=cbf_normal, offset=cbf_offset, relax_coeff=0.0))
-    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=p, rows=rows)
+    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p),
+                     rows=(_clf_row(model, clf), _cbf_row(model, cbf, model.f)))
 
 
 def clf_problem(model: SystemModel, clf: LyapunovPair,
@@ -441,18 +399,13 @@ def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: Lyapunov
     return data
 
 
-def _reference_fields(model: SystemModel, cbf: Optional[BarrierPair], clf: LyapunovPair,
-                      weight: Weight, x: np.ndarray) -> dict:
-    return _clf_cbf_fields(_LoopTerms(model, weight, nominal=False, hoist=False), cbf, clf, x)
-
-
 def _clf_cbf_solution(data: dict, p: float):
     """Four-case active-set selection, vectorized; mirrors solve_small_qp.
 
     Case order (empty; clf; cbf; both) matches the solver's subset order, so
-    borderline states resolve identically. Returns (u, delta, lam1, lam2,
-    code) with code 0/1/2/3 for the four cases and -1 where no case holds
-    (cbf row unsatisfiable: g^T grad_h = 0 with F_h < 0).
+    borderline states resolve identically. Returns (u, lam1, lam2, code)
+    with code 0/1/2/3 for the four cases and -1 where no case holds (cbf row
+    unsatisfiable: g^T grad_h = 0 with F_h < 0).
     """
     fv, fh = data["fv"], data["fh"]
     a = data["vdv"] + 1.0 / p
@@ -486,72 +439,7 @@ def _clf_cbf_solution(data: dict, p: float):
            np.where(cond_cbf, lam2_cbf,
            np.where(cond_both, lam2_both, np.nan))))
     u = -lam1[..., None] * data["winv_av"] + lam2[..., None] * data["winv_ah"]
-    delta = lam1 / p
-    return u, delta, lam1, lam2, code
-
-
-def clf_cbf_control(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
-                    weight: Optional[Weight], p: float, x: np.ndarray):
-    """Batched CLF-CBF controller; returns (u, delta, lam1, lam2, code)."""
-    weight = _weight_or_identity(weight, model.m)
-    return _clf_cbf_solution(_reference_fields(model, cbf, clf, weight, x), float(p))
-
-
-def clf_cbf_qp(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
-               weight: Optional[Weight], p: float, x: np.ndarray) -> KktPoint:
-    """Closed-form CLF-CBF QP at one state; matches solve_small_qp on clf_cbf_problem."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidParameterError("clf_cbf_qp takes a single state; use clf_cbf_control for batches")
-    p = _penalty(p)
-    weight = _weight_or_identity(weight, model.m)
-    data = _reference_fields(model, cbf, clf, weight, x)
-    u, delta, lam1, lam2, code = _clf_cbf_solution(data, p)
-    code = int(code)
-    if code < 0:
-        raise InfeasibleProblemError("cbf row unsatisfiable: g^T grad_h = 0 with F_h < 0 at this state",
-                                     row=1, violation=float(-data["fh"]))
-    lam1 = max(0.0, float(lam1))
-    lam2 = max(0.0, float(lam2))
-    active = {0: (), 1: (0,), 2: (1,), 3: (0, 1)}[code]
-    grad_u = np.asarray(weight(x), dtype=float) @ u + lam1 * data["av"] - lam2 * data["ah"]
-    grad_d = p * float(delta) - lam1
-    residual = max(float(np.max(np.abs(grad_u))), abs(grad_d))
-    return KktPoint(u=u, delta=float(delta), multipliers=(lam1, lam2),
-                    active_set=active, stationarity_residual=residual)
-
-
-def unfiltered_control(model: SystemModel, clf: LyapunovPair, weight: Optional[Weight],
-                       p: float, x: np.ndarray) -> KktPoint:
-    """Min-norm CLF controller (no cbf row) at one state.
-
-    u = -lam1 G^{-1} g^T grad_v with lam1 = max(0, F_V / (||grad_v||_D^2 + 1/p)).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidParameterError("unfiltered_control takes a single state")
-    p = _penalty(p)
-    weight = _weight_or_identity(weight, model.m)
-    data = _reference_fields(model, None, clf, weight, x)
-    fv = float(data["fv"])
-    a = float(data["vdv"]) + 1.0 / p
-    if fv <= 0.0:
-        return KktPoint(u=np.zeros(model.m), delta=0.0, multipliers=(0.0,), active_set=(),
-                        stationarity_residual=0.0)
-    lam1 = fv / a
-    u = -lam1 * data["winv_av"]
-    delta = lam1 / p
-    grad_u = np.asarray(weight(x), dtype=float) @ u + lam1 * data["av"]
-    residual = max(float(np.max(np.abs(grad_u))), abs(p * delta - lam1))
-    return KktPoint(u=u, delta=delta, multipliers=(lam1,), active_set=(0,),
-                    stationarity_residual=residual)
-
-
-def unfiltered_control_batch(model: SystemModel, clf: LyapunovPair, weight: Optional[Weight],
-                             p: float, x: np.ndarray):
-    """Batched unfiltered CLF controller; returns (u, delta, lam1)."""
-    weight = _weight_or_identity(weight, model.m)
-    return _unfiltered_solution(_reference_fields(model, None, clf, weight, x), float(p))
+    return u, lam1, lam2, code
 
 
 def _unfiltered_solution(data: dict, p: float):
@@ -559,15 +447,14 @@ def _unfiltered_solution(data: dict, p: float):
     # exact threshold: the explicit law switches at F_V = 0, unlike the
     # four-case solver mirror which carries the solver's feasibility slack
     lam1 = np.where(data["fv"] <= 0.0, 0.0, data["fv"] / a)
-    u = -lam1[..., None] * data["winv_av"]
-    return u, lam1 / p, lam1
+    return -lam1[..., None] * data["winv_av"], lam1
 
 
 def _unfiltered_pass(terms: _LoopTerms, clf: LyapunovPair, p: float, x: np.ndarray):
     """(u, f + g u, lam1) of the unfiltered CLF law at x."""
     x = np.asarray(x, dtype=float)
     data = _clf_cbf_fields(terms, None, clf, x)
-    u, _, lam1 = _unfiltered_solution(data, p)
+    u, lam1 = _unfiltered_solution(data, p)
     return u, data["f"] + terms.apply_g(x, u), lam1
 
 
@@ -620,14 +507,39 @@ def check_strict_feasibility(model: SystemModel, pair: BarrierPair,
 
 
 class _ControllerViews:
-    """control, multipliers and active_code as views of evaluate(x).
+    """control, multipliers, active_code and point as views of evaluate(x).
 
     Each controller defines evaluate(x) -> (u, field, multipliers,
     active_code) and field(x), the same pass without the multiplier and
-    active-code arithmetic the integrator never reads. A loop with no
-    barrier row is its own unfiltered loop; filtered controllers override
+    active-code arithmetic the integrator never reads. Bit row_bits[i] of
+    the active code marks row i of problem() active (1: clf row, 2: cbf
+    row); p is the penalty of a relaxed clf row. A loop with no barrier row
+    is its own unfiltered loop; filtered controllers override
     unfiltered_field.
     """
+
+    row_bits: Tuple[int, ...] = ()
+    p: Optional[float] = None
+
+    def point(self, x: np.ndarray) -> KktPoint:
+        """evaluate at one state as the KktPoint of problem(); delta = lam1 / p.
+
+        A degenerate cbf row raises: StrictFeasibilityError from the filter's
+        evaluate, InfeasibleProblemError here for the CLF-CBF QP (code -1).
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise InvalidParameterError("point takes a single state; evaluate takes batches")
+        u, _, multipliers, code = self.evaluate(x)
+        code = int(code)
+        if code < 0:
+            fh = float(self.problem().rows[1].offset(x))
+            raise InfeasibleProblemError("cbf row unsatisfiable: g^T grad_h = 0 with F_h < 0"
+                                         " at this state", row=1, violation=-fh)
+        multipliers = tuple(multipliers.tolist())
+        return KktPoint(u=u, delta=0.0 if self.p is None else multipliers[0] / self.p,
+                        multipliers=multipliers,
+                        active_set=tuple(i for i, bit in enumerate(self.row_bits) if code & bit))
 
     def control(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[0]
@@ -653,6 +565,7 @@ class SafetyFilterController(_ControllerViews):
     """
 
     kind = "safety-filter"
+    row_bits = (2,)
 
     def __init__(self, model: SystemModel, pair: BarrierPair, weight: Optional[Weight] = None):
         if model.k is None:
@@ -693,14 +606,12 @@ class SafetyFilterController(_ControllerViews):
     def problem(self) -> QpProblem:
         return safety_filter_problem(self.model, self.pair, self.weight)
 
-    def point(self, x: np.ndarray) -> KktPoint:
-        return safety_filter_point(self.model, self.pair, self.weight, x)
-
 
 class ClfCbfController(_ControllerViews):
     """CLF-CBF QP controller on the raw plant (no nominal k)."""
 
     kind = "clf-cbf-qp"
+    row_bits = (1, 2)
 
     def __init__(self, model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
                  weight: Optional[Weight] = None, p: float = 1.0):
@@ -718,7 +629,7 @@ class ClfCbfController(_ControllerViews):
     def _pass(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         data = _clf_cbf_fields(self._terms, self.pair, self.clf, x)
-        u, _, lam1, lam2, case = _clf_cbf_solution(data, self.p)
+        u, lam1, lam2, case = _clf_cbf_solution(data, self.p)
         failed = np.asarray(case) < 0
         u = np.where(failed[..., None], np.nan, u)
         return u, data["f"] + self._terms.apply_g(x, u), lam1, lam2, failed
@@ -739,14 +650,12 @@ class ClfCbfController(_ControllerViews):
     def problem(self) -> QpProblem:
         return clf_cbf_problem(self.model, self.pair, self.clf, self.weight, self.p)
 
-    def point(self, x: np.ndarray) -> KktPoint:
-        return clf_cbf_qp(self.model, self.pair, self.clf, self.weight, self.p, x)
-
 
 class ClfController(_ControllerViews):
     """Unfiltered min-norm CLF controller (the clf-cbf QP without its cbf row)."""
 
     kind = "clf"
+    row_bits = (1,)
 
     def __init__(self, model: SystemModel, clf: LyapunovPair,
                  weight: Optional[Weight] = None, p: float = 1.0):
@@ -769,9 +678,6 @@ class ClfController(_ControllerViews):
 
     def problem(self) -> QpProblem:
         return clf_problem(self.model, self.clf, self.weight, self.p)
-
-    def point(self, x: np.ndarray) -> KktPoint:
-        return unfiltered_control(self.model, self.clf, self.weight, self.p, x)
 
 
 class NominalClosedLoop(_ControllerViews):

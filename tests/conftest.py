@@ -1,4 +1,5 @@
-"""Shared fixtures: builtin scenario bundles, safe-state sampling, caches."""
+"""Shared fixtures: builtin scenario bundles, safe-state sampling, caches, and
+the per-state reference the controllers' one-pass evaluate is checked against."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from barrier_lab import (
     find_interior_equilibria,
     unfiltered_controller,
 )
+from barrier_lab.qp import _clf_cbf_solution, _filter_law, _unfiltered_solution
 
 settings.register_profile(
     "suite",
@@ -118,3 +120,46 @@ def fig3_h1a2(bundles):
 @pytest.fixture(scope="session")
 def fig3_h2a2(bundles):
     return bundles("fig3-h2a2")
+
+
+def reference_evaluation(controller, x):
+    """(u, field, multipliers, active_code) of a controller, one state at a time.
+
+    Each state's row normals a and offsets c come from controller.problem()
+    and W from controller.weight, all evaluated at that state; qp's law
+    helpers turn them into u. Nothing of the model is hoisted, so this is the
+    reference for the controllers' evaluate. Degenerate rows give NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        parts = [reference_evaluation(controller, state) for state in x]
+        return tuple(np.stack(column) for column in zip(*parts))
+    model = controller.model
+    if controller.kind == "nominal":
+        return model.k(x), model.drift(x), np.zeros(0), np.asarray(0)
+    rows = controller.problem().rows
+    w = np.asarray(controller.weight(x), dtype=float)
+    a = [np.asarray(row.normal(x), dtype=float) for row in rows]
+    c = [np.asarray(float(row.offset(x))) for row in rows]
+    winv_a = [np.linalg.solve(w, normal) for normal in a]
+    if controller.kind == "safety-filter":
+        eta = c[0]
+        u, den = _filter_law(eta, a[0], winv_a[0], single=False)
+        active = eta < 0.0
+        lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
+        multipliers, code = np.maximum(lam, 0.0)[None], np.where(active, 2, 0)
+        drift = model.drift(x)
+    else:
+        data = {"fv": c[0], "vdv": a[0] @ winv_a[0], "winv_av": winv_a[0]}
+        if controller.kind == "clf":
+            u, lam1 = _unfiltered_solution(data, controller.p)
+            multipliers, code = np.maximum(lam1, 0.0)[None], (lam1 > 0.0).astype(int)
+        else:
+            data.update(fh=c[1], vdh=a[0] @ winv_a[1], hdh=a[1] @ winv_a[1],
+                        winv_ah=winv_a[1])
+            u, lam1, lam2, case = _clf_cbf_solution(data, controller.p)
+            u = np.where(case < 0, np.nan, u)
+            multipliers = np.maximum(np.stack([lam1, lam2]), 0.0)
+            code = np.where(case < 0, -1, (lam1 > 0.0).astype(int) + 2 * (lam2 > 0.0).astype(int))
+        drift = model.f(x)
+    return u, drift + model.g(x) @ u, multipliers, code

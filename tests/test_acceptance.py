@@ -2,8 +2,8 @@
 
 Each test exercises one guarantee at its stated tolerance: golden equilibrium
 sets with stability labels, invariance across barrier reparametrizations,
-closed-form laws against the reference solver, equivalence-relation axioms,
-and closed-loop safety of the filtered scenarios.
+the controllers' closed-form laws against the reference solver,
+equivalence-relation axioms, and closed-loop safety of the filtered scenarios.
 """
 
 import csv
@@ -23,7 +23,6 @@ from barrier_lab import (
     build_pairs,
     central_difference_jacobian,
     certificate_errors,
-    clf_cbf_qp,
     comparison_config,
     compose_transforms,
     default_boundary_samples,
@@ -37,12 +36,8 @@ from barrier_lab import (
     quadratic_map,
     quadratic_offset_map,
     roa_grid,
-    safety_filter,
-    safety_filter_point,
     solve_small_qp,
     spectral_invariance_check,
-    unfiltered_control,
-    unfiltered_control_batch,
 )
 from barrier_lab.artifacts import write_csv
 
@@ -187,26 +182,21 @@ class TestSolverAgreement:
             problem = controller.problem()
             if controller.kind == "safety-filter":
                 for x in states:
-                    u, _ = safety_filter(controller.model, controller.pair,
-                                         controller.weight, x)
+                    mine = controller.point(x)
                     point = solve_small_qp(problem, x)
-                    assert np.max(np.abs(u - point.u)) < 1e-10
+                    assert np.max(np.abs(mine.u - point.u)) < 1e-10
                     assert max_certificate_error(problem, x, point) < 1e-9
-                    mine = safety_filter_point(controller.model, controller.pair,
-                                               controller.weight, x)
                     assert max_certificate_error(problem, x, mine) < 1e-9
             else:
                 clf_problem_obj = bundle.unfiltered.problem()
                 for x in states:
-                    point = clf_cbf_qp(controller.model, controller.pair, controller.clf,
-                                       controller.weight, controller.p, x)
+                    point = controller.point(x)
                     other = solve_small_qp(problem, x)
                     assert np.max(np.abs(point.u - other.u)) < 1e-10
                     assert abs(point.delta - other.delta) < 1e-10
                     assert max_certificate_error(problem, x, point) < 1e-9
                     assert max_certificate_error(problem, x, other) < 1e-9
-                    mine = unfiltered_control(controller.model, controller.clf,
-                                              controller.weight, controller.p, x)
+                    mine = bundle.unfiltered.point(x)
                     ref = solve_small_qp(clf_problem_obj, x)
                     assert np.max(np.abs(mine.u - ref.u)) < 1e-10
                     assert max_certificate_error(clf_problem_obj, x, mine) < 1e-9
@@ -228,10 +218,7 @@ class TestMinimalIntervention:
     def test_inactive_cbf_row_leaves_clf_law_alone(self, fig2):
         controller = fig2.controller
         pool = fig2.safe_states(4096, seed=78)
-        u_unf, _, _ = unfiltered_control_batch(controller.model, controller.clf,
-                                               controller.weight, controller.p, pool)
-        drift = controller.model.f(pool) + np.einsum("...ij,...j->...i",
-                                                     controller.model.g(pool), u_unf)
+        u_unf, drift, _, _ = fig2.unfiltered.evaluate(pool)
         grad = np.asarray(controller.pair.grad_h(pool), dtype=float)
         slack_val = (np.einsum("...i,...i->...", grad, drift)
                      + np.asarray(controller.pair.alpha(controller.pair.h(pool)), dtype=float))

@@ -173,6 +173,19 @@ class TestScenarioRun:
         assert rows[0] == "x1,x2,v1,v2,h,active_code,masked"
         assert len(rows) == 7
 
+    def test_summary_does_not_depend_on_the_output_path(self, tmp_path):
+        data = builtin_scenario("fig3").to_json_dict()
+        data["tasks"] = [{"kind": "field", "bounds": [[2.5, 4.0], [-1.0, 1.0]],
+                          "resolution": [2, 3]}]
+        path = write_config(tmp_path / "cfg.json", data)
+        summaries = []
+        for parent in ("a", "a-longer-parent"):
+            out = tmp_path / parent / "out"
+            assert main(["run", "--config", path, "--out", str(out)]) == 0
+            summaries.append((out / "summary.txt").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert b"\nartifacts in out\n" in summaries[0]
+
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         outputs = []
         for sub in ("a", "b"):

@@ -1,4 +1,4 @@
-"""QP conventions: explicit laws vs the subset-enumeration solver, KKT audits."""
+"""QP conventions: the controllers' laws vs the subset-enumeration solver, KKT audits."""
 
 import numpy as np
 import pytest
@@ -14,88 +14,95 @@ from barrier_lab import (
     StrictFeasibilityError,
     certificate_errors,
     check_strict_feasibility,
-    clf_cbf_control,
     clf_cbf_problem,
-    clf_cbf_qp,
     linear_system,
     make_ball_cbf,
     multipliers_on_boundary,
     quadratic_clf,
-    safety_filter,
-    safety_filter_point,
     safety_filter_problem,
     SafetyFilterController,
     solve_small_qp,
-    unfiltered_control,
-    unfiltered_control_batch,
 )
 from barrier_lab.model import constant_matrix
 from barrier_lab.qp import MAX_ROWS, ConstraintRow, QpProblem
+from conftest import reference_evaluation
 
 CERT_TOL = 1e-9
 MATCH_TOL = 1e-10
 EVAL_TOL = 1e-12
 CATALOG = ("fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2", "fig2")
+# rows of problem() active under each active code, per controller kind
+ACTIVE_ROWS = {
+    "safety-filter": {0: (), 2: (0,)},
+    "clf-cbf-qp": {0: (), 1: (0,), 2: (1,), 3: (0, 1)},
+    "clf": {0: (), 1: (0,)},
+    "nominal": {0: ()},
+}
 
 
 def max_certificate_error(problem, x, point) -> float:
     return max(abs(float(v)) for v in certificate_errors(problem, x, point).values())
 
 
+def degenerate_plant(gain=None):
+    # g spans x1 only while the normal of the unit ball at (0, 1) is pure x2
+    # and the drift pushes into the ball: no input meets the cbf row there
+    return linear_system(np.array([[0.0, 0.0], [0.0, -1.0]]), np.array([[1.0], [0.0]]),
+                         gain=gain)
+
+
 class TestSafetyFilter:
     def test_inactive_region_passes_nominal_through(self, fig3):
         x = np.array([1.5, 0.0])
-        u, eta = safety_filter(fig3.model, fig3.pair, None, x)
-        assert float(eta) > 0.0
-        assert np.array_equal(u, [0.0, 0.0])
-        point = safety_filter_point(fig3.model, fig3.pair, None, x)
+        assert float(fig3.controller.eta(x)) > 0.0
+        assert np.array_equal(fig3.controller.control(x), [0.0, 0.0])
+        point = fig3.controller.point(x)
+        assert np.array_equal(point.u, [0.0, 0.0])
         assert point.active_set == ()
         assert point.multipliers == (0.0,)
 
     def test_active_golden_point(self, fig3):
         # at (3, 0): eta = -6, u = (3, 0), row multiplier 3 under the 2G weight
         x = np.array([3.0, 0.0])
-        u, eta = safety_filter(fig3.model, fig3.pair, None, x)
-        assert float(eta) == -6.0
-        assert np.max(np.abs(u - [3.0, 0.0])) < 1e-12
-        point = safety_filter_point(fig3.model, fig3.pair, None, x)
+        assert float(fig3.controller.eta(x)) == -6.0
+        point = fig3.controller.point(x)
+        assert np.max(np.abs(point.u - [3.0, 0.0])) < 1e-12
         assert point.active_set == (0,)
         assert abs(point.multipliers[0] - 3.0) < 1e-12
 
     def test_matches_subset_solver(self, fig3):
         problem = safety_filter_problem(fig3.model, fig3.pair)
         for x in fig3.safe_states(128, seed=11):
-            u, _ = safety_filter(fig3.model, fig3.pair, None, x)
+            mine = fig3.controller.point(x)
             point = solve_small_qp(problem, x)
-            assert np.max(np.abs(u - point.u)) < MATCH_TOL
+            assert np.max(np.abs(mine.u - point.u)) < MATCH_TOL
             assert max_certificate_error(problem, x, point) < CERT_TOL
-            mine = safety_filter_point(fig3.model, fig3.pair, None, x)
             assert max_certificate_error(problem, x, mine) < CERT_TOL
             assert abs(mine.multipliers[0] - point.multipliers[0]) < MATCH_TOL
 
     def test_non_identity_weight(self, fig3):
         weight = constant_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        controller = SafetyFilterController(fig3.model, fig3.pair, weight)
         problem = safety_filter_problem(fig3.model, fig3.pair, weight=weight)
         for x in fig3.safe_states(64, seed=12):
-            u, _ = safety_filter(fig3.model, fig3.pair, weight, x)
             point = solve_small_qp(problem, x)
-            assert np.max(np.abs(u - point.u)) < MATCH_TOL
+            assert np.max(np.abs(controller.control(x) - point.u)) < MATCH_TOL
             assert max_certificate_error(problem, x, point) < CERT_TOL
 
     def test_batched_matches_single(self, fig3):
         xs = fig3.safe_states(64, seed=13)
-        u_batch, eta_batch = safety_filter(fig3.model, fig3.pair, None, xs)
+        u_batch = fig3.controller.control(xs)
+        eta_batch = fig3.controller.eta(xs)
         for i, x in enumerate(xs):
-            u, eta = safety_filter(fig3.model, fig3.pair, None, x)
-            assert np.array_equal(u_batch[i], u)
-            assert float(eta_batch[i]) == float(eta)
+            assert np.array_equal(u_batch[i], fig3.controller.control(x))
+            assert float(eta_batch[i]) == float(fig3.controller.eta(x))
 
 
 class TestClfCbfQp:
     def test_golden_boundary_equilibrium(self, fig2):
         # at (0, 4.5) both rows bind: lam = (10.125, 30.375) and u = 0
         x = np.array([0.0, 4.5])
-        point = clf_cbf_qp(fig2.model, fig2.pair, fig2.clf, None, 1.0, x)
+        point = fig2.controller.point(x)
         assert np.max(np.abs(point.u)) < 1e-12
         assert abs(point.multipliers[0] - 10.125) < 1e-12
         assert abs(point.multipliers[1] - 30.375) < 1e-12
@@ -110,7 +117,7 @@ class TestClfCbfQp:
     def test_matches_subset_solver(self, fig2):
         problem = clf_cbf_problem(fig2.model, fig2.pair, fig2.clf)
         for x in fig2.safe_states(128, seed=21):
-            point = clf_cbf_qp(fig2.model, fig2.pair, fig2.clf, None, 1.0, x)
+            point = fig2.controller.point(x)
             other = solve_small_qp(problem, x)
             assert np.max(np.abs(point.u - other.u)) < MATCH_TOL
             assert abs(point.delta - other.delta) < MATCH_TOL
@@ -119,11 +126,11 @@ class TestClfCbfQp:
 
     def test_batch_matches_single(self, fig2):
         xs = fig2.safe_states(64, seed=22)
-        u, delta, lam1, lam2, code = clf_cbf_control(fig2.model, fig2.pair, fig2.clf, None, 1.0, xs)
+        u, _, multipliers, code = fig2.controller.evaluate(xs)
         for i, x in enumerate(xs):
-            point = clf_cbf_qp(fig2.model, fig2.pair, fig2.clf, None, 1.0, x)
+            point = fig2.controller.point(x)
             assert np.array_equal(u[i], point.u)
-            assert float(delta[i]) == point.delta
+            assert float(multipliers[i, 0]) / fig2.controller.p == point.delta
             assert int(code[i]) >= 0
 
     def test_multiplier_equals_penalty_times_beta_when_gradients_d_orthogonal(self):
@@ -138,7 +145,7 @@ class TestClfCbfQp:
             model, cbf, clf, constant_matrix(np.eye(1)), p, x)
         assert lam1 == p * float(clf.beta(clf.v(x))) == 9.0
         assert lam2 == 0.0
-        point = clf_cbf_qp(model, cbf, clf, None, p, x)
+        point = ClfCbfController(model, cbf, clf, p=p).point(x)
         assert abs(point.multipliers[0] - 9.0) < 1e-12
         assert point.multipliers[1] == 0.0
         assert np.max(np.abs(point.u)) < 1e-12
@@ -148,17 +155,19 @@ class TestClfCbfQp:
         assert max_certificate_error(problem, x, point) < CERT_TOL
 
     def test_infeasible_state_raises_single_and_flags_batch(self):
-        # g spans only x1 while the barrier normal at (0, 1) is pure x2 and
-        # the drift pushes into the ball: no input can satisfy the cbf row
-        model = linear_system(np.array([[0.0, 0.0], [0.0, -1.0]]), np.array([[1.0], [0.0]]))
+        model = degenerate_plant()
         clf = quadratic_clf(np.eye(2))
         cbf = make_ball_cbf((0.0, 0.0), 1.0, form="full")
         x = np.array([0.0, 1.0])
-        with pytest.raises(InfeasibleProblemError):
-            clf_cbf_qp(model, cbf, clf, None, 1.0, x)
+        controller = ClfCbfController(model, cbf, clf)
+        with pytest.raises(InfeasibleProblemError) as raised:
+            controller.point(x)
+        # the cbf row is row 1; it is short by -F_h = -grad_h^T f = 2
+        assert raised.value.row == 1
+        assert raised.value.violation == 2.0
         with pytest.raises(InfeasibleProblemError):
             solve_small_qp(clf_cbf_problem(model, cbf, clf), x)
-        u, _, _, _, code = clf_cbf_control(model, cbf, clf, None, 1.0, x[None, :])
+        u, _, _, code = controller.evaluate(x[None, :])
         assert int(code[0]) == -1
         assert np.all(np.isnan(u[0]))
 
@@ -167,32 +176,31 @@ class TestUnfilteredControl:
     def test_golden_value(self, fig2):
         # at (0, 4.5): F_V = 10.125, a = 21.25, lam1 = 10.125 / 21.25
         x = np.array([0.0, 4.5])
-        point = unfiltered_control(fig2.model, fig2.clf, None, 1.0, x)
+        point = fig2.unfiltered.point(x)
         assert abs(point.multipliers[0] - 10.125 / 21.25) < 1e-14
         assert np.max(np.abs(point.u - (-(10.125 / 21.25)) * np.array([0.0, 4.5]))) < 1e-12
 
     def test_zero_when_decrease_holds_for_free(self, fig2):
-        point = unfiltered_control(fig2.model, fig2.clf, None, 1.0, np.zeros(2))
+        point = fig2.unfiltered.point(np.zeros(2))
         assert np.array_equal(point.u, [0.0, 0.0])
         assert point.active_set == ()
         assert point.multipliers == (0.0,)
 
     def test_matches_subset_solver(self, fig2):
-        from barrier_lab.qp import clf_problem
-        problem = clf_problem(fig2.model, fig2.clf)
+        problem = fig2.unfiltered.problem()
         for x in fig2.safe_states(128, seed=31):
-            point = unfiltered_control(fig2.model, fig2.clf, None, 1.0, x)
+            point = fig2.unfiltered.point(x)
             other = solve_small_qp(problem, x)
             assert np.max(np.abs(point.u - other.u)) < MATCH_TOL
             assert max_certificate_error(problem, x, point) < CERT_TOL
 
     def test_batch_matches_single(self, fig2):
         xs = fig2.safe_states(64, seed=32)
-        u, delta, lam1 = unfiltered_control_batch(fig2.model, fig2.clf, None, 1.0, xs)
+        u, _, multipliers, _ = fig2.unfiltered.evaluate(xs)
         for i, x in enumerate(xs):
-            point = unfiltered_control(fig2.model, fig2.clf, None, 1.0, x)
+            point = fig2.unfiltered.point(x)
             assert np.array_equal(u[i], point.u)
-            assert float(lam1[i]) == point.multipliers[0]
+            assert float(multipliers[i, 0]) == point.multipliers[0]
 
 
 class TestSolverStructure:
@@ -229,12 +237,9 @@ class TestSolverStructure:
 
     def test_penalty_must_be_positive(self, fig2):
         from barrier_lab.qp import clf_problem
-        x = np.array([0.0, 4.5])
         calls = (
-            lambda: clf_cbf_qp(fig2.model, fig2.pair, fig2.clf, None, 0.0, x),
             lambda: clf_cbf_problem(fig2.model, fig2.pair, fig2.clf, p=-1.0),
             lambda: clf_problem(fig2.model, fig2.clf, p=0.0),
-            lambda: unfiltered_control(fig2.model, fig2.clf, None, -1.0, x),
             lambda: ClfCbfController(fig2.model, fig2.pair, fig2.clf, p=0.0),
             lambda: ClfController(fig2.model, fig2.clf, p=-2.0),
         )
@@ -262,47 +267,15 @@ class TestStrictFeasibilityAudit:
         assert len(report.violations) >= 2
 
     def test_infeasible_eta_raises_in_filter(self):
-        model = linear_system(np.array([[0.0, 0.0], [0.0, -1.0]]),
-                              np.array([[1.0], [0.0]]), gain=np.zeros((1, 2)))
-        cbf = make_ball_cbf((0.0, 0.0), 1.0, form="full")
+        controller = SafetyFilterController(degenerate_plant(gain=np.zeros((1, 2))),
+                                            make_ball_cbf((0.0, 0.0), 1.0, form="full"))
         x = np.array([0.0, 1.0])
         with pytest.raises(StrictFeasibilityError):
-            safety_filter(model, cbf, None, x)
-        u, _ = safety_filter(model, cbf, None, x[None, :])
+            controller.point(x)
+        with pytest.raises(StrictFeasibilityError):
+            controller.control(x)
+        u = controller.control(x[None, :])
         assert np.all(np.isnan(u[0]))
-
-
-def reference_evaluation(controller, x):
-    """(u, field, multipliers, active_code) from the module-level per-state laws."""
-    model = controller.model
-    if controller.kind == "safety-filter":
-        u, eta = safety_filter(model, controller.pair, controller.weight, x)
-        a = np.einsum("...ji,...j->...i", model.g(x), controller.pair.grad_h(x))
-        den = np.einsum("...i,...i->...", a, np.linalg.solve(controller.weight(x), a[..., None])[..., 0])
-        active = eta < 0.0
-        lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
-        multipliers = np.maximum(lam, 0.0)[..., None]
-        code = np.where(active, 2, 0)
-        drift = model.drift(x)
-    elif controller.kind == "clf-cbf-qp":
-        u, _, lam1, lam2, case = clf_cbf_control(model, controller.pair, controller.clf,
-                                                 controller.weight, controller.p, x)
-        u = np.where(case[..., None] < 0, np.nan, u)
-        multipliers = np.stack([np.maximum(lam1, 0.0), np.maximum(lam2, 0.0)], axis=-1)
-        code = np.where(case < 0, -1, (lam1 > 0.0).astype(int) + 2 * (lam2 > 0.0).astype(int))
-        drift = model.f(x)
-    elif controller.kind == "clf":
-        u, _, lam1 = unfiltered_control_batch(model, controller.clf, controller.weight,
-                                              controller.p, x)
-        multipliers = np.maximum(lam1, 0.0)[..., None]
-        code = (lam1 > 0.0).astype(int)
-        drift = model.f(x)
-    else:
-        u = model.k(x)
-        multipliers = np.zeros(x.shape[:-1] + (0,))
-        code = np.zeros(x.shape[:-1], dtype=int)
-        return u, model.drift(x), multipliers, code
-    return u, drift + np.einsum("...ij,...j->...i", model.g(x), u), multipliers, code
 
 
 def assert_matches_reference(controller, x):
@@ -323,6 +296,17 @@ def assert_matches_reference(controller, x):
     return mine
 
 
+def assert_point_reads_evaluate(controller, x):
+    """point(x) holds the slots of evaluate(x) bit for bit."""
+    u, _, multipliers, code = controller.evaluate(x)
+    point = controller.point(x)
+    assert np.array_equal(point.u, u)
+    assert point.multipliers == tuple(multipliers.tolist())
+    assert point.active_set == ACTIVE_ROWS[controller.kind][int(code)]
+    relaxed = controller.kind in ("clf-cbf-qp", "clf")
+    assert point.delta == (multipliers[0] / controller.p if relaxed else 0.0)
+
+
 class TestOnePassEvaluate:
     def test_evaluate_matches_reference_laws(self, bundles):
         for name in CATALOG:
@@ -331,11 +315,13 @@ class TestOnePassEvaluate:
             for controller in (bundle.controller, bundle.unfiltered):
                 assert_matches_reference(controller, states[:1])
                 u, _, multipliers, _ = assert_matches_reference(controller, states)
+                for i, x in enumerate(states[:25]):
+                    assert np.array_equal(controller.evaluate(x)[0], u[i])
+                    assert_point_reads_evaluate(controller, x)
                 if controller.kind == "nominal":
                     continue
                 problem = controller.problem()
                 for i, x in enumerate(states[:25]):
-                    assert np.array_equal(controller.evaluate(x)[0], u[i])
                     point = solve_small_qp(problem, x)
                     assert np.max(np.abs(u[i] - point.u)) < MATCH_TOL
                     assert np.max(np.abs(multipliers[i] - point.multipliers)) < MATCH_TOL
@@ -354,27 +340,34 @@ class TestOnePassEvaluate:
                                             weight, p=3.0)):
             _, _, _, code = assert_matches_reference(controller, xs)
             assert len(set(code.tolist())) > 1
+            for x in xs[:25]:
+                assert_point_reads_evaluate(controller, x)
 
-        # degenerate rows: g spans x1 only while the barrier normal at (0, 1)
-        # is pure x2 and the drift pushes into the ball, so the cbf row cannot
-        # be met there; a batch gives NaN (and code -1 for the clf-cbf QP)
-        a = np.array([[0.0, 0.0], [0.0, -1.0]])
-        b = np.array([[1.0], [0.0]])
+        # degenerate rows at (0, 1): a batch gives NaN (and code -1 for the
+        # clf-cbf QP), a single state raises
         cbf = make_ball_cbf((0.0, 0.0), 1.0, form="full")
         batch = np.array([[0.0, 1.0], [2.0, 0.5], [0.0, 1.0], [0.5, 3.0]])
-        fil = SafetyFilterController(linear_system(a, b, gain=np.zeros((1, 2))), cbf)
+        fil = SafetyFilterController(degenerate_plant(gain=np.zeros((1, 2))), cbf)
         u, field, multipliers, code = assert_matches_reference(fil, batch)
         assert np.all(np.isnan(u[[0, 2]])) and np.all(np.isnan(field[[0, 2]]))
         assert np.all(np.isfinite(u[[1, 3]]))
         assert list(code) == [2, 0, 2, 2]
         with pytest.raises(StrictFeasibilityError):
             fil.evaluate(batch[0])
-        qp_ctl = ClfCbfController(linear_system(a, b), cbf, quadratic_clf(np.eye(2)))
+        with pytest.raises(StrictFeasibilityError):
+            fil.point(batch[0])
+        qp_ctl = ClfCbfController(degenerate_plant(), cbf, quadratic_clf(np.eye(2)))
         u, field, multipliers, code = assert_matches_reference(qp_ctl, batch)
         assert list(code[[0, 2]]) == [-1, -1]
         assert np.all(code[[1, 3]] >= 0)
         assert np.all(np.isnan(u[[0, 2]])) and np.all(np.isnan(multipliers[[0, 2]]))
         assert np.all(np.isfinite(field[[1, 3]]))
+        with pytest.raises(InfeasibleProblemError) as raised:
+            qp_ctl.point(batch[0])
+        assert raised.value.row == 1
+        for x in batch[[1, 3]]:
+            assert_point_reads_evaluate(fil, x)
+            assert_point_reads_evaluate(qp_ctl, x)
 
 
 states = st.tuples(st.floats(-4.0, 6.0), st.floats(-4.0, 6.0)).map(np.array)
@@ -385,7 +378,7 @@ class TestSolverProperties:
     def test_filter_certificate_everywhere(self, fig3, x):
         problem = safety_filter_problem(fig3.model, fig3.pair)
         try:
-            u, _ = safety_filter(fig3.model, fig3.pair, None, x)
+            u = fig3.controller.point(x).u
         except StrictFeasibilityError:
             # grad_h = 0 at the obstacle center: the solver must agree
             with pytest.raises(InfeasibleProblemError):
@@ -403,7 +396,7 @@ class TestSolverProperties:
         except InfeasibleProblemError:
             return
         assert max_certificate_error(problem, x, point) < CERT_TOL
-        other = clf_cbf_qp(fig2.model, fig2.pair, fig2.clf, None, 1.0, x)
+        other = fig2.controller.point(x)
         assert np.max(np.abs(other.u - point.u)) < MATCH_TOL
 
     @given(g11=st.floats(0.5, 3.0), g22=st.floats(0.5, 3.0), g12=st.floats(-0.4, 0.4),
@@ -412,7 +405,7 @@ class TestSolverProperties:
         weight = constant_matrix(np.array([[g11, g12], [g12, g22]]))
         problem = safety_filter_problem(fig3.model, fig3.pair, weight=weight)
         try:
-            u, _ = safety_filter(fig3.model, fig3.pair, weight, x)
+            u = SafetyFilterController(fig3.model, fig3.pair, weight).point(x).u
         except StrictFeasibilityError:
             return
         point = solve_small_qp(problem, x)

@@ -14,7 +14,6 @@ from barrier_lab import (
     aberth_roots,
     central_difference_jacobian,
     char_poly_coefficients,
-    clf_cbf_control,
     constant_d_matrix,
     constant_matrix,
     eigen_and_classify,
@@ -27,6 +26,7 @@ from barrier_lab import (
     stability_label,
     synthetic_division,
 )
+from conftest import reference_evaluation
 
 SQ3 = math.sqrt(3.0)
 
@@ -226,7 +226,7 @@ class TestAssumptionGuards:
         states = [np.array([0.5, 0.5]), np.array([2.0, 1.0]), np.array([-1.5, 0.2])]
         for x in states:
             u, field, _, _ = controller.evaluate(x)
-            ref_u = clf_cbf_control(model, controller.pair, controller.clf, None, 1.0, x)[0]
+            ref_u = reference_evaluation(controller, x)[0]
             assert np.max(np.abs(u - ref_u)) < 1e-12
             assert np.max(np.abs(field - g(x) @ u)) < 1e-12
             for other in states:
