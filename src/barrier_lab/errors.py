@@ -10,7 +10,7 @@ class InvalidParameterError(BarrierLabError):
 
 
 class StructuralError(BarrierLabError):
-    """An evaluator output has an inconsistent shape or dtype."""
+    """An evaluator output has an inconsistent shape or dtype, or is not finite."""
 
 
 class DefinitenessError(BarrierLabError):

@@ -22,16 +22,17 @@ the oracle the controllers are tested against.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (DefinitenessError, InfeasibleProblemError, InvalidParameterError,
                      StrictFeasibilityError, StructuralError)
-from .model import (BarrierPair, LyapunovPair, SystemModel, constant_value, dot, identity_weight,
-                    linear_evaluator, matvec)
+from .model import (BarrierPair, LyapunovPair, SystemModel, constant_matrix, constant_value, dot,
+                    identity_weight, linear_evaluator, matvec)
 
 MAX_ROWS = 12
 FEAS_TOL = 1e-9          # row satisfaction at the returned point
@@ -53,12 +54,19 @@ class ConstraintRow:
     normal: Callable[[np.ndarray], np.ndarray]
     offset: Callable[[np.ndarray], np.ndarray]
     relax_coeff: float = 0.0
+    terms: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.kind not in ("clf-relaxed", "cbf", "custom"):
             raise InvalidParameterError("unknown row kind %r" % (self.kind,))
         if self.kind == "cbf" and self.relax_coeff != 0.0:
             raise InvalidParameterError("cbf rows admit no relaxation")
+
+    def normal_and_offset(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(normal(x), offset(x)); the optional ``terms`` gives both in one pass."""
+        if self.terms is not None:
+            return self.terms(x)
+        return self.normal(x), self.offset(x)
 
     @property
     def sense(self) -> float:
@@ -86,6 +94,18 @@ class QpProblem:
     def relaxed(self) -> bool:
         return self.penalty is not None
 
+    @cached_property
+    def _constant_weight(self) -> Optional[np.ndarray]:
+        # checked on first use, not at construction; a raising check caches
+        # nothing, so an invalid constant weight raises on every call
+        w = constant_value(self.weight)
+        return None if w is None else _checked_matrix(w)
+
+    def weight_at(self, x: np.ndarray) -> np.ndarray:
+        """The checked weight at x: once per problem when marked constant."""
+        w = self._constant_weight
+        return _checked_matrix(self.weight(x)) if w is None else w
+
 
 @dataclass(frozen=True)
 class KktPoint:
@@ -97,10 +117,13 @@ class KktPoint:
     active_set: Tuple[int, ...]
 
 
-def _checked_weight(problem_weight: Weight, x: np.ndarray) -> np.ndarray:
-    w = np.asarray(problem_weight(x), dtype=float)
+def _checked_matrix(w: np.ndarray) -> np.ndarray:
+    """w as a float array, checked square, symmetric and positive definite."""
+    w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise StructuralError("weight evaluator returned shape %s" % (w.shape,))
+    if not np.isfinite(w).all():
+        raise DefinitenessError("weight matrix has a non-finite entry")
     if float(np.max(np.abs(w - w.T))) > SYMMETRY_TOL:
         raise DefinitenessError("weight matrix is not symmetric within %g" % SYMMETRY_TOL)
     try:
@@ -110,6 +133,40 @@ def _checked_weight(problem_weight: Weight, x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _row_at(row: ConstraintRow, i: int, x: np.ndarray, m: int) -> Tuple[np.ndarray, float]:
+    """Row i's (a, c) at x in one pass, checked: a of shape (m,), a and c finite.
+
+    A non-finite value raises: every tolerance test on NaN is false, so such
+    a row would otherwise read as satisfied.
+    """
+    a, c = row.normal_and_offset(x)
+    a = np.asarray(a, dtype=float)
+    if a.shape != (m,):
+        raise StructuralError("row normal has shape %s, expected (%d,)" % (a.shape, m))
+    c = float(c)
+    if not (math.isfinite(c) and np.isfinite(a).all()):
+        raise StructuralError("row %d is not finite at the given state: a = %s, c = %r"
+                              % (i, a.tolist(), c))
+    return a, c
+
+
+@lru_cache(maxsize=None)
+def _subset_indices(nz: int, k: int) -> Tuple[Tuple[Tuple[int, ...], np.ndarray], ...]:
+    """Nonempty row subsets in solver order, each with its KKT indices.
+
+    The indices pick the nz primal variables and the subset's multipliers
+    out of the KKT system of all k rows; they are read-only, since every
+    call with the same (nz, k) shares them.
+    """
+    out = []
+    for card in range(1, k + 1):
+        for subset in itertools.combinations(range(k), card):
+            keep = np.array(list(range(nz)) + [nz + i for i in subset])
+            keep.flags.writeable = False
+            out.append((subset, keep))
+    return tuple(out)
+
+
 def solve_small_qp(problem: QpProblem, x: np.ndarray) -> KktPoint:
     """Global minimizer of the strongly convex QP by active-subset enumeration.
 
@@ -117,71 +174,60 @@ def solve_small_qp(problem: QpProblem, x: np.ndarray) -> KktPoint:
     cardinality); the first candidate with nonnegative multipliers that
     satisfies every row is the unique minimizer. Singular subset systems are
     skipped. No subset certifying means the rows are inconsistent at x.
+    Each row is evaluated once per state (ConstraintRow.normal_and_offset)
+    and a constant weight is checked once per problem (QpProblem.weight_at).
     """
     x = np.asarray(x, dtype=float)
-    if len(problem.rows) > MAX_ROWS:
-        raise InvalidParameterError("solver accepts at most %d rows, got %d" % (MAX_ROWS, len(problem.rows)))
-    w = _checked_weight(problem.weight, x)
+    k = len(problem.rows)
+    if k > MAX_ROWS:
+        raise InvalidParameterError("solver accepts at most %d rows, got %d" % (MAX_ROWS, k))
+    w = problem.weight_at(x)
     m = w.shape[0]
     has_delta = problem.relaxed
     nz = m + 1 if has_delta else m
 
-    hess = np.zeros((nz, nz))
-    hess[:m, :m] = w
-    if has_delta:
-        hess[m, m] = float(problem.penalty)
-
-    normals: List[np.ndarray] = []
+    # the KKT system of all rows: [[H, s_i a_i], [a_i^T, 0]] with H = diag(W, p)
+    # and right side (0, -c_i); a subset's system is its rows and columns of it
+    full = np.zeros((nz + k, nz + k))
+    full_rhs = np.zeros(nz + k)
     offsets: List[float] = []
     senses: List[float] = []
-    for row in problem.rows:
-        a = np.asarray(row.normal(x), dtype=float)
-        if a.shape != (m,):
-            raise StructuralError("row normal has shape %s, expected (%d,)" % (a.shape, m))
-        tilde = np.concatenate([a, [-row.relax_coeff]]) if has_delta else a
-        normals.append(tilde)
-        offsets.append(float(row.offset(x)))
+    for i, row in enumerate(problem.rows):
+        a, c = _row_at(row, i, x, m)
+        j = nz + i
+        full[j, :m] = a
+        if has_delta:
+            full[j, m] = -row.relax_coeff
+        full[:nz, j] = row.sense * full[j, :nz]
+        full_rhs[j] = -c
+        offsets.append(c)
         senses.append(row.sense)
 
-    k = len(problem.rows)
+    # the empty subset: z = 0, so each row's signed slack is s_i c_i
+    if not any(s * c > FEAS_TOL for s, c in zip(senses, offsets)):
+        return KktPoint(u=np.zeros(m), delta=0.0, multipliers=(0.0,) * k, active_set=())
 
-    def residuals(z: np.ndarray) -> np.ndarray:
+    full[:m, :m] = w
+    if has_delta:
+        full[m, m] = float(problem.penalty)
+    normals = full[nz:, :nz]
+    for subset, keep in _subset_indices(nz, k):
+        try:
+            sol = np.linalg.solve(full.take(keep, 0).take(keep, 1), full_rhs.take(keep))
+        except np.linalg.LinAlgError:
+            continue
+        lam_subset = sol[nz:].tolist()
+        if min(lam_subset) < -DUAL_TOL:
+            continue
+        z = sol[:nz]
         # signed slack s_i (a_i z + c_i); feasible where <= FEAS_TOL
-        return np.array([senses[i] * (normals[i] @ z + offsets[i]) for i in range(k)])
-
-    for card in range(k + 1):
-        for subset in itertools.combinations(range(k), card):
-            if card == 0:
-                z = np.zeros(nz)
-                lam_subset = np.zeros(0)
-            else:
-                size = nz + card
-                system = np.zeros((size, size))
-                rhs = np.zeros(size)
-                system[:nz, :nz] = hess
-                for j, i in enumerate(subset):
-                    system[:nz, nz + j] = senses[i] * normals[i]
-                    system[nz + j, :nz] = normals[i]
-                    rhs[nz + j] = -offsets[i]
-                try:
-                    sol = np.linalg.solve(system, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                z = sol[:nz]
-                lam_subset = sol[nz:]
-            if lam_subset.size and float(np.min(lam_subset)) < -DUAL_TOL:
-                continue
-            if k and float(np.max(residuals(z))) > FEAS_TOL:
-                continue
-            multipliers = np.zeros(k)
-            for j, i in enumerate(subset):
-                multipliers[i] = max(0.0, float(lam_subset[j]))
-            return KktPoint(
-                u=z[:m].copy(),
-                delta=float(z[m]) if has_delta else 0.0,
-                multipliers=tuple(multipliers.tolist()),
-                active_set=tuple(subset),
-            )
+        if any(senses[i] * (normals[i] @ z + offsets[i]) > FEAS_TOL for i in range(k)):
+            continue
+        multipliers = [0.0] * k
+        for i, lam in zip(subset, lam_subset):
+            multipliers[i] = max(0.0, lam)
+        return KktPoint(u=z[:m].copy(), delta=float(z[m]) if has_delta else 0.0,
+                        multipliers=tuple(multipliers), active_set=subset)
 
     viol = [max(0.0, senses[i] * offsets[i]) for i in range(k)]
     worst = int(np.argmax(viol))
@@ -192,16 +238,15 @@ def solve_small_qp(problem: QpProblem, x: np.ndarray) -> KktPoint:
 def certificate_errors(problem: QpProblem, x: np.ndarray, point: KktPoint) -> dict:
     """Stationarity / feasibility / dual / complementarity residuals at a point."""
     x = np.asarray(x, dtype=float)
-    w = _checked_weight(problem.weight, x)
-    m = w.shape[0]
+    w = problem.weight_at(x)
     has_delta = problem.relaxed
     grad_u = w @ np.asarray(point.u, dtype=float)
     grad_d = (float(problem.penalty) * point.delta) if has_delta else 0.0
     worst_primal = 0.0
     worst_comp = 0.0
-    for row, lam in zip(problem.rows, point.multipliers):
-        a = np.asarray(row.normal(x), dtype=float)
-        value = float(a @ point.u + float(row.offset(x)) - row.relax_coeff * point.delta)
+    for i, (row, lam) in enumerate(zip(problem.rows, point.multipliers)):
+        a, c = _row_at(row, i, x, w.shape[0])
+        value = float(a @ point.u + c - row.relax_coeff * point.delta)
         worst_primal = max(worst_primal, row.sense * value)
         worst_comp = max(worst_comp, abs(lam * value))
         grad_u = grad_u + lam * row.sense * a
@@ -294,9 +339,12 @@ def safety_filter_problem(model: SystemModel, pair: BarrierPair,
     is invariant to that scaling and equals the explicit filter law.
     """
     base = _weight_or_identity(weight, model.m)
-
-    def doubled(x):
-        return 2.0 * np.asarray(base(x), dtype=float)
+    w = constant_value(base)
+    if w is not None:
+        doubled = constant_matrix(2.0 * w)
+    else:
+        def doubled(x):
+            return 2.0 * np.asarray(base(x), dtype=float)
 
     return QpProblem(weight=doubled, penalty=None, rows=(_cbf_row(model, pair, model.drift),))
 
@@ -329,29 +377,43 @@ def _filter_law(eta: np.ndarray, a: np.ndarray, winv_a: np.ndarray, single: bool
     return u, den
 
 
+def _times_gt(model: SystemModel) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x, grad) -> g(x)^T grad; g^T is formed once when g is marked constant.
+
+    Both branches multiply through matvec, so they give the same bits. The
+    rows read only the model and pair evaluators, never the controllers'
+    loop terms, which keeps the solver independent of the laws it checks.
+    """
+    g = model.constant_g()
+    if g is not None:
+        gt = g.T
+        return lambda x, grad: matvec(gt, grad)
+    return lambda x, grad: matvec(np.swapaxes(model.g(x), -1, -2), grad)
+
+
 def _clf_row(model: SystemModel, clf: LyapunovPair) -> ConstraintRow:
     """The relaxed clf row: a = g^T grad_v, c = grad_v^T f + beta(V)."""
+    times_gt = _times_gt(model)
 
-    def normal(x):
-        return matvec(np.swapaxes(model.g(x), -1, -2), clf.grad_v(x))
+    def terms(x):
+        v, grad = clf.value_and_grad(x)
+        return times_gt(x, grad), dot(grad, model.f(x)) + clf.beta(v)
 
-    def offset(x):
-        return dot(clf.grad_v(x), model.f(x)) + clf.beta(clf.v(x))
-
-    return ConstraintRow(kind="clf-relaxed", normal=normal, offset=offset, relax_coeff=1.0)
+    return ConstraintRow(kind="clf-relaxed", normal=lambda x: terms(x)[0],
+                         offset=lambda x: terms(x)[1], relax_coeff=1.0, terms=terms)
 
 
 def _cbf_row(model: SystemModel, pair: BarrierPair,
              drift: Callable[[np.ndarray], np.ndarray]) -> ConstraintRow:
     """The cbf row: a = g^T grad_h, c = grad_h^T drift + alpha(h)."""
+    times_gt = _times_gt(model)
 
-    def normal(x):
-        return matvec(np.swapaxes(model.g(x), -1, -2), pair.grad_h(x))
+    def terms(x):
+        hv, grad = pair.value_and_grad(x)
+        return times_gt(x, grad), dot(grad, drift(x)) + pair.alpha(hv)
 
-    def offset(x):
-        return dot(pair.grad_h(x), drift(x)) + pair.alpha(pair.h(x))
-
-    return ConstraintRow(kind="cbf", normal=normal, offset=offset)
+    return ConstraintRow(kind="cbf", normal=lambda x: terms(x)[0],
+                         offset=lambda x: terms(x)[1], terms=terms)
 
 
 def clf_cbf_problem(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,

@@ -1,5 +1,7 @@
 """QP conventions: the controllers' laws vs the subset-enumeration solver, KKT audits."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from barrier_lab import (
     InfeasibleProblemError,
     InvalidParameterError,
     StrictFeasibilityError,
+    StructuralError,
     certificate_errors,
     check_strict_feasibility,
     clf_cbf_problem,
@@ -23,8 +26,9 @@ from barrier_lab import (
     SafetyFilterController,
     solve_small_qp,
 )
-from barrier_lab.model import constant_matrix
-from barrier_lab.qp import MAX_ROWS, ConstraintRow, QpProblem
+from barrier_lab.model import constant_matrix, constant_value
+from barrier_lab.qp import (DUAL_TOL, FEAS_TOL, MAX_ROWS, ConstraintRow, KktPoint, QpProblem,
+                            _checked_matrix, clf_problem)
 from conftest import reference_evaluation
 
 CERT_TOL = 1e-9
@@ -411,3 +415,217 @@ class TestSolverProperties:
         point = solve_small_qp(problem, x)
         assert np.max(np.abs(u - point.u)) < MATCH_TOL
 
+
+def _reference_solve(problem, x):
+    """solve_small_qp as it was before rows were read in one pass.
+
+    Each row's normal and offset come from separate evaluator calls, the
+    weight is checked at every state, and every subset builds its own KKT
+    system from the stacked normals. The solver must match it bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    w = _checked_matrix(problem.weight(x))
+    m = w.shape[0]
+    has_delta = problem.relaxed
+    nz = m + 1 if has_delta else m
+    hess = np.zeros((nz, nz))
+    hess[:m, :m] = w
+    if has_delta:
+        hess[m, m] = float(problem.penalty)
+    normals, offsets, senses = [], [], []
+    for row in problem.rows:
+        a = np.asarray(row.normal(x), dtype=float)
+        normals.append(np.concatenate([a, [-row.relax_coeff]]) if has_delta else a)
+        offsets.append(float(row.offset(x)))
+        senses.append(row.sense)
+    k = len(problem.rows)
+
+    def residuals(z):
+        return np.array([senses[i] * (normals[i] @ z + offsets[i]) for i in range(k)])
+
+    for card in range(k + 1):
+        for subset in itertools.combinations(range(k), card):
+            if card == 0:
+                z, lam_subset = np.zeros(nz), np.zeros(0)
+            else:
+                size = nz + card
+                system = np.zeros((size, size))
+                rhs = np.zeros(size)
+                system[:nz, :nz] = hess
+                for j, i in enumerate(subset):
+                    system[:nz, nz + j] = senses[i] * normals[i]
+                    system[nz + j, :nz] = normals[i]
+                    rhs[nz + j] = -offsets[i]
+                try:
+                    sol = np.linalg.solve(system, rhs)
+                except np.linalg.LinAlgError:
+                    continue
+                z, lam_subset = sol[:nz], sol[nz:]
+            if lam_subset.size and float(np.min(lam_subset)) < -DUAL_TOL:
+                continue
+            if k and float(np.max(residuals(z))) > FEAS_TOL:
+                continue
+            multipliers = np.zeros(k)
+            for j, i in enumerate(subset):
+                multipliers[i] = max(0.0, float(lam_subset[j]))
+            return KktPoint(u=z[:m].copy(), delta=float(z[m]) if has_delta else 0.0,
+                            multipliers=tuple(multipliers.tolist()), active_set=tuple(subset))
+    viol = [max(0.0, senses[i] * offsets[i]) for i in range(k)]
+    worst = int(np.argmax(viol))
+    raise InfeasibleProblemError("rows inconsistent", row=worst, violation=viol[worst])
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_kkt(got, want):
+    assert same_bits(got.u, want.u)
+    assert same_bits(got.delta, want.delta)
+    assert same_bits(got.multipliers, want.multipliers)
+    assert got.active_set == want.active_set
+
+
+def assert_solver_matches_reference(problem, states):
+    """The same KktPoint, or the same InfeasibleProblemError, at every state."""
+    infeasible = 0
+    for x in states:
+        try:
+            want = _reference_solve(problem, x)
+        except InfeasibleProblemError as expected:
+            infeasible += 1
+            with pytest.raises(InfeasibleProblemError) as raised:
+                solve_small_qp(problem, x)
+            assert raised.value.row == expected.row
+            assert same_bits(raised.value.violation, expected.violation)
+            continue
+        got = solve_small_qp(problem, x)
+        assert_same_kkt(got, want)
+        for name, value in certificate_errors(problem, x, got).items():
+            assert value < CERT_TOL, name
+    return infeasible
+
+
+def oracle_problems():
+    """(label, problem, states) beyond the builtins: the W != I and m = 1 plants."""
+    # A != 0, B != I, W != I and a nominal gain all matter on this plant
+    model = linear_system(np.array([[0.0, 1.0], [-1.0, 0.5]]),
+                          np.array([[1.0, 0.3], [0.2, 1.5]]),
+                          gain=np.array([[-1.0, 0.2], [0.1, -2.0]]))
+    weight = constant_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    ball = make_ball_cbf((2.0, 0.0), 1.0)
+    clf = quadratic_clf(np.diag([2.0, 1.0]))
+    xs = np.random.default_rng(5).uniform(-1.0, 5.0, size=(300, 2))
+    xs = xs[ball.h(xs) >= 0.0]
+    unit = make_ball_cbf((0.0, 0.0), 1.0, form="full")
+    # (0, +-1) leave the m = 1 cbf row unsatisfiable: the rows are inconsistent
+    ys = np.vstack([np.random.default_rng(6).uniform(-3.0, 3.0, size=(300, 2)),
+                    [[0.0, 1.0], [0.0, -1.0]]])
+    ys = ys[unit.h(ys) >= 0.0]
+    return (
+        ("weighted filter", safety_filter_problem(model, ball, weight), xs),
+        ("weighted clf-cbf", clf_cbf_problem(model, ball, clf, weight, p=3.0), xs),
+        ("m = 1 filter", safety_filter_problem(degenerate_plant(gain=np.zeros((1, 2))), unit), ys),
+        ("m = 1 clf-cbf", clf_cbf_problem(degenerate_plant(), unit, quadratic_clf(np.eye(2))), ys),
+        ("m = 1 clf", clf_problem(degenerate_plant(), quadratic_clf(np.eye(2))), ys),
+    )
+
+
+class TestOneStateOracle:
+    def test_matches_reference_enumeration_bit_for_bit(self, bundles):
+        for name in CATALOG:
+            bundle = bundles(name)
+            states = bundle.safe_states(1000, seed=1)
+            assert assert_solver_matches_reference(bundle.controller.problem(), states) == 0
+            if bundle.unfiltered.kind != "nominal":
+                assert_solver_matches_reference(bundle.unfiltered.problem(), states[:200])
+        infeasible = 0
+        for label, problem, states in oracle_problems():
+            assert len(states) > 100, label
+            infeasible += assert_solver_matches_reference(problem, states)
+        # both m = 1 problems with a cbf row are inconsistent at (0, 1) and (0, -1)
+        assert infeasible == 4
+
+    def test_smallest_certifying_subset_wins(self):
+        # u1 + 1 <= 0 binds; u1 + u2 + 1 <= 0 is met with equality at the same
+        # point, so subsets (0,) and (0, 1) both certify: cardinality order picks (0,)
+        rows = (ConstraintRow(kind="custom", normal=lambda x: np.array([1.0, 0.0]),
+                              offset=lambda x: 1.0),
+                ConstraintRow(kind="custom", normal=lambda x: np.array([1.0, 1.0]),
+                              offset=lambda x: 1.0))
+        problem = QpProblem(weight=constant_matrix(np.eye(2)), penalty=None, rows=rows)
+        point = solve_small_qp(problem, np.zeros(2))
+        assert point.active_set == (0,)
+        assert point.multipliers == (1.0, 0.0)
+        assert_same_kkt(point, _reference_solve(problem, np.zeros(2)))
+
+    def test_normal_and_offset_without_terms_reads_both_evaluators(self):
+        row = ConstraintRow(kind="custom", normal=lambda x: 2.0 * np.asarray(x),
+                            offset=lambda x: np.sum(x, axis=-1))
+        assert row.terms is None
+        for x in (np.array([0.25, -1.5]), np.arange(6.0).reshape(3, 2)):
+            a, c = row.normal_and_offset(x)
+            assert same_bits(a, row.normal(x))
+            assert same_bits(c, row.offset(x))
+
+    def test_non_finite_row_raises_where_it_would_read_as_satisfied(self):
+        # row 1 is violated at z = 0; a NaN in row 0 must not let the empty
+        # subset (or any other) certify, in the solver or in the certificate
+        violated = ConstraintRow(kind="custom", normal=lambda x: np.array([1.0, 0.0]),
+                                 offset=lambda x: 1.0)
+        point = KktPoint(u=np.zeros(2), delta=0.0, multipliers=(0.0, 0.0), active_set=())
+        for bad in (ConstraintRow(kind="cbf", normal=lambda x: np.array([1.0, 0.0]),
+                                  offset=lambda x: np.nan),
+                    ConstraintRow(kind="custom", normal=lambda x: np.array([np.inf, 0.0]),
+                                  offset=lambda x: 0.0)):
+            problem = QpProblem(weight=constant_matrix(np.eye(2)), penalty=None,
+                                rows=(bad, violated))
+            with pytest.raises(StructuralError, match="row 0 is not finite"):
+                solve_small_qp(problem, np.zeros(2))
+            with pytest.raises(StructuralError, match="row 0 is not finite"):
+                certificate_errors(problem, np.zeros(2), point)
+
+    def test_non_finite_weight_raises(self):
+        row = ConstraintRow(kind="custom", normal=lambda x: np.ones(2), offset=lambda x: 1.0)
+        for weight in (constant_matrix(np.diag([np.nan, 1.0])), lambda x: np.diag([1.0, np.inf])):
+            problem = QpProblem(weight=weight, penalty=None, rows=(row,))
+            with pytest.raises(DefinitenessError, match="non-finite"):
+                solve_small_qp(problem, np.zeros(2))
+
+    def test_filter_problem_keeps_the_constant_mark(self, fig3):
+        weight = constant_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        problem = safety_filter_problem(fig3.model, fig3.pair, weight)
+        assert same_bits(constant_value(problem.weight), 2.0 * constant_value(weight))
+        unmarked = safety_filter_problem(fig3.model, fig3.pair, lambda x: np.eye(2))
+        assert constant_value(unmarked.weight) is None
+
+    def test_invalid_constant_weight_raises_on_every_call(self, fig3):
+        row = ConstraintRow(kind="custom", normal=lambda x: np.ones(2), offset=lambda x: 1.0)
+        for weight in (np.diag([1.0, -1.0]), np.array([[1.0, 0.3], [0.0, 1.0]])):
+            problem = QpProblem(weight=constant_matrix(weight), penalty=None, rows=(row,))
+            for _ in range(2):
+                with pytest.raises(DefinitenessError):
+                    solve_small_qp(problem, np.zeros(2))
+            point = KktPoint(u=np.zeros(2), delta=0.0, multipliers=(0.0,), active_set=())
+            with pytest.raises(DefinitenessError):
+                certificate_errors(problem, np.zeros(2), point)
+        filtered = safety_filter_problem(fig3.model, fig3.pair, constant_matrix(np.diag([1.0, -1.0])))
+        for _ in range(2):
+            with pytest.raises(DefinitenessError):
+                solve_small_qp(filtered, np.array([3.0, 0.0]))
+
+    def test_unmarked_weight_is_checked_at_every_state(self, fig3):
+        bad = np.array([3.0, 0.5])
+
+        def weight(x):
+            return np.diag([1.0, -1.0]) if np.array_equal(x, bad) else np.eye(2)
+
+        problem = safety_filter_problem(fig3.model, fig3.pair, weight)
+        states = [np.array([3.0, 0.0]), bad, np.array([2.5, -1.0]), bad]
+        for x in states:
+            if np.array_equal(x, bad):
+                with pytest.raises(DefinitenessError):
+                    solve_small_qp(problem, x)
+            else:
+                assert_same_kkt(solve_small_qp(problem, x), _reference_solve(problem, x))
