@@ -15,8 +15,7 @@ from .config import (ScenarioConfig, build_clf, build_controller, build_model,
 from .equilibria import (EquilibriumReport, PolishCounts, PolishResult,
                          classify_desirability, collinearity_factor,
                          find_boundary_equilibria, find_interior_equilibria,
-                         gauss_newton_root, multipliers_on_boundary,
-                         polish_roots)
+                         multipliers_on_boundary, polish_roots)
 from .equivalence import (EquivalenceReport, TransformStep,
                           boundary_field_difference, compose_transforms,
                           default_boundary_samples, gradient_ratio,
@@ -72,7 +71,7 @@ __all__ = [
     "constant_matrix", "constant_state_map", "default_boundary_samples",
     "eigen_and_classify", "field_grid",
     "find_boundary_equilibria", "find_interior_equilibria",
-    "gauss_newton_root", "gradient_ratio", "hausdorff_distance",
+    "gradient_ratio", "hausdorff_distance",
     "hessian_equivalence", "identity_map", "integrate", "integrate_batch",
     "invariance_audit", "jacobian_clf_cbf_boundary",
     "jacobian_safety_filter_boundary", "linear_map", "linear_system", "main",

@@ -17,6 +17,8 @@ from .errors import InvalidParameterError
 JsonValue = Union[None, bool, int, float, str, complex, dict, list, tuple, np.ndarray]
 
 FLOAT_FORMAT = "%.17g"
+JSON_INDENT = 2
+COLUMN_GAP = "  "
 
 
 def fmt_float(value: float) -> str:
@@ -24,9 +26,9 @@ def fmt_float(value: float) -> str:
     return FLOAT_FORMAT % float(value)
 
 
-def _render(value: JsonValue, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _render(value: JsonValue, out: list, level: int) -> None:
+    pad = " " * (JSON_INDENT * level)
+    inner = " " * (JSON_INDENT * (level + 1))
     if value is None:
         out.append("null")
     elif isinstance(value, (bool, np.bool_)):
@@ -37,11 +39,11 @@ def _render(value: JsonValue, out: list, indent: int, level: int) -> None:
         v = float(value)
         out.append(fmt_float(v) if np.isfinite(v) else "null")
     elif isinstance(value, (complex, np.complexfloating)):
-        _render({"re": float(value.real), "im": float(value.imag)}, out, indent, level)
+        _render({"re": float(value.real), "im": float(value.imag)}, out, level)
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, np.ndarray):
-        _render(value.tolist(), out, indent, level)
+        _render(value.tolist(), out, level)
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -54,7 +56,7 @@ def _render(value: JsonValue, out: list, indent: int, level: int) -> None:
             out.append(inner)
             out.append(json.dumps(key, ensure_ascii=False))
             out.append(": ")
-            _render(item, out, indent, level + 1)
+            _render(item, out, level + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -65,16 +67,16 @@ def _render(value: JsonValue, out: list, indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(inner)
-            _render(item, out, indent, level + 1)
+            _render(item, out, level + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
     else:
         raise InvalidParameterError("cannot serialize %r to JSON" % (type(value).__name__,))
 
 
-def json_dumps(value: JsonValue, indent: int = 2) -> str:
+def json_dumps(value: JsonValue) -> str:
     out: list = []
-    _render(value, out, indent, 0)
+    _render(value, out, 0)
     return "".join(out) + "\n"
 
 
@@ -111,13 +113,13 @@ def write_text(path: str, text: str) -> None:
         handle.write(text if text.endswith("\n") else text + "\n")
 
 
-def table(lines: Sequence[Sequence[str]], gap: str = "  ") -> str:
+def table(lines: Sequence[Sequence[str]]) -> str:
     """Align a list of string rows into fixed-width columns."""
     if not lines:
         return ""
     widths = [max(len(row[i]) for row in lines) for i in range(len(lines[0]))]
     out = []
     for row in lines:
-        out.append(gap.join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+        out.append(COLUMN_GAP.join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     return "\n".join(out)
 

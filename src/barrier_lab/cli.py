@@ -33,10 +33,9 @@ from .equivalence import (boundary_field_difference, default_boundary_samples,
                           gradient_ratio, hausdorff_distance, hessian_equivalence)
 from .errors import BarrierLabError, ConfigError
 from .sim import DT_DEFAULT, T_DEFAULT, field_grid, integrate_batch, roa_grid
-from .spectral import attach_spectra, spectral_invariance_check
+from .spectral import INVARIANCE_TOL, attach_spectra, spectral_invariance_check
 
 HAUSDORFF_TOL = 1e-6
-REDUCED_POLY_TOL = 1e-7
 BOUNDARY_FIELD_TOL = 1e-9
 BOUNDARY_FIELD_SAMPLES = 512
 PRECHECK_SAMPLES = 256
@@ -371,7 +370,7 @@ class ScenarioRun:
             self.artifacts.append("summary.txt")
 
 
-def run_scenario(config, out_dir: Optional[str] = None, quiet: bool = False) -> int:
+def run_scenario(config, out_dir: Optional[str] = None) -> int:
     """Execute a scenario given a config path or ScenarioConfig; exit code."""
     if isinstance(config, (str, os.PathLike)):
         try:
@@ -381,8 +380,7 @@ def run_scenario(config, out_dir: Optional[str] = None, quiet: bool = False) -> 
             return 2
     run = ScenarioRun(config, out_dir=out_dir)
     code = run.run()
-    if not quiet:
-        sys.stdout.write(run.summary_text())
+    sys.stdout.write(run.summary_text())
     if run.error:
         print(run.error, file=sys.stderr)
     return code
@@ -444,8 +442,7 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
             match = per_pair[0][int(np.argmin(distances))]
             verdict = spectral_invariance_check(
                 np.asarray(match.jacobian, dtype=float), base_alpha,
-                np.asarray(report.jacobian, dtype=float), other_alpha,
-                tol=REDUCED_POLY_TOL)
+                np.asarray(report.jacobian, dtype=float), other_alpha)
             coeff_max = max(coeff_max, float(verdict.max_coeff_difference))
             remainder_max = max(remainder_max, float(max(verdict.remainders)))
             spectra_ok = spectra_ok and verdict.passed
@@ -459,10 +456,10 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
     checks = {
         "hausdorff": {"tolerance": HAUSDORFF_TOL, "max": hausdorff_max,
                       "passed": bool(hausdorff_max <= HAUSDORFF_TOL)},
-        "reduced_poly": {"tolerance": REDUCED_POLY_TOL,
+        "reduced_poly": {"tolerance": INVARIANCE_TOL,
                          "max_coeff_difference": coeff_max,
                          "max_division_remainder": remainder_max,
-                         "passed": bool(spectra_ok and coeff_max <= REDUCED_POLY_TOL)},
+                         "passed": bool(spectra_ok and coeff_max <= INVARIANCE_TOL)},
         "boundary_field": {"tolerance": BOUNDARY_FIELD_TOL,
                            "samples": BOUNDARY_FIELD_SAMPLES,
                            "max_difference": field_max,

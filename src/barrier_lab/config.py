@@ -493,11 +493,7 @@ def parse_config(path: str) -> ScenarioConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("not valid JSON: %s" % exc.msg, line=exc.lineno)
-    return validate_config(data, text)
+    return parse_config_text(text)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:

@@ -15,14 +15,14 @@ loop coincide with equilibria of the unfiltered loop and are desirable.
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NotOnBoundaryError, PreconditionError, StrictFeasibilityError
 from .model import central_difference_jacobian
-from .qp import _clf_cbf_fields, _LoopTerms
+from .qp import _clf_cbf_fields
 
 if TYPE_CHECKING:
     from .spectral import SpectralResult
@@ -73,21 +73,22 @@ class EquilibriumReport:
         return None if self.spectrum is None else self.spectrum.stability
 
 
-def multipliers_on_boundary(model, cbf, clf, weight, p: float, x: np.ndarray):
+def multipliers_on_boundary(controller, x: np.ndarray):
     """Both-rows-active multipliers (lam1, lam2, Delta, det) at a boundary state.
 
-    F_V, F_h, g^T grad_h and the D-weighted products come from the law code
-    the controllers run (qp._clf_cbf_fields on the loop's qp._LoopTerms).
+    controller is a CLF-CBF QP controller. F_V, F_h, g^T grad_h and the
+    D-weighted products come from the law code it runs (qp._clf_cbf_fields
+    on its cached loop terms).
     """
     x = np.asarray(x, dtype=float)
-    h = float(cbf.h(x))
+    h = float(controller.pair.h(x))
     if abs(h) >= BOUNDARY_TOL:
         raise NotOnBoundaryError("|h(x)| = %g is not below %g" % (abs(h), BOUNDARY_TOL))
-    data = _clf_cbf_fields(_LoopTerms(model, weight, nominal=False), cbf, clf, x)
+    data = _clf_cbf_fields(controller._terms, controller.pair, controller.clf, x)
     if float(np.linalg.norm(data["ah"])) <= NORMAL_MIN:
         raise StrictFeasibilityError("||g^T grad_h|| vanishes on the boundary")
     fv, fh = float(data["fv"]), float(data["fh"])
-    a = float(data["vdv"]) + 1.0 / float(p)
+    a = float(data["vdv"]) + 1.0 / float(controller.p)
     bb = float(data["vdh"])
     c = float(data["hdh"])
     det = a * c - bb * bb
@@ -97,15 +98,15 @@ def multipliers_on_boundary(model, cbf, clf, weight, p: float, x: np.ndarray):
     return lam1, lam2, delta_mat, det
 
 
-def collinearity_factor(model, pair, weight, x: np.ndarray) -> float:
-    """Least-squares delta in f + g k = delta D grad_h for the safety filter.
+def collinearity_factor(controller, x: np.ndarray) -> float:
+    """Least-squares delta in f + g k = delta D grad_h for a safety filter.
 
     D grad_h = g (W^{-1} g^T grad_h) and f + g k come from the filter's
-    loop terms (qp._LoopTerms).
+    cached loop terms (qp._LoopTerms).
     """
     x = np.asarray(x, dtype=float)
-    terms = _LoopTerms(model, weight, nominal=True)
-    [(_, winv_a)] = terms.rows(x, np.asarray(pair.grad_h(x), dtype=float))
+    terms = controller._terms
+    [(_, winv_a)] = terms.rows(x, np.asarray(controller.pair.grad_h(x), dtype=float))
     d_grad = terms.apply_g(x, winv_a)
     den = float(d_grad @ d_grad)
     if den <= NORMAL_MIN ** 2:
@@ -171,8 +172,7 @@ class PolishCounts:
         self.stops[result.reason] = self.stops.get(result.reason, 0) + 1
 
 
-def polish_roots(fun, x0s, max_iter: int = POLISH_MAX_ITER,
-                 tol: float = POLISH_TOL) -> List[PolishResult]:
+def polish_roots(fun, x0s) -> List[PolishResult]:
     """Gauss-Newton with backtracking on a batch of candidates, one result each.
 
     fun maps states (k, n) to residuals (k, p), row by row. Each round makes
@@ -198,7 +198,7 @@ def polish_roots(fun, x0s, max_iter: int = POLISH_MAX_ITER,
     results: List[Optional[PolishResult]] = [None] * k
 
     def stop(i: int, residual: float, reason: str) -> None:
-        converged = reason not in ("diverged", "singular") and residual < tol
+        converged = reason not in ("diverged", "singular") and residual < POLISH_TOL
         results[i] = PolishResult(x=x[i].copy(), iterations=iterations[i], residual=residual,
                                   reason=reason, converged=converged)
 
@@ -222,7 +222,7 @@ def polish_roots(fun, x0s, max_iter: int = POLISH_MAX_ITER,
                 iterations[i] += 1
             x[i] = trial[i]
             norm[i] = value_norm
-            if iterations[i] >= max_iter:
+            if iterations[i] >= POLISH_MAX_ITER:
                 stop(i, value_norm, "max-iterations")
                 continue
             if not np.isfinite(value_norm) or value_norm > DIVERGE_NORM:
@@ -244,35 +244,23 @@ def polish_roots(fun, x0s, max_iter: int = POLISH_MAX_ITER,
     return results
 
 
-def gauss_newton_root(fun, x0: np.ndarray, max_iter: int = POLISH_MAX_ITER,
-                      tol: float = POLISH_TOL) -> Optional[np.ndarray]:
-    """Gauss-Newton polish of one state: polish_roots with a fun of one state.
-
-    Returns the root with ||fun|| < tol, else None.
-    """
-    def stacked(states):
-        return np.stack([np.asarray(fun(s), dtype=float) for s in states])
-
-    [result] = polish_roots(stacked, np.asarray(x0, dtype=float)[None], max_iter, tol)
-    return result.root
-
-
 def state_sort_key(q: np.ndarray):
     # rounded so that polish noise below display precision cannot flip
     # the canonical lexicographic order of near-tied coordinates
     return tuple(round(float(c), 9) for c in q)
 
 
-def _dedup(points: List[np.ndarray], tol: float = DEDUP_TOL) -> List[np.ndarray]:
+def _dedup(points: List[np.ndarray]) -> List[np.ndarray]:
     kept: List[np.ndarray] = []
     for p in points:
-        if all(float(np.linalg.norm(p - q)) > tol for q in kept):
+        if all(float(np.linalg.norm(p - q)) > DEDUP_TOL for q in kept):
             kept.append(p)
     return sorted(kept, key=state_sort_key)
 
 
-def _merge_zero_components(controller, points: List[np.ndarray]) -> List[np.ndarray]:
-    """Deduplicate roots of a possibly degenerate zero.
+def _merge_zero_components(controller, roots: List[Tuple[np.ndarray, float]]
+                           ) -> List[Tuple[np.ndarray, float]]:
+    """Deduplicate (root, residual) pairs of a possibly degenerate zero.
 
     Two roots belong to the same equilibrium when the field stays below the
     residual gate along the segment between them (one connected component of
@@ -289,29 +277,26 @@ def _merge_zero_components(controller, points: List[np.ndarray]) -> List[np.ndar
                 return False
         return True
 
-    def rank(p: np.ndarray):
-        return (float(np.linalg.norm(controller.field(p))), float(np.linalg.norm(p)))
+    def rank(root: Tuple[np.ndarray, float]):
+        return (root[1], float(np.linalg.norm(root[0])))
 
-    reps: List[np.ndarray] = []
-    for p in points:
-        for i, q in enumerate(reps):
-            if same(p, q):
-                if rank(p) < rank(q):
-                    reps[i] = p
+    reps: List[Tuple[np.ndarray, float]] = []
+    for root in roots:
+        for i, rep in enumerate(reps):
+            if same(root[0], rep[0]):
+                if rank(root) < rank(rep):
+                    reps[i] = root
                 break
         else:
-            reps.append(p)
-    return sorted(reps, key=state_sort_key)
+            reps.append(root)
+    return sorted(reps, key=lambda rep: state_sort_key(rep[0]))
 
 
 def _boundary_multipliers(controller, x: np.ndarray) -> Tuple[float, ...]:
     if controller.kind == "clf-cbf-qp":
-        lam1, lam2, _, _ = multipliers_on_boundary(controller.model, controller.pair,
-                                                   controller.clf, controller.weight,
-                                                   controller.p, x)
-        return (lam1, lam2)
+        return multipliers_on_boundary(controller, x)[:2]
     if controller.kind == "safety-filter":
-        return (collinearity_factor(controller.model, controller.pair, controller.weight, x),)
+        return (collinearity_factor(controller, x),)
     return ()
 
 
@@ -319,7 +304,7 @@ def _sweep_candidates(controller, sweep: int) -> List[np.ndarray]:
     """Boundary samples where the closed-loop field norm has a local minimum near 0."""
     geometry = controller.pair.geometry
     if geometry is None or geometry.kind != "ball-complement-2d":
-        raise PreconditionError("non-ball geometry needs explicit seeds")
+        raise PreconditionError("the boundary search sweeps planar ball boundaries only")
     samples = geometry.boundary_points(sweep)
     field = np.asarray(controller.field(samples), dtype=float)
     norms = np.linalg.norm(field, axis=-1)
@@ -348,22 +333,18 @@ def _boundary_system(controller):
 
 
 def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
-                             seeds: Optional[Sequence[np.ndarray]] = None,
                              counts: Optional[PolishCounts] = None) -> List[EquilibriumReport]:
     """Equilibria of the closed loop on the boundary of the safe set.
 
     For a planar ball boundary: sweep the circle, keep local minima of the
     closed-loop field norm under 1e-3, polish them in one batch with
     Gauss-Newton on the stacked system [field(x); h(x)] = 0, deduplicate,
-    attach multipliers and desirability. Non-ball geometries need explicit
-    seeds. counts, when given, receives each polish and each drop.
+    attach multipliers and desirability. Other geometries raise
+    PreconditionError. counts, when given, receives each polish and each drop.
     """
     if not controller.cbf_pairs:
         raise PreconditionError("controller carries no barrier; no boundary to search")
-    if seeds is not None:
-        candidates = [np.asarray(s, dtype=float) for s in seeds]
-    else:
-        candidates = _sweep_candidates(controller, sweep)
+    candidates = _sweep_candidates(controller, sweep)
 
     counts = PolishCounts() if counts is None else counts
     polished: List[np.ndarray] = []
@@ -379,7 +360,6 @@ def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
 
     reports: List[EquilibriumReport] = []
     for x in _dedup(polished):
-        residual = float(np.linalg.norm(controller.field(x)))
         try:
             multipliers = _boundary_multipliers(controller, x)
         except (StrictFeasibilityError, NotOnBoundaryError) as exc:
@@ -389,11 +369,9 @@ def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
             continue
         report = EquilibriumReport(x_star=x, kind="boundary", desirability="inconclusive",
                                    controller=controller.kind, multipliers=multipliers,
-                                   residual=residual)
-        reports.append(EquilibriumReport(x_star=x, kind="boundary",
-                                         desirability=classify_desirability(report, controller),
-                                         controller=controller.kind, multipliers=multipliers,
-                                         residual=residual))
+                                   residual=float(np.linalg.norm(controller.field(x))))
+        reports.append(replace(report,
+                               desirability=classify_desirability(report, controller)))
     return reports
 
 
@@ -430,7 +408,7 @@ def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
     safe = [not any(float(pair.h(x0)) < 0.0 for pair in controller.cbf_pairs) for x0 in seeds]
     polished = iter(polish_roots(field_at, [x0 for x0, ok in zip(seeds, safe) if ok]))
     # states go to the log as lazy %s arguments: no formatting below the level
-    roots: List[np.ndarray] = []
+    roots: List[Tuple[np.ndarray, float]] = []
     for x0, ok in zip(seeds, safe):
         if not ok:
             log.debug("interior seed %s dropped: outside the safe set", x0)
@@ -455,16 +433,10 @@ def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
                         " is not below %g", x0, residual, root, RESIDUAL_TOL)
             counts.dropped += 1
             continue
-        roots.append(root)
+        roots.append((root, residual))
 
-    reports: List[EquilibriumReport] = []
-    for x in _merge_zero_components(controller, roots):
-        residual = float(np.linalg.norm(controller.field(x)))
-        if hasattr(controller, "point"):
-            multipliers = tuple(controller.point(x).multipliers)
-        else:
-            multipliers = ()
-        reports.append(EquilibriumReport(x_star=x, kind="interior", desirability="desirable",
-                                         controller=controller.kind, multipliers=multipliers,
-                                         residual=residual))
-    return reports
+    return [EquilibriumReport(x_star=x, kind="interior", desirability="desirable",
+                              controller=controller.kind,
+                              multipliers=controller.point(x).multipliers,
+                              residual=residual)
+            for x, residual in _merge_zero_components(controller, roots)]

@@ -503,18 +503,16 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
                        h_and_grad=h_and_grad)
 
 
-def project_to_boundary(pair: BarrierPair, x: np.ndarray,
-                        max_iter: int = PROJECTION_MAX_ITER,
-                        tol: float = PROJECTION_TOL) -> np.ndarray:
+def project_to_boundary(pair: BarrierPair, x: np.ndarray) -> np.ndarray:
     """Damped Newton projection onto {h = 0} along grad_h.
 
     Iterates x <- x - h(x) grad_h(x) / ||grad_h(x)||^2, halving the step while
     it fails to reduce |h|.
     """
     x = np.array(x, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         hv = float(pair.h(x))
-        if abs(hv) <= tol:
+        if abs(hv) <= PROJECTION_TOL:
             return x
         grad = np.asarray(pair.grad_h(x), dtype=float)
         denom = float(dot(grad, grad))
@@ -528,8 +526,8 @@ def project_to_boundary(pair: BarrierPair, x: np.ndarray,
                 break
             scale *= 0.5
         x = x - scale * step
-    if abs(float(pair.h(x))) > tol:
-        raise NumericsError("boundary projection did not reach |h| <= %g" % tol)
+    if abs(float(pair.h(x))) > PROJECTION_TOL:
+        raise NumericsError("boundary projection did not reach |h| <= %g" % PROJECTION_TOL)
     return x
 
 

@@ -48,25 +48,20 @@ Weight = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """One affine row; kind fixes the inequality sense and delta coupling."""
+    """One affine row; kind fixes the inequality sense and delta coupling.
+
+    terms(x) returns the row's (normal a, offset c) at x in one pass.
+    """
 
     kind: str
-    normal: Callable[[np.ndarray], np.ndarray]
-    offset: Callable[[np.ndarray], np.ndarray]
+    terms: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     relax_coeff: float = 0.0
-    terms: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.kind not in ("clf-relaxed", "cbf", "custom"):
             raise InvalidParameterError("unknown row kind %r" % (self.kind,))
         if self.kind == "cbf" and self.relax_coeff != 0.0:
             raise InvalidParameterError("cbf rows admit no relaxation")
-
-    def normal_and_offset(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(normal(x), offset(x)); the optional ``terms`` gives both in one pass."""
-        if self.terms is not None:
-            return self.terms(x)
-        return self.normal(x), self.offset(x)
 
     @property
     def sense(self) -> float:
@@ -139,7 +134,7 @@ def _row_at(row: ConstraintRow, i: int, x: np.ndarray, m: int) -> Tuple[np.ndarr
     A non-finite value raises: every tolerance test on NaN is false, so such
     a row would otherwise read as satisfied.
     """
-    a, c = row.normal_and_offset(x)
+    a, c = row.terms(x)
     a = np.asarray(a, dtype=float)
     if a.shape != (m,):
         raise StructuralError("row normal has shape %s, expected (%d,)" % (a.shape, m))
@@ -174,7 +169,7 @@ def solve_small_qp(problem: QpProblem, x: np.ndarray) -> KktPoint:
     cardinality); the first candidate with nonnegative multipliers that
     satisfies every row is the unique minimizer. Singular subset systems are
     skipped. No subset certifying means the rows are inconsistent at x.
-    Each row is evaluated once per state (ConstraintRow.normal_and_offset)
+    Each row is evaluated once per state (ConstraintRow.terms)
     and a constant weight is checked once per problem (QpProblem.weight_at).
     """
     x = np.asarray(x, dtype=float)
@@ -399,8 +394,7 @@ def _clf_row(model: SystemModel, clf: LyapunovPair) -> ConstraintRow:
         v, grad = clf.value_and_grad(x)
         return times_gt(x, grad), dot(grad, model.f(x)) + clf.beta(v)
 
-    return ConstraintRow(kind="clf-relaxed", normal=lambda x: terms(x)[0],
-                         offset=lambda x: terms(x)[1], relax_coeff=1.0, terms=terms)
+    return ConstraintRow(kind="clf-relaxed", terms=terms, relax_coeff=1.0)
 
 
 def _cbf_row(model: SystemModel, pair: BarrierPair,
@@ -412,8 +406,7 @@ def _cbf_row(model: SystemModel, pair: BarrierPair,
         hv, grad = pair.value_and_grad(x)
         return times_gt(x, grad), dot(grad, drift(x)) + pair.alpha(hv)
 
-    return ConstraintRow(kind="cbf", normal=lambda x: terms(x)[0],
-                         offset=lambda x: terms(x)[1], terms=terms)
+    return ConstraintRow(kind="cbf", terms=terms)
 
 
 def clf_cbf_problem(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
@@ -595,7 +588,7 @@ class _ControllerViews:
         u, _, multipliers, code = self.evaluate(x)
         code = int(code)
         if code < 0:
-            fh = float(self.problem().rows[1].offset(x))
+            fh = float(self.problem().rows[1].terms(x)[1])
             raise InfeasibleProblemError("cbf row unsatisfiable: g^T grad_h = 0 with F_h < 0"
                                          " at this state", row=1, violation=-fh)
         multipliers = tuple(multipliers.tolist())

@@ -239,11 +239,11 @@ def integrate(controller, x0: np.ndarray, t_final: float = T_DEFAULT,
                            dt=dt, attractors=attractors)[0]
 
 
-def invariance_audit(traj: Trajectory, pair, tol: float = INVARIANCE_TOL) -> Tuple[float, str]:
-    """Minimum of h along the trajectory; pass iff it stays above -tol."""
+def invariance_audit(traj: Trajectory, pair) -> Tuple[float, str]:
+    """Minimum of h along the trajectory; pass iff it stays above -INVARIANCE_TOL."""
     h = np.asarray(pair.h(traj.states), dtype=float)
     min_h = float(np.min(h))
-    return min_h, ("pass" if min_h >= -tol else "fail")
+    return min_h, ("pass" if min_h >= -INVARIANCE_TOL else "fail")
 
 
 def _grid_nodes(bounds, resolution) -> Tuple[np.ndarray, Tuple[int, int]]:

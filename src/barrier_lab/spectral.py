@@ -93,16 +93,16 @@ def constant_d_matrix(model, weight) -> np.ndarray:
     return base
 
 
-def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndarray) -> np.ndarray:
-    """Closed-form Jacobian of the CLF-CBF loop at a strict boundary equilibrium."""
+def jacobian_clf_cbf_boundary(controller, x_star: np.ndarray) -> np.ndarray:
+    """Closed-form Jacobian of a CLF-CBF QP loop at a strict boundary equilibrium."""
     x = np.asarray(x_star, dtype=float)
-    weight = _weight_or_identity(weight, model.m)
-    lam1, lam2, delta_mat, det = multipliers_on_boundary(model, cbf, clf, weight, p, x)
+    model, cbf, clf = controller.model, controller.pair, controller.clf
+    lam1, lam2, delta_mat, det = multipliers_on_boundary(controller, x)
     if lam1 <= DESIRABILITY_TOL or lam2 <= DESIRABILITY_TOL:
         raise PreconditionError(
             "strict complementarity needed: lam1 = %g, lam2 = %g must exceed %g"
             % (lam1, lam2, DESIRABILITY_TOL))
-    d = constant_d_matrix(model, weight)
+    d = constant_d_matrix(model, controller.weight)
     grad_v = np.asarray(clf.grad_v(x), dtype=float)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_v = np.asarray(clf.hess_v(x), dtype=float)
@@ -124,16 +124,16 @@ def jacobian_clf_cbf_boundary(model, cbf, clf, weight, p: float, x_star: np.ndar
             - np.outer(s1, r_v) / det - np.outer(s2, r_h) / det)
 
 
-def jacobian_safety_filter_boundary(model, cbf, weight, x_star: np.ndarray) -> np.ndarray:
-    """Closed-form Jacobian of the filtered loop at a boundary equilibrium."""
+def jacobian_safety_filter_boundary(controller, x_star: np.ndarray) -> np.ndarray:
+    """Closed-form Jacobian of a safety-filter loop at a boundary equilibrium."""
     x = np.asarray(x_star, dtype=float)
-    weight = _weight_or_identity(weight, model.m)
-    delta = collinearity_factor(model, cbf, weight, x)
+    model, cbf = controller.model, controller.pair
+    delta = collinearity_factor(controller, x)
     if delta >= -DESIRABILITY_TOL:
         raise PreconditionError(
             "boundary equilibrium with delta = %g >= -%g: the filter row is not "
             "strictly active" % (delta, DESIRABILITY_TOL))
-    d = constant_d_matrix(model, weight)
+    d = constant_d_matrix(model, controller.weight)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_h = np.asarray(cbf.hess_h(x), dtype=float)
     j_ft = np.asarray(model.jdrift(x), dtype=float)
@@ -171,13 +171,12 @@ def polyval(coeffs: Sequence[float], z: complex) -> complex:
     return acc
 
 
-def aberth_roots(coeffs: Sequence[float], tol: float = ROOT_TOL,
-                 max_iter: int = ROOT_MAX_ITER) -> np.ndarray:
+def aberth_roots(coeffs: Sequence[float]) -> np.ndarray:
     """All roots of a monic real polynomial by the Aberth-Ehrlich iteration.
 
     Starts on a circle inside the Cauchy bound with an asymmetric phase so no
     initial point sits on a symmetry axis; stops when every simultaneous
-    Newton correction falls below tol relative to the root magnitude.
+    Newton correction falls below ROOT_TOL relative to the root magnitude.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if abs(coeffs[0] - 1.0) > 1e-12:
@@ -191,7 +190,7 @@ def aberth_roots(coeffs: Sequence[float], tol: float = ROOT_TOL,
     radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
     angles = 2.0 * np.pi * (np.arange(degree) + 0.25) / degree + 0.5
     roots = 0.5 * radius * np.exp(1j * angles)
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         values = np.array([polyval(coeffs, z) for z in roots])
         dvalues = np.array([polyval(deriv, z) for z in roots])
         newton = np.where(dvalues != 0.0, values / np.where(dvalues != 0.0, dvalues, 1.0), 0.1)
@@ -202,12 +201,12 @@ def aberth_roots(coeffs: Sequence[float], tol: float = ROOT_TOL,
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         correction = newton / denom
         roots = roots - correction
-        if float(np.max(np.abs(correction) / (1.0 + np.abs(roots)))) < tol:
+        if float(np.max(np.abs(correction) / (1.0 + np.abs(roots)))) < ROOT_TOL:
             break
     else:
         residuals = [abs(polyval(coeffs, z)) for z in roots]
         raise NumericsError("root iteration did not converge in %d steps; residuals %s"
-                            % (max_iter, residuals))
+                            % (ROOT_MAX_ITER, residuals))
     return roots
 
 
@@ -228,15 +227,15 @@ def _sorted_eigs(roots: np.ndarray) -> Tuple[complex, ...]:
     return tuple(complex(roots[i]) for i in order)
 
 
-def stability_label(eigenvalues: Sequence[complex], tol: float = STABILITY_TOL) -> str:
+def stability_label(eigenvalues: Sequence[complex]) -> str:
     reals = np.array([complex(z).real for z in eigenvalues])
     if reals.size == 0:
         return "inconclusive"
-    if np.any(np.abs(reals) <= tol):
+    if np.any(np.abs(reals) <= STABILITY_TOL):
         return "inconclusive"
-    if np.all(reals < -tol):
+    if np.all(reals < -STABILITY_TOL):
         return "asymptotically-stable"
-    if np.all(reals > tol):
+    if np.all(reals > STABILITY_TOL):
         return "unstable"
     return "saddle"
 
@@ -304,11 +303,9 @@ def _closed_form_jacobian(controller, report: EquilibriumReport) -> Optional[np.
     if report.kind != "boundary" or report.desirability != "undesirable":
         return None
     if controller.kind == "clf-cbf-qp":
-        return jacobian_clf_cbf_boundary(controller.model, controller.pair, controller.clf,
-                                         controller.weight, controller.p, report.x_star)
+        return jacobian_clf_cbf_boundary(controller, report.x_star)
     if controller.kind == "safety-filter":
-        return jacobian_safety_filter_boundary(controller.model, controller.pair,
-                                               controller.weight, report.x_star)
+        return jacobian_safety_filter_boundary(controller, report.x_star)
     return None
 
 

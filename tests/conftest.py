@@ -139,8 +139,9 @@ def reference_evaluation(controller, x):
         return model.k(x), model.drift(x), np.zeros(0), np.asarray(0)
     rows = controller.problem().rows
     w = np.asarray(controller.weight(x), dtype=float)
-    a = [np.asarray(row.normal(x), dtype=float) for row in rows]
-    c = [np.asarray(float(row.offset(x))) for row in rows]
+    terms = [row.terms(x) for row in rows]
+    a = [np.asarray(normal, dtype=float) for normal, _ in terms]
+    c = [np.asarray(float(offset)) for _, offset in terms]
     winv_a = [np.linalg.solve(w, normal) for normal in a]
     if controller.kind == "safety-filter":
         eta = c[0]

@@ -7,23 +7,27 @@ import numpy as np
 import pytest
 
 from barrier_lab import (
+    ClfCbfController,
     EquilibriumReport,
     NotOnBoundaryError,
     PolishCounts,
     PreconditionError,
+    SafetyFilterController,
+    attach_spectra,
     classify_desirability,
     collinearity_factor,
     constant_matrix,
     find_boundary_equilibria,
     find_interior_equilibria,
-    gauss_newton_root,
     linear_system,
     make_ball_cbf,
     multipliers_on_boundary,
     polish_roots,
     quadratic_clf,
 )
-from barrier_lab.config import BUILTIN_SCENARIOS
+from barrier_lab import qp
+from barrier_lab.config import (BUILTIN_SCENARIOS, build_clf, build_controller, build_model,
+                                build_pairs, builtin_scenario)
 from barrier_lab.equilibria import (
     DIVERGE_NORM,
     POLISH_MAX_ITER,
@@ -125,8 +129,7 @@ class TestTrackingEquilibria:
 class TestMultipliersOnBoundary:
     def test_golden_delta_matrix(self, fig2):
         c = fig2.controller
-        lam1, lam2, delta_mat, det = multipliers_on_boundary(
-            c.model, c.pair, c.clf, c.weight, c.p, np.array([0.0, 4.5]))
+        lam1, lam2, delta_mat, det = multipliers_on_boundary(c, np.array([0.0, 4.5]))
         assert np.max(np.abs(delta_mat - [[21.25, -6.75], [-6.75, 2.25]])) < 1e-12
         assert abs(det - 2.25) < 1e-12
         assert abs(lam1 - 10.125) < 1e-12
@@ -135,23 +138,44 @@ class TestMultipliersOnBoundary:
     def test_rejects_off_boundary_state(self, fig2):
         c = fig2.controller
         with pytest.raises(NotOnBoundaryError):
-            multipliers_on_boundary(c.model, c.pair, c.clf, c.weight, c.p,
-                                    np.array([0.0, 4.6]))
+            multipliers_on_boundary(c, np.array([0.0, 4.6]))
+
+
+class TestLoopTermReuse:
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_analysis_builds_the_loop_terms_once(self, monkeypatch, name):
+        # the boundary search, the interior search and the spectra all read
+        # the controller's cached loop terms; none builds its own
+        builds = []
+        init = qp._LoopTerms.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(qp._LoopTerms, "__init__", counted)
+        cfg = builtin_scenario(name)
+        model = build_model(cfg)
+        controller = build_controller(cfg, model, build_pairs(cfg), build_clf(cfg))
+        boundary = attach_spectra(find_boundary_equilibria(controller), controller)
+        interior = attach_spectra(find_interior_equilibria(controller), controller)
+        assert any(r.desirability == "undesirable" for r in boundary)
+        assert all(r.spectrum is not None for r in boundary + interior)
+        assert len(builds) == 1
 
 
 class TestCollinearityFactor:
     def test_golden_values(self, fig3):
         c = fig3.controller
-        assert collinearity_factor(c.model, c.pair, c.weight, np.array([3.0, 0.0])) == -1.5
-        high = collinearity_factor(c.model, c.pair, c.weight, np.array([2.5, SQ3 / 2.0]))
-        low = collinearity_factor(c.model, c.pair, c.weight, np.array([2.5, -SQ3 / 2.0]))
+        assert collinearity_factor(c, np.array([3.0, 0.0])) == -1.5
+        high = collinearity_factor(c, np.array([2.5, SQ3 / 2.0]))
+        low = collinearity_factor(c, np.array([2.5, -SQ3 / 2.0]))
         assert abs(high + 2.5) < 1e-13
         assert abs(low + 2.5) < 1e-13
 
     def test_positive_factor_is_inconclusive_not_undesirable(self, fig3):
         x = np.array([1.0, 0.0])
-        delta = collinearity_factor(fig3.controller.model, fig3.pair,
-                                    fig3.controller.weight, x)
+        delta = collinearity_factor(fig3.controller, x)
         assert delta == 0.5
         report = EquilibriumReport(x_star=x, kind="boundary", desirability="inconclusive",
                                    controller="safety-filter", multipliers=(delta,),
@@ -202,8 +226,8 @@ class TestFoldsOnGeneralPlant:
                 bb = grad_v @ d @ grad_h
                 c = grad_h @ d @ grad_h
                 ref = np.linalg.solve([[a, -bb], [-bb, c]], [fv, -fh])
-                lam1, lam2, delta_mat, det = multipliers_on_boundary(
-                    model, cbf, clf, constant_matrix(w), p, x)
+                controller = ClfCbfController(model, cbf, clf, constant_matrix(w), p)
+                lam1, lam2, delta_mat, det = multipliers_on_boundary(controller, x)
                 scale = max(1.0, float(np.max(np.abs(ref))))
                 assert abs(lam1 - ref[0]) < 1e-12 * scale
                 assert abs(lam2 - ref[1]) < 1e-12 * scale
@@ -219,7 +243,8 @@ class TestFoldsOnGeneralPlant:
                 x = boundary_state(theta)
                 d_grad = d @ (2.0 * (x - BALL_CENTER))
                 ref = d_grad @ ((PLANT_A + b @ gain) @ x) / (d_grad @ d_grad)
-                delta = collinearity_factor(model, pair, constant_matrix(w), x)
+                controller = SafetyFilterController(model, pair, constant_matrix(w))
+                delta = collinearity_factor(controller, x)
                 assert abs(delta - ref) < 1e-12 * max(1.0, abs(ref))
 
 
@@ -274,27 +299,30 @@ class TestInteriorSeedLog:
 
 
 class TestRootPolish:
+    # one-row batches: fun maps states (k, n) to residuals (k, p)
+
     def test_high_multiplicity_root(self):
         def cubic(x):
-            return np.array([(x[0] - 2.0) ** 3])
+            return (x[:, :1] - 2.0) ** 3
 
-        root = gauss_newton_root(cubic, np.array([2.5]))
-        assert root is not None
-        assert abs(root[0] - 2.0) < 1e-4
+        [result] = polish_roots(cubic, [np.array([2.5])])
+        assert result.root is not None
+        assert abs(result.root[0] - 2.0) < 1e-4
 
     def test_regular_root_to_tight_residual(self):
         def fun(x):
-            return np.array([x[0] ** 2 - 4.0, x[1] + 1.0])
+            return np.stack([x[:, 0] ** 2 - 4.0, x[:, 1] + 1.0], axis=-1)
 
-        root = gauss_newton_root(fun, np.array([1.0, 0.0]))
-        assert root is not None
-        assert np.max(np.abs(root - [2.0, -1.0])) < 1e-10
+        [result] = polish_roots(fun, [np.array([1.0, 0.0])])
+        assert result.root is not None
+        assert np.max(np.abs(result.root - [2.0, -1.0])) < 1e-10
 
     def test_rootless_function_returns_none(self):
         def fun(x):
-            return np.array([x[0] ** 2 + 1.0])
+            return x[:, :1] ** 2 + 1.0
 
-        assert gauss_newton_root(fun, np.array([3.0])) is None
+        [result] = polish_roots(fun, [np.array([3.0])])
+        assert result.root is None
 
 
 # The one-seed polish the batched routine replaced, kept verbatim as the

@@ -145,8 +145,8 @@ class TestClfCbfQp:
         cbf = make_ball_cbf((1.0, 3.0), 1.0, form="half")
         x = np.array([0.0, 3.0])
         p = 2.0
-        lam1, lam2, delta_mat, det = multipliers_on_boundary(
-            model, cbf, clf, constant_matrix(np.eye(1)), p, x)
+        controller = ClfCbfController(model, cbf, clf, constant_matrix(np.eye(1)), p)
+        lam1, lam2, delta_mat, det = multipliers_on_boundary(controller, x)
         assert lam1 == p * float(clf.beta(clf.v(x))) == 9.0
         assert lam2 == 0.0
         point = ClfCbfController(model, cbf, clf, p=p).point(x)
@@ -209,16 +209,14 @@ class TestUnfilteredControl:
 
 class TestSolverStructure:
     def test_row_count_cap(self):
-        row = ConstraintRow(kind="custom", normal=lambda x: np.ones(2),
-                            offset=lambda x: 0.0)
+        row = ConstraintRow(kind="custom", terms=lambda x: (np.ones(2), 0.0))
         problem = QpProblem(weight=constant_matrix(np.eye(2)), penalty=None,
                             rows=(row,) * (MAX_ROWS + 1))
         with pytest.raises(InvalidParameterError):
             solve_small_qp(problem, np.zeros(2))
 
     def test_weight_must_be_symmetric_positive_definite(self):
-        row = ConstraintRow(kind="custom", normal=lambda x: np.ones(2),
-                            offset=lambda x: 1.0)
+        row = ConstraintRow(kind="custom", terms=lambda x: (np.ones(2), 1.0))
         skew = QpProblem(weight=constant_matrix(np.array([[1.0, 0.3], [0.0, 1.0]])),
                          penalty=None, rows=(row,))
         with pytest.raises(DefinitenessError):
@@ -229,15 +227,14 @@ class TestSolverStructure:
             solve_small_qp(indefinite, np.zeros(2))
 
     def test_relaxed_row_needs_penalty(self):
-        row = ConstraintRow(kind="clf-relaxed", normal=lambda x: np.ones(2),
-                            offset=lambda x: 0.0, relax_coeff=1.0)
+        row = ConstraintRow(kind="clf-relaxed", terms=lambda x: (np.ones(2), 0.0),
+                            relax_coeff=1.0)
         with pytest.raises(InvalidParameterError):
             QpProblem(weight=constant_matrix(np.eye(2)), penalty=None, rows=(row,))
 
     def test_cbf_row_admits_no_relaxation(self):
         with pytest.raises(InvalidParameterError):
-            ConstraintRow(kind="cbf", normal=lambda x: np.ones(2),
-                          offset=lambda x: 0.0, relax_coeff=1.0)
+            ConstraintRow(kind="cbf", terms=lambda x: (np.ones(2), 0.0), relax_coeff=1.0)
 
     def test_penalty_must_be_positive(self, fig2):
         from barrier_lab.qp import clf_problem
@@ -417,11 +414,11 @@ class TestSolverProperties:
 
 
 def _reference_solve(problem, x):
-    """solve_small_qp as it was before rows were read in one pass.
+    """solve_small_qp as it was before it shared one KKT system of all rows.
 
-    Each row's normal and offset come from separate evaluator calls, the
-    weight is checked at every state, and every subset builds its own KKT
-    system from the stacked normals. The solver must match it bit for bit.
+    The weight is checked at every state, and every subset builds its own
+    KKT system from the stacked normals. The solver must match it bit for
+    bit.
     """
     x = np.asarray(x, dtype=float)
     w = _checked_matrix(problem.weight(x))
@@ -434,9 +431,10 @@ def _reference_solve(problem, x):
         hess[m, m] = float(problem.penalty)
     normals, offsets, senses = [], [], []
     for row in problem.rows:
-        a = np.asarray(row.normal(x), dtype=float)
+        a, c = row.terms(x)
+        a = np.asarray(a, dtype=float)
         normals.append(np.concatenate([a, [-row.relax_coeff]]) if has_delta else a)
-        offsets.append(float(row.offset(x)))
+        offsets.append(float(c))
         senses.append(row.sense)
     k = len(problem.rows)
 
@@ -550,35 +548,21 @@ class TestOneStateOracle:
     def test_smallest_certifying_subset_wins(self):
         # u1 + 1 <= 0 binds; u1 + u2 + 1 <= 0 is met with equality at the same
         # point, so subsets (0,) and (0, 1) both certify: cardinality order picks (0,)
-        rows = (ConstraintRow(kind="custom", normal=lambda x: np.array([1.0, 0.0]),
-                              offset=lambda x: 1.0),
-                ConstraintRow(kind="custom", normal=lambda x: np.array([1.0, 1.0]),
-                              offset=lambda x: 1.0))
+        rows = (ConstraintRow(kind="custom", terms=lambda x: (np.array([1.0, 0.0]), 1.0)),
+                ConstraintRow(kind="custom", terms=lambda x: (np.array([1.0, 1.0]), 1.0)))
         problem = QpProblem(weight=constant_matrix(np.eye(2)), penalty=None, rows=rows)
         point = solve_small_qp(problem, np.zeros(2))
         assert point.active_set == (0,)
         assert point.multipliers == (1.0, 0.0)
         assert_same_kkt(point, _reference_solve(problem, np.zeros(2)))
 
-    def test_normal_and_offset_without_terms_reads_both_evaluators(self):
-        row = ConstraintRow(kind="custom", normal=lambda x: 2.0 * np.asarray(x),
-                            offset=lambda x: np.sum(x, axis=-1))
-        assert row.terms is None
-        for x in (np.array([0.25, -1.5]), np.arange(6.0).reshape(3, 2)):
-            a, c = row.normal_and_offset(x)
-            assert same_bits(a, row.normal(x))
-            assert same_bits(c, row.offset(x))
-
     def test_non_finite_row_raises_where_it_would_read_as_satisfied(self):
         # row 1 is violated at z = 0; a NaN in row 0 must not let the empty
         # subset (or any other) certify, in the solver or in the certificate
-        violated = ConstraintRow(kind="custom", normal=lambda x: np.array([1.0, 0.0]),
-                                 offset=lambda x: 1.0)
+        violated = ConstraintRow(kind="custom", terms=lambda x: (np.array([1.0, 0.0]), 1.0))
         point = KktPoint(u=np.zeros(2), delta=0.0, multipliers=(0.0, 0.0), active_set=())
-        for bad in (ConstraintRow(kind="cbf", normal=lambda x: np.array([1.0, 0.0]),
-                                  offset=lambda x: np.nan),
-                    ConstraintRow(kind="custom", normal=lambda x: np.array([np.inf, 0.0]),
-                                  offset=lambda x: 0.0)):
+        for bad in (ConstraintRow(kind="cbf", terms=lambda x: (np.array([1.0, 0.0]), np.nan)),
+                    ConstraintRow(kind="custom", terms=lambda x: (np.array([np.inf, 0.0]), 0.0))):
             problem = QpProblem(weight=constant_matrix(np.eye(2)), penalty=None,
                                 rows=(bad, violated))
             with pytest.raises(StructuralError, match="row 0 is not finite"):
@@ -587,7 +571,7 @@ class TestOneStateOracle:
                 certificate_errors(problem, np.zeros(2), point)
 
     def test_non_finite_weight_raises(self):
-        row = ConstraintRow(kind="custom", normal=lambda x: np.ones(2), offset=lambda x: 1.0)
+        row = ConstraintRow(kind="custom", terms=lambda x: (np.ones(2), 1.0))
         for weight in (constant_matrix(np.diag([np.nan, 1.0])), lambda x: np.diag([1.0, np.inf])):
             problem = QpProblem(weight=weight, penalty=None, rows=(row,))
             with pytest.raises(DefinitenessError, match="non-finite"):
@@ -601,7 +585,7 @@ class TestOneStateOracle:
         assert constant_value(unmarked.weight) is None
 
     def test_invalid_constant_weight_raises_on_every_call(self, fig3):
-        row = ConstraintRow(kind="custom", normal=lambda x: np.ones(2), offset=lambda x: 1.0)
+        row = ConstraintRow(kind="custom", terms=lambda x: (np.ones(2), 1.0))
         for weight in (np.diag([1.0, -1.0]), np.array([[1.0, 0.3], [0.0, 1.0]])):
             problem = QpProblem(weight=constant_matrix(weight), penalty=None, rows=(row,))
             for _ in range(2):

@@ -239,10 +239,10 @@ class TestAssumptionGuards:
         clf = quadratic_clf(np.diag([6.0, 1.0]))
         cbf = make_ball_cbf((1.0, 3.0), 1.0, form="half")
         with pytest.raises(PreconditionError):
-            jacobian_clf_cbf_boundary(model, cbf, clf, None, 2.0, np.array([0.0, 3.0]))
+            jacobian_clf_cbf_boundary(ClfCbfController(model, cbf, clf, None, 2.0),
+                                      np.array([0.0, 3.0]))
 
     def test_inactive_filter_row_is_rejected(self, fig3):
         # delta = 0.5 > 0 at (1, 0): the constraint pushes outward there
         with pytest.raises(PreconditionError):
-            jacobian_safety_filter_boundary(fig3.model, fig3.pair,
-                                            fig3.controller.weight, np.array([1.0, 0.0]))
+            jacobian_safety_filter_boundary(fig3.controller, np.array([1.0, 0.0]))
