@@ -27,8 +27,8 @@ from .artifacts import json_dumps, table, write_csv, write_json, write_text
 from .config import (BUILTIN_SCENARIOS, ScenarioConfig, build_clf,
                      build_controller, build_model, build_pairs,
                      builtin_scenario, parse_config, unfiltered_controller)
-from .equilibria import (SWEEP_DEFAULT, PolishCounts, find_boundary_equilibria,
-                         find_interior_equilibria, state_sort_key)
+from .equilibria import (PolishCounts, find_boundary_equilibria, find_interior_equilibria,
+                         state_sort_key)
 from .equivalence import (boundary_field_difference, default_boundary_samples,
                           gradient_ratio, hausdorff_distance, hessian_equivalence)
 from .errors import BarrierLabError, ConfigError
@@ -41,7 +41,6 @@ BOUNDARY_FIELD_SAMPLES = 512
 PRECHECK_SAMPLES = 256
 MATCH_TOL = 1e-3           # cross-pair equilibrium identification radius
 EQUIVALENCE_SAMPLES = 256
-INTERIOR_PER_AXIS = 5
 
 
 def _vec(x) -> list:
@@ -144,14 +143,12 @@ class ScenarioRun:
 
     def run_equilibria(self, params: dict) -> None:
         counts = PolishCounts()
-        boundary = find_boundary_equilibria(self.controller,
-                                            sweep=params.get("sweep", SWEEP_DEFAULT),
-                                            counts=counts)
-        box = params.get("box", ((-5.0, -5.0), (5.0, 5.0)))
-        interior = find_interior_equilibria(self.controller, box=box,
-                                            per_axis=params.get("per_axis",
-                                                                INTERIOR_PER_AXIS),
-                                            counts=counts)
+        # the searches' own defaults hold for every key the task leaves out
+        boundary = find_boundary_equilibria(
+            self.controller, counts=counts, **{k: v for k, v in params.items() if k == "sweep"})
+        interior = find_interior_equilibria(
+            self.controller, counts=counts,
+            **{k: v for k, v in params.items() if k in ("box", "per_axis")})
         self.reports = sorted(boundary + interior, key=lambda r: state_sort_key(r.x_star))
         self._write_equilibria_json()
         stops = ", ".join("%s x%d" % (reason, counts.stops[reason])

@@ -11,6 +11,11 @@ closed-form multipliers
 where det = (||grad_v||_D^2 + 1/p) ||grad_h||_D^2 - (grad_v^T D grad_h)^2 > 0;
 undesirable ones have lam1 > 0 and lam2 > 0. Interior equilibria of either
 loop coincide with equilibria of the unfiltered loop and are desirable.
+
+On dS alpha(h) = 0, so where the barrier row is active the closed-loop field
+is tangent to dS, and every barrier of the safe set gives the same field
+there: boundary equilibria are the zeros of the tangential component
+tau^T field along dS, which the boundary search brackets.
 """
 
 import itertools
@@ -29,8 +34,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-SWEEP_DEFAULT = 2048        # boundary samples for the 2D circle sweep
-DETECT_TOL = 1e-3           # field-norm threshold marking a candidate minimum
+SWEEP_DEFAULT = 2048        # boundary samples that bracket the tangential field
 POLISH_TOL = 1e-10          # Gauss-Newton target residual
 POLISH_MAX_ITER = 100
 STEP_TOL = 1e-12            # relative step size at which polishing stalls
@@ -156,8 +160,8 @@ class PolishCounts:
     """Running totals of equilibrium searches, for the run summary.
 
     polished: candidates polished; iterations: their accepted steps in
-    total; stops: candidates per stop reason; dropped: seeds, candidates and
-    roots a search discarded, each with a log line.
+    total; stops: candidates per stop reason; dropped: seeds, brackets,
+    candidates and roots a search discarded, each with a log line.
     """
 
     def __init__(self):
@@ -250,12 +254,13 @@ def state_sort_key(q: np.ndarray):
     return tuple(round(float(c), 9) for c in q)
 
 
-def _dedup(points: List[np.ndarray]) -> List[np.ndarray]:
-    kept: List[np.ndarray] = []
-    for p in points:
-        if all(float(np.linalg.norm(p - q)) > DEDUP_TOL for q in kept):
-            kept.append(p)
-    return sorted(kept, key=state_sort_key)
+def _dedup(roots: List[Tuple[np.ndarray, float]]) -> List[Tuple[np.ndarray, float]]:
+    """(root, residual) pairs, the first of each DEDUP_TOL cluster, in sort order."""
+    kept: List[Tuple[np.ndarray, float]] = []
+    for root in roots:
+        if all(float(np.linalg.norm(root[0] - q[0])) > DEDUP_TOL for q in kept):
+            kept.append(root)
+    return sorted(kept, key=lambda root: state_sort_key(root[0]))
 
 
 def _merge_zero_components(controller, roots: List[Tuple[np.ndarray, float]]
@@ -300,76 +305,75 @@ def _boundary_multipliers(controller, x: np.ndarray) -> Tuple[float, ...]:
     return ()
 
 
-def _sweep_candidates(controller, sweep: int) -> List[np.ndarray]:
-    """Boundary samples where the closed-loop field norm has a local minimum near 0."""
-    geometry = controller.pair.geometry
-    if geometry is None or geometry.kind != "ball-complement-2d":
-        raise PreconditionError("the boundary search sweeps planar ball boundaries only")
-    samples = geometry.boundary_points(sweep)
-    field = np.asarray(controller.field(samples), dtype=float)
-    norms = np.linalg.norm(field, axis=-1)
-    norms = np.where(np.isfinite(norms), norms, np.inf)
-    prev_n = np.roll(norms, 1)
-    next_n = np.roll(norms, -1)
-    # a zero between samples shows up as a V-shaped local minimum whose
-    # sampled value can exceed DETECT_TOL by up to slope * spacing; accept
-    # when the interpolated minimum could reach the threshold
-    slack = np.maximum(np.abs(prev_n - norms), np.abs(next_n - norms))
-    slack = np.where(np.isfinite(slack), slack, 0.0)
-    mask = (np.isfinite(norms)
-            & (norms <= prev_n) & (norms <= next_n)
-            & (norms < DETECT_TOL + slack))
-    return [samples[i] for i in np.flatnonzero(mask)]
-
-
-def _boundary_system(controller):
-    """The stacked residual [field(x); h(x)] of the boundary search, batched."""
-    def stacked(x):
-        return np.concatenate([np.asarray(controller.field(x), dtype=float),
-                               np.asarray(controller.pair.h(x), dtype=float)[..., None]],
-                              axis=-1)
-
-    return stacked
+def _tangential(controller, geometry, theta: np.ndarray):
+    """Boundary points x(theta), ||field(x)|| and tau^T field(x), in one field call."""
+    x, tangent = geometry.boundary_at(theta)
+    field = np.asarray(controller.field(x), dtype=float)
+    return x, np.linalg.norm(field, axis=-1), np.sum(tangent * field, axis=-1)
 
 
 def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
                              counts: Optional[PolishCounts] = None) -> List[EquilibriumReport]:
     """Equilibria of the closed loop on the boundary of the safe set.
 
-    For a planar ball boundary: sweep the circle, keep local minima of the
-    closed-loop field norm under 1e-3, polish them in one batch with
-    Gauss-Newton on the stacked system [field(x); h(x)] = 0, deduplicate,
-    attach multipliers and desirability. Other geometries raise
-    PreconditionError. counts, when given, receives each polish and each drop.
+    Brackets: adjacent samples of tau^T field at sweep uniform parameters of
+    SafeSetGeometry.boundary_at, last to first included, whose product is
+    <= 0. Illinois regula falsi refines them together, one field call per
+    round, until a value is exactly 0, the next point does not move, or
+    POLISH_MAX_ITER rounds. A point with ||field|| >= RESIDUAL_TOL, a sign
+    change where the row is inactive, is dropped with a debug line; the rest
+    are deduplicated and get multipliers and desirability. A tangential zero
+    without a sign change (a double root) is not found. counts, when given,
+    receives each drop.
     """
-    if not controller.cbf_pairs:
-        raise PreconditionError("controller carries no barrier; no boundary to search")
-    candidates = _sweep_candidates(controller, sweep)
-
+    geometry = controller.pair.geometry if controller.cbf_pairs else None
+    if geometry is None:
+        raise PreconditionError("controller carries no barrier with a parametrized boundary")
     counts = PolishCounts() if counts is None else counts
-    polished: List[np.ndarray] = []
-    for x0, result in zip(candidates, polish_roots(_boundary_system(controller), candidates)):
-        counts.add(result)
-        if not result.converged:
-            log.warning("boundary candidate at %s dropped: no convergence (%s after %d"
-                        " iterations, residual %g)", np.array2string(x0, precision=6),
-                        result.reason, result.iterations, result.residual)
+
+    theta = np.append(2.0 * np.pi * np.arange(sweep) / sweep, 2.0 * np.pi)   # 2 pi closes the loop
+    x, residual, tang = _tangential(controller, geometry, theta[:-1])
+    tang = np.append(tang, tang[:1])
+    lo = np.flatnonzero(tang[:-1] * tang[1:] <= 0.0)
+    # b is the end of smaller |tau^T field| and, after each round, the new point
+    ia, ib = np.where(np.abs(tang[lo + 1]) <= np.abs(tang[lo]), [lo, lo + 1], [lo + 1, lo])
+    a, fa, b, fb = theta[ia], tang[ia], theta[ib], tang[ib]
+    bx, bres = x[ib % sweep], residual[ib % sweep]
+    running = np.flatnonzero(fb != 0.0)
+    for _ in range(POLISH_MAX_ITER):
+        c = b[running] - fb[running] * (b[running] - a[running]) / (fb[running] - fa[running])
+        moves = (c - a[running]) * (c - b[running]) < 0.0
+        running, c = running[moves], c[moves]
+        if not running.size:
+            break
+        xc, rc, fc = _tangential(controller, geometry, c)
+        # Illinois: a new point on b's side keeps a and halves its value
+        flip = np.sign(fc) != np.sign(fb[running])
+        a[running] = np.where(flip, b[running], a[running])
+        fa[running] = np.where(flip, fb[running], 0.5 * fa[running])
+        b[running], fb[running], bx[running], bres[running] = c, fc, xc, rc
+        running = running[np.isfinite(fc) & (fc != 0.0)]
+
+    roots: List[Tuple[np.ndarray, float]] = []
+    for point, res in zip(bx, bres.tolist()):
+        if res < RESIDUAL_TOL:
+            roots.append((point, res))
+        else:                            # a NaN residual fails the gate too
+            log.debug("boundary bracket at %s dropped: closed-loop residual %g is not"
+                      " below %g", point, res, RESIDUAL_TOL)
             counts.dropped += 1
-            continue
-        polished.append(result.x)
 
     reports: List[EquilibriumReport] = []
-    for x in _dedup(polished):
+    for point, res in _dedup(roots):
         try:
-            multipliers = _boundary_multipliers(controller, x)
+            multipliers = _boundary_multipliers(controller, point)
         except (StrictFeasibilityError, NotOnBoundaryError) as exc:
-            log.error("boundary candidate at %s rejected: %s",
-                      np.array2string(x, precision=6), exc)
+            log.error("boundary candidate at %s rejected: %s", point, exc)
             counts.dropped += 1
             continue
-        report = EquilibriumReport(x_star=x, kind="boundary", desirability="inconclusive",
+        report = EquilibriumReport(x_star=point, kind="boundary", desirability="inconclusive",
                                    controller=controller.kind, multipliers=multipliers,
-                                   residual=float(np.linalg.norm(controller.field(x))))
+                                   residual=res)
         reports.append(replace(report,
                                desirability=classify_desirability(report, controller)))
     return reports

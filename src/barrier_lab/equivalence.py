@@ -51,7 +51,7 @@ class EquivalenceReport:
 
 
 def default_boundary_samples(pair: BarrierPair, count: int = DEFAULT_SAMPLES) -> np.ndarray:
-    if pair.geometry is None or pair.geometry.kind != "ball-complement-2d":
+    if pair.geometry is None:
         raise PreconditionError("no parametrized boundary; supply explicit samples")
     return pair.geometry.boundary_points(count)
 

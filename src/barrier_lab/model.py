@@ -266,9 +266,9 @@ def single_integrator_2d(gain: Optional[np.ndarray] = None) -> SystemModel:
 class SafeSetGeometry:
     """Geometry of the safe set S = {h >= 0} with boundary dS = {h = 0}.
 
-    kind 'ball-complement-2d': S is the complement of an open planar ball, so
-    dS is the circle of the given center and radius. kind 'implicit' carries no
-    parametrization; boundary access goes through Newton projection on h.
+    kind 'ball-complement-2d' is the one kind: S is the complement of an open
+    planar ball, so dS is the circle of the given center and radius, run once
+    by the parameter theta in [0, 2 pi).
     """
 
     kind: str
@@ -276,22 +276,24 @@ class SafeSetGeometry:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("ball-complement-2d", "implicit"):
+        if self.kind != "ball-complement-2d":
             raise InvalidParameterError("unknown geometry kind %r" % (self.kind,))
-        if self.kind == "ball-complement-2d":
-            if self.center is None or self.radius is None:
-                raise InvalidParameterError("ball geometry needs center and radius")
-            object.__setattr__(self, "center", np.array(self.center, dtype=float))
-            if float(self.radius) <= 0.0:
-                raise InvalidParameterError("ball radius must be positive")
-            object.__setattr__(self, "radius", float(self.radius))
+        if self.center is None or self.radius is None:
+            raise InvalidParameterError("ball geometry needs center and radius")
+        object.__setattr__(self, "center", np.array(self.center, dtype=float))
+        if float(self.radius) <= 0.0:
+            raise InvalidParameterError("ball radius must be positive")
+        object.__setattr__(self, "radius", float(self.radius))
+
+    def boundary_at(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The boundary point x(theta) and its tangent dx/dtheta, batched over theta."""
+        cos, sin = np.cos(theta), np.sin(theta)
+        return (self.center + self.radius * np.stack([cos, sin], axis=-1),
+                self.radius * np.stack([-sin, cos], axis=-1))
 
     def boundary_points(self, count: int) -> np.ndarray:
-        """Uniform samples of dS in the circle parameter (ball geometry only)."""
-        if self.kind != "ball-complement-2d":
-            raise InvalidParameterError("boundary_points needs a ball geometry; supply explicit samples")
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return self.center + self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        """count uniform samples of dS in theta, starting at theta = 0."""
+        return self.boundary_at(2.0 * np.pi * np.arange(count) / count)[0]
 
 
 @dataclass(frozen=True)
@@ -448,7 +450,7 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
             raise InvalidParameterError("gamma(0) must be 0, got %g" % float(gamma.fun(0.0)))
         if gamma.second is None:
             raise InvalidParameterError("gamma needs a second derivative when a > 0")
-    if b > 0.0 and base.geometry is not None and base.geometry.kind == "ball-complement-2d":
+    if b > 0.0 and base.geometry is not None:
         samples = base.geometry.boundary_points(TRANSFORM_ETA_SAMPLES)
         eta_vals = np.asarray(eta.fun(samples), dtype=float)
         if np.any(eta_vals <= 0.0):
@@ -659,7 +661,7 @@ def validate_model(model: SystemModel, pairs: Sequence[object], samples: Sequenc
                      pair.grad_h, lambda x, p=pair: np.asarray(p.h(x), dtype=float)[None] if np.asarray(p.h(x)).ndim == 0 else p.h(x),
                      samples)
             fd_entry("%s.hess_h" % tag, pair.hess_h, pair.grad_h, samples)
-            if pair.geometry is not None and pair.geometry.kind == "ball-complement-2d":
+            if pair.geometry is not None:
                 boundary = pair.geometry.boundary_points(128)
                 norms = np.sqrt(dot(pair.grad_h(boundary), pair.grad_h(boundary)))
                 min_norm = float(np.min(norms))

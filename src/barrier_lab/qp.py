@@ -37,7 +37,6 @@ from .model import (BarrierPair, LyapunovPair, SystemModel, constant_matrix, con
 MAX_ROWS = 12
 FEAS_TOL = 1e-9          # row satisfaction at the returned point
 DUAL_TOL = 1e-12         # multipliers may undershoot zero by this much
-WEAK_ACTIVE_TOL = 1e-10  # inactive rows must have multiplier below this
 SYMMETRY_TOL = 1e-12
 TANGENCY_TOL = 1e-8      # |grad_h^T f + alpha(h)| below this marks a tangency
 NORMAL_MIN = 1e-8        # required ||g^T grad_h|| at tangency samples

@@ -32,8 +32,7 @@ from .equilibria import (DESIRABILITY_TOL, EquilibriumReport, collinearity_facto
                          multipliers_on_boundary)
 from .errors import (AssumptionViolationError, InvalidParameterError, NumericsError,
                      PreconditionError)
-from .model import central_difference_jacobian, constant_value
-from .qp import _weight_or_identity
+from .model import central_difference_jacobian
 
 D_CHECK_SAMPLES = 16
 D_CHECK_TOL = 1e-10
@@ -66,19 +65,17 @@ def _d_matrix(g, w) -> np.ndarray:
     return g @ np.linalg.solve(np.asarray(w, dtype=float), g.T)
 
 
-def constant_d_matrix(model, weight) -> np.ndarray:
-    """D = g G^{-1} g^T, which the closed-form Jacobians need constant.
+def constant_d_matrix(controller) -> np.ndarray:
+    """D = g G^{-1} g^T of a controller's loop; the closed-form Jacobians need it constant.
 
-    When g and G are both marked constant (constant_matrix evaluators, as
-    linear_system builds them), D is formed once from those matrices.
-    Otherwise it is checked at 16 states drawn from [-10, 10]^n with seed 0:
-    deviation above 1e-10 raises an assumption-violation error.
+    When g and G are both marked constant (as linear_system builds them), D
+    is g times the G^{-1} g^T of the controller's cached loop terms. Otherwise
+    it is checked at 16 states drawn from [-10, 10]^n with seed 0: deviation
+    above 1e-10 raises an assumption-violation error.
     """
-    weight = _weight_or_identity(weight, model.m)
-    g = model.constant_g()
-    w = constant_value(weight)
-    if g is not None and w is not None:
-        return _d_matrix(g, w)
+    model, weight, terms = controller.model, controller.weight, controller._terms
+    if terms.times_winv_gt is not None:
+        return terms.times_g.matrix @ terms.times_winv_gt.matrix
     rng = np.random.default_rng(D_CHECK_SEED)
     states = -D_CHECK_SPAN + 2.0 * D_CHECK_SPAN * rng.random((D_CHECK_SAMPLES, model.n))
 
@@ -102,7 +99,7 @@ def jacobian_clf_cbf_boundary(controller, x_star: np.ndarray) -> np.ndarray:
         raise PreconditionError(
             "strict complementarity needed: lam1 = %g, lam2 = %g must exceed %g"
             % (lam1, lam2, DESIRABILITY_TOL))
-    d = constant_d_matrix(model, controller.weight)
+    d = constant_d_matrix(controller)
     grad_v = np.asarray(clf.grad_v(x), dtype=float)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_v = np.asarray(clf.hess_v(x), dtype=float)
@@ -133,7 +130,7 @@ def jacobian_safety_filter_boundary(controller, x_star: np.ndarray) -> np.ndarra
         raise PreconditionError(
             "boundary equilibrium with delta = %g >= -%g: the filter row is not "
             "strictly active" % (delta, DESIRABILITY_TOL))
-    d = constant_d_matrix(model, controller.weight)
+    d = constant_d_matrix(controller)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_h = np.asarray(cbf.hess_h(x), dtype=float)
     j_ft = np.asarray(model.jdrift(x), dtype=float)

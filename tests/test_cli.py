@@ -144,8 +144,8 @@ class TestScenarioRun:
         monkeypatch.chdir(tmp_path)
         assert main(["scenario", "fig2"]) == 0
         text = (tmp_path / "fig2-artifacts" / "summary.txt").read_text()
-        assert ("  - equilibria: 3 boundary (3 undesirable), 1 interior; polished 27 candidates"
-                " in 2306 iterations (max-iterations x23, step-stalled x4), 1 dropped\n") in text
+        assert ("  - equilibria: 3 boundary (3 undesirable), 1 interior; polished 24 candidates"
+                " in 2300 iterations (max-iterations x23, step-stalled x1), 2 dropped\n") in text
 
     def test_roa_horizon_off_the_step_grid_fails_the_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

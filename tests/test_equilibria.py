@@ -26,23 +26,24 @@ from barrier_lab import (
     quadratic_clf,
 )
 from barrier_lab import qp
-from barrier_lab.config import (BUILTIN_SCENARIOS, build_clf, build_controller, build_model,
-                                build_pairs, builtin_scenario)
+from barrier_lab.config import (build_clf, build_controller, build_model, build_pairs,
+                                builtin_scenario, comparison_config)
 from barrier_lab.equilibria import (
     DIVERGE_NORM,
     POLISH_MAX_ITER,
     POLISH_TOL,
     STEP_TOL,
     STOP_REASONS,
-    SWEEP_DEFAULT,
-    _boundary_system,
+    RESIDUAL_TOL,
     _default_seed_grid,
-    _sweep_candidates,
     state_sort_key,
 )
+from barrier_lab.equivalence import hausdorff_distance
 
 SQ3 = math.sqrt(3.0)
 COORD_TOL = 1e-9
+FIG3_BOUNDARY = np.array([[2.5, -SQ3 / 2.0], [2.5, SQ3 / 2.0], [3.0, 0.0]])
+FIG2_BOUNDARY = np.array([[-math.sqrt(1.89), 3.6], [0.0, 4.5], [math.sqrt(1.89), 3.6]])
 MULT_TOL = 1e-8
 
 
@@ -55,9 +56,8 @@ class TestObstacleAvoidanceEquilibria:
 
     def test_boundary_set_and_order(self, analyzed):
         boundary, _ = analyzed("fig3")
-        expected = np.array([[2.5, -SQ3 / 2.0], [2.5, SQ3 / 2.0], [3.0, 0.0]])
         assert coords(boundary).shape == (3, 2)
-        assert np.max(np.abs(coords(boundary) - expected)) < COORD_TOL
+        assert np.max(np.abs(coords(boundary) - FIG3_BOUNDARY)) < COORD_TOL
         assert all(r.kind == "boundary" for r in boundary)
         assert all(r.controller == "safety-filter" for r in boundary)
         assert all(r.desirability == "undesirable" for r in boundary)
@@ -99,10 +99,8 @@ class TestTrackingEquilibria:
 
     def test_boundary_set_and_order(self, analyzed):
         boundary, _ = analyzed("fig2")
-        root = math.sqrt(1.89)
-        expected = np.array([[-root, 3.6], [0.0, 4.5], [root, 3.6]])
         assert coords(boundary).shape == (3, 2)
-        assert np.max(np.abs(coords(boundary) - expected)) < COORD_TOL
+        assert np.max(np.abs(coords(boundary) - FIG2_BOUNDARY)) < COORD_TOL
         assert all(r.desirability == "undesirable" for r in boundary)
         assert all(r.controller == "clf-cbf-qp" for r in boundary)
         assert all(r.residual < 1e-9 for r in boundary)
@@ -124,6 +122,90 @@ class TestTrackingEquilibria:
         assert len(interior) == 1
         assert np.max(np.abs(interior[0].x_star)) < COORD_TOL
         assert interior[0].desirability == "desirable"
+
+
+DOUBLE_ROOT = np.array([math.cos(0.3), math.sin(0.3)])   # between the samples of any sweep
+
+
+class _DuckBoundaryLoop:
+    """A loop around the unit ball at the origin whose closed-loop field is given."""
+
+    kind = "clf"
+
+    def __init__(self, field):
+        self.pair = make_ball_cbf((0.0, 0.0), 1.0)
+        self.cbf_pairs = (self.pair,)
+        self.field = self.unfiltered_field = field
+
+
+def rotated(scale):
+    """field(x) = scale(x) (-x1, x0): on the unit circle, tau^T field = scale."""
+    def field(x):
+        x = np.asarray(x, dtype=float)
+        return scale(x)[..., None] * np.stack([-x[..., 1], x[..., 0]], axis=-1)
+
+    return field
+
+
+class TestBracketSearch:
+    @pytest.mark.parametrize("name, expected", [("fig3", FIG3_BOUNDARY), ("fig2", FIG2_BOUNDARY)])
+    def test_coarse_sweep_finds_every_boundary_equilibrium(self, bundles, name, expected):
+        reports = find_boundary_equilibria(bundles(name).controller, sweep=8)
+        assert coords(reports).shape == (3, 2)
+        assert np.max(np.abs(coords(reports) - expected)) < COORD_TOL
+        assert all(r.residual < RESIDUAL_TOL for r in reports)
+
+    def test_fig3_barriers_give_the_same_boundary_set(self):
+        # the search reads the field on dS only, where every barrier of the
+        # safe set gives the same closed loop
+        cfg = comparison_config("fig3")
+        model, pairs, clf = build_model(cfg), build_pairs(cfg), build_clf(cfg)
+        sets = [coords(find_boundary_equilibria(
+                    build_controller(cfg, model, pairs, clf, cbf_index=i)))
+                for i in range(len(pairs))]
+        assert len(sets) == 4 and all(points.shape == (3, 2) for points in sets)
+        assert max(hausdorff_distance(sets[0], other) for other in sets[1:]) < 1e-15
+
+    @pytest.mark.parametrize("name, point, residual",
+                             [("fig3", (1.0, 0.0), 1.0), ("fig2", (0.0, 1.5), 0.519231)])
+    def test_rejected_bracket_is_logged_and_counted(self, bundles, caplog, name, point,
+                                                    residual):
+        # a sign change where the row is inactive: the field is normal to dS
+        counts = PolishCounts()
+        with caplog.at_level(logging.DEBUG, logger="barrier_lab.equilibria"):
+            reports = find_boundary_equilibria(bundles(name).controller, counts=counts)
+        assert len(reports) == 3
+        [record] = [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        assert record.levelno == logging.DEBUG
+        assert "dropped" in record.getMessage()
+        assert np.max(np.abs(record.args[0] - point)) < COORD_TOL
+        assert abs(record.args[1] - residual) < 1e-6
+        assert counts.dropped == 1
+
+    def test_sample_on_a_zero_is_reported_once(self, fig3):
+        # (3, 0) is the sample at theta = 0, the end of two brackets
+        controller = fig3.controller
+        x, tangent = controller.pair.geometry.boundary_at(np.zeros(1))
+        assert np.array_equal(x, [[3.0, 0.0]])
+        assert float(np.sum(tangent * controller.field(x))) == 0.0
+        reports = find_boundary_equilibria(controller)
+        assert [tuple(r.x_star) for r in reports].count((3.0, 0.0)) == 1
+        assert len(reports) == 3
+
+    def test_tangential_zero_without_a_sign_change_is_not_found(self, caplog):
+        # tau^T field = ||x - p||^2 >= 0 touches 0 where the field vanishes;
+        # sin(theta - 0.3) has the same zero as a sign change, and is found
+        touching = _DuckBoundaryLoop(rotated(lambda x: np.sum((x - DOUBLE_ROOT) ** 2, axis=-1)))
+        assert np.linalg.norm(touching.field(DOUBLE_ROOT)) == 0.0
+        counts = PolishCounts()
+        with caplog.at_level(logging.DEBUG, logger="barrier_lab.equilibria"):
+            assert find_boundary_equilibria(touching, counts=counts) == []
+        assert not [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        assert counts.dropped == 0
+        crossing = _DuckBoundaryLoop(rotated(
+            lambda x: x[..., 1] * DOUBLE_ROOT[0] - x[..., 0] * DOUBLE_ROOT[1]))
+        found = coords(find_boundary_equilibria(crossing))
+        assert np.max(np.abs(found - [-DOUBLE_ROOT, DOUBLE_ROOT])) < COORD_TOL
 
 
 class TestMultipliersOnBoundary:
@@ -407,19 +489,6 @@ class TestBatchedPolish:
         assert_same_as_reference(results, reference)
         assert all(result.converged for result in results)
 
-    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
-    def test_boundary_roots_match_the_one_seed_polish(self, bundles, name):
-        controller = bundles(name).controller
-
-        def one_state(x):
-            return np.concatenate([np.asarray(controller.field(x), dtype=float),
-                                   np.atleast_1d(np.asarray(controller.pair.h(x), dtype=float))])
-
-        candidates = _sweep_candidates(controller, SWEEP_DEFAULT)
-        assert len(candidates) >= 3
-        results = polish_roots(_boundary_system(controller), candidates)
-        assert_same_as_reference(results, [_reference_root(one_state, c) for c in candidates])
-
     def test_mixed_batch_keeps_each_rows_outcome(self, monkeypatch):
         lstsq = np.linalg.lstsq
 
@@ -454,8 +523,9 @@ class TestBatchedPolish:
         assert counts.stops == {"step-stalled": 2}
         assert counts.iterations == sum(
             r.iterations for r in polish_roots(fig3.controller.unfiltered_field, seeds[1:]))
+        # the boundary search polishes nothing; it drops the bracket at (1, 0)
         find_boundary_equilibria(fig3.controller, counts=counts)
-        assert counts.polished == 2 + len(_sweep_candidates(fig3.controller, SWEEP_DEFAULT))
+        assert (counts.polished, counts.dropped) == (2, 2)
 
     def test_dropped_seed_log_names_its_stop_reason(self, caplog):
         rootless = _DuckLoop(lambda x: x * x + 1.0, lambda x: x * x + 1.0)

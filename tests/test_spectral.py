@@ -12,11 +12,13 @@ from barrier_lab import (
     PreconditionError,
     SystemModel,
     aberth_roots,
+    attach_spectra,
     central_difference_jacobian,
     char_poly_coefficients,
     constant_d_matrix,
     constant_matrix,
     eigen_and_classify,
+    find_boundary_equilibria,
     jacobian_clf_cbf_boundary,
     jacobian_safety_filter_boundary,
     linear_system,
@@ -26,6 +28,10 @@ from barrier_lab import (
     stability_label,
     synthetic_division,
 )
+from barrier_lab import spectral
+from barrier_lab.config import (BUILTIN_SCENARIOS, build_clf, build_controller, build_model,
+                                build_pairs, builtin_scenario)
+from barrier_lab.model import constant_value
 from conftest import reference_evaluation
 
 SQ3 = math.sqrt(3.0)
@@ -185,13 +191,18 @@ class TestReducedSpectrum:
 
 
 class TestAssumptionGuards:
-    def test_constant_d_for_builtin_model(self, fig3):
-        d = constant_d_matrix(fig3.model, fig3.controller.weight)
-        assert np.array_equal(d, np.eye(2))
+    def test_constant_d_for_builtin_model(self, bundles):
+        for name in BUILTIN_SCENARIOS:
+            controller = bundles(name).controller
+            d = constant_d_matrix(controller)
+            assert np.array_equal(d, np.eye(2))
+            assert np.array_equal(d, spectral._d_matrix(controller.model.constant_g(),
+                                                         constant_value(controller.weight)))
 
     def test_marked_model_forms_d_without_sampling(self):
         marked = linear_system(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 2.0]]))
         weight = constant_matrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        pair, clf = make_ball_cbf((0.0, 3.0), 1.0), quadratic_clf(np.eye(2))
         calls = []
 
         def counted_g(x):
@@ -199,13 +210,33 @@ class TestAssumptionGuards:
             return marked.g(x)
 
         # the same g without the constant mark takes the sampled path
-        sampled = constant_d_matrix(replace(marked, g=counted_g), weight)
+        sampled = constant_d_matrix(
+            ClfCbfController(replace(marked, g=counted_g), pair, clf, weight))
         assert len(calls) == 16
         counted_g.constant = marked.constant_g()
         del calls[:]
-        d = constant_d_matrix(replace(marked, g=counted_g), weight)
+        d = constant_d_matrix(ClfCbfController(replace(marked, g=counted_g), pair, clf, weight))
         assert calls == []
         assert np.array_equal(d, sampled)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_spectra_form_no_d_matrix(self, monkeypatch, name):
+        # the closed-form Jacobians read D from the controller's loop terms
+        cfg = builtin_scenario(name)
+        model = build_model(cfg)
+        controller = build_controller(cfg, model, build_pairs(cfg), build_clf(cfg))
+        reports = find_boundary_equilibria(controller)
+        calls = []
+        d_matrix = spectral._d_matrix
+
+        def counted(g, w):
+            calls.append(1)
+            return d_matrix(g, w)
+
+        monkeypatch.setattr(spectral, "_d_matrix", counted)
+        reports = attach_spectra(reports, controller)
+        assert len(reports) == 3 and all(r.spectrum is not None for r in reports)
+        assert calls == []
 
     def test_state_dependent_g_is_rejected(self):
         def g(x):
@@ -216,13 +247,13 @@ class TestAssumptionGuards:
                             f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                             g=g,
                             jf=lambda x: np.zeros((2, 2)))
+        controller = ClfCbfController(model, make_ball_cbf((0.0, 3.0), 1.0),
+                                      quadratic_clf(np.eye(2)))
         with pytest.raises(AssumptionViolationError):
-            constant_d_matrix(model, None)
+            constant_d_matrix(controller)
 
         # without the constant-g mark a controller evaluates g at each state
         assert model.constant_g() is None
-        controller = ClfCbfController(model, make_ball_cbf((0.0, 3.0), 1.0),
-                                      quadratic_clf(np.eye(2)))
         states = [np.array([0.5, 0.5]), np.array([2.0, 1.0]), np.array([-1.5, 0.2])]
         for x in states:
             u, field, _, _ = controller.evaluate(x)
