@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotOnBoundaryError, PreconditionError, StrictFeasibilityError
 from .model import central_difference_jacobian
-from .qp import _clf_cbf_fields
+from .qp import _clf_cbf_fields, _filter_row
 
 if TYPE_CHECKING:
     from .spectral import SpectralResult
@@ -306,10 +306,25 @@ def _boundary_multipliers(controller, x: np.ndarray) -> Tuple[float, ...]:
 
 
 def _tangential(controller, geometry, theta: np.ndarray):
-    """Boundary points x(theta), ||field(x)|| and tau^T field(x), in one field call."""
+    """Boundary points x(theta), ||field(x)|| and tau^T field(x), in one field call.
+
+    The field is NaN where no input meets the barrier row, where h is not a
+    CBF: the first point whose tau^T field is not finite raises
+    StrictFeasibilityError with the row's eta = grad_h^T drift + alpha(h)
+    and ||g^T grad_h|| there.
+    """
     x, tangent = geometry.boundary_at(theta)
     field = np.asarray(controller.field(x), dtype=float)
-    return x, np.linalg.norm(field, axis=-1), np.sum(tangent * field, axis=-1)
+    tang = np.sum(tangent * field, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(tang))
+    if bad.size:
+        i = bad[0]
+        eta, a, _, _ = _filter_row(controller._terms, controller.pair, x[i])
+        raise StrictFeasibilityError(
+            "closed-loop field not finite at the boundary point theta = %.17g, x = %s:"
+            " no input meets the barrier row (eta = %g, ||g^T grad_h|| = %g), so h is not"
+            " a CBF there" % (theta[i], x[i].tolist(), eta, float(np.linalg.norm(a))))
+    return x, np.linalg.norm(field, axis=-1), tang
 
 
 def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
@@ -324,7 +339,9 @@ def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
     change where the row is inactive, is dropped with a debug line; the rest
     are deduplicated and get multipliers and desirability. A tangential zero
     without a sign change (a double root) is not found. counts, when given,
-    receives each drop.
+    receives each drop. A sweep sample or refinement point whose field is
+    not finite raises StrictFeasibilityError: no input meets the barrier row
+    there, so h is not a CBF, which the analysis assumes.
     """
     geometry = controller.pair.geometry if controller.cbf_pairs else None
     if geometry is None:
@@ -352,13 +369,13 @@ def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
         a[running] = np.where(flip, b[running], a[running])
         fa[running] = np.where(flip, fb[running], 0.5 * fa[running])
         b[running], fb[running], bx[running], bres[running] = c, fc, xc, rc
-        running = running[np.isfinite(fc) & (fc != 0.0)]
+        running = running[fc != 0.0]
 
     roots: List[Tuple[np.ndarray, float]] = []
     for point, res in zip(bx, bres.tolist()):
         if res < RESIDUAL_TOL:
             roots.append((point, res))
-        else:                            # a NaN residual fails the gate too
+        else:
             log.debug("boundary bracket at %s dropped: closed-loop residual %g is not"
                       " below %g", point, res, RESIDUAL_TOL)
             counts.dropped += 1

@@ -144,30 +144,6 @@ def compose_transforms(base: BarrierPair, steps: Sequence[TransformStep]) -> Bar
     return pair
 
 
-def predicted_zeta(step: TransformStep, x: np.ndarray) -> np.ndarray:
-    """zeta of a single transform on the boundary: a gamma'(0) + b eta(x)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1])
-    if step.a != 0.0:
-        gamma = step.gamma
-        out = out + step.a * float(gamma.deriv(0.0))
-    if step.b != 0.0:
-        eta = step.eta
-        out = out + step.b * np.asarray(eta.fun(x), dtype=float)
-    return out
-
-
-def predicted_zeta_tilde(base: BarrierPair, step: TransformStep, x: np.ndarray) -> np.ndarray:
-    """zeta_tilde of a single transform: (1/2) a gamma''(0) grad_h + b grad_eta."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    if step.a != 0.0:
-        out = out + 0.5 * step.a * float(step.gamma.second(0.0)) * np.asarray(base.grad_h(x), dtype=float)
-    if step.b != 0.0:
-        out = out + step.b * np.asarray(step.eta.grad(x), dtype=float)
-    return out
-
-
 def boundary_field_difference(controller_a, controller_b, samples: np.ndarray) -> float:
     """Max closed-loop field difference over shared boundary samples."""
     samples = np.asarray(samples, dtype=float)

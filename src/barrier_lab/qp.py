@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +38,6 @@ MAX_ROWS = 12
 FEAS_TOL = 1e-9          # row satisfaction at the returned point
 DUAL_TOL = 1e-12         # multipliers may undershoot zero by this much
 SYMMETRY_TOL = 1e-12
-TANGENCY_TOL = 1e-8      # |grad_h^T f + alpha(h)| below this marks a tangency
-NORMAL_MIN = 1e-8        # required ||g^T grad_h|| at tangency samples
 DEGENERATE_NORM = 1e-12  # explicit-law denominator floor when the row binds
 
 Weight = Callable[[np.ndarray], np.ndarray]
@@ -284,13 +282,15 @@ class _LoopTerms:
     (a constant_matrix evaluator), W^{-1} g^T (g and W both constant) and
     the drift matrix A + B K (SystemModel.drift_evaluator); products with
     them go through linear_evaluator. Unmarked parts are evaluated at each
-    state.
+    state. d_matrix holds D = g W^{-1} g^T once spectral.constant_d_matrix
+    has formed and checked it.
     """
 
     def __init__(self, model: SystemModel, weight: Weight, nominal: bool):
         self.model = model
         self.weight = weight
         self.drift = model.drift_evaluator(nominal)
+        self.d_matrix: Optional[np.ndarray] = None
         g = model.constant_g()
         w = constant_value(weight)
         self.times_g = self.times_gt = self.times_winv_gt = None
@@ -355,7 +355,9 @@ def _filter_row(terms: _LoopTerms, pair: BarrierPair, x: np.ndarray):
 def _filter_law(eta: np.ndarray, a: np.ndarray, winv_a: np.ndarray, single: bool):
     """Filter input u and ||g^T grad_h||^2_{G^{-1}} from one row's terms.
 
-    Degenerate active rows raise at a single state and give NaN in a batch.
+    Degenerate active rows raise at a single state and give NaN in a batch;
+    find_boundary_equilibria raises StrictFeasibilityError at the first
+    boundary point whose field carries that NaN.
     """
     den = dot(a, winv_a)
     active = eta < 0.0
@@ -510,54 +512,6 @@ def _unfiltered_pass(terms: _LoopTerms, clf: LyapunovPair, p: float, x: np.ndarr
     data = _clf_cbf_fields(terms, None, clf, x)
     u, lam1 = _unfiltered_solution(data, p)
     return u, data["f"] + terms.apply_g(x, u), lam1
-
-
-@dataclass(frozen=True)
-class FeasibilityViolation:
-    index: int
-    state: np.ndarray
-    offset_value: float
-    normal_norm: float
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Tangency audit of the strict-feasibility condition for one barrier."""
-
-    checked: int
-    tangency_count: int
-    violations: Tuple[FeasibilityViolation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_strict_feasibility(model: SystemModel, pair: BarrierPair,
-                             samples: Sequence[np.ndarray]) -> FeasibilityReport:
-    """Where grad_h^T f + alpha(h) vanishes, ||g^T grad_h|| must not.
-
-    Samples with |grad_h^T f + alpha(h)| < 1e-8 are the states where the cbf
-    row binds with u = 0; at each of them ||g^T grad_h|| > 1e-8 is required
-    for the row to be strictly satisfiable.
-    """
-    samples = [np.asarray(s, dtype=float) for s in samples]
-    if not samples:
-        raise InvalidParameterError("feasibility check needs a nonempty sample set")
-    violations = []
-    tangencies = 0
-    for idx, x in enumerate(samples):
-        offset = float(dot(pair.grad_h(x), model.f(x)) + pair.alpha(pair.h(x)))
-        if abs(offset) >= TANGENCY_TOL:
-            continue
-        tangencies += 1
-        a = matvec(np.swapaxes(model.g(x), -1, -2), pair.grad_h(x))
-        norm = float(np.linalg.norm(a))
-        if norm <= NORMAL_MIN:
-            violations.append(FeasibilityViolation(index=idx, state=x, offset_value=offset,
-                                                   normal_norm=norm))
-    return FeasibilityReport(checked=len(samples), tangency_count=tangencies,
-                             violations=tuple(violations))
 
 
 class _ControllerViews:

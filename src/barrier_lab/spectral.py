@@ -71,23 +71,29 @@ def constant_d_matrix(controller) -> np.ndarray:
     When g and G are both marked constant (as linear_system builds them), D
     is g times the G^{-1} g^T of the controller's cached loop terms. Otherwise
     it is checked at 16 states drawn from [-10, 10]^n with seed 0: deviation
-    above 1e-10 raises an assumption-violation error.
+    above 1e-10 raises an assumption-violation error. The loop terms keep a
+    D that passed, read-only, so later calls return it without a g call.
     """
-    model, weight, terms = controller.model, controller.weight, controller._terms
+    terms = controller._terms
+    if terms.d_matrix is not None:
+        return terms.d_matrix
     if terms.times_winv_gt is not None:
-        return terms.times_g.matrix @ terms.times_winv_gt.matrix
-    rng = np.random.default_rng(D_CHECK_SEED)
-    states = -D_CHECK_SPAN + 2.0 * D_CHECK_SPAN * rng.random((D_CHECK_SAMPLES, model.n))
-
-    base = _d_matrix(model.g(states[0]), weight(states[0]))
-    worst = 0.0
-    for x in states[1:]:
-        worst = max(worst, float(np.max(np.abs(_d_matrix(model.g(x), weight(x)) - base))))
-    if worst > D_CHECK_TOL:
-        raise AssumptionViolationError(
-            "D = g G^{-1} g^T varies by %g over sampled states; closed-form "
-            "Jacobians require constant D" % worst)
-    return base
+        d = terms.times_g.matrix @ terms.times_winv_gt.matrix
+    else:
+        model, weight = controller.model, controller.weight
+        rng = np.random.default_rng(D_CHECK_SEED)
+        states = -D_CHECK_SPAN + 2.0 * D_CHECK_SPAN * rng.random((D_CHECK_SAMPLES, model.n))
+        d = _d_matrix(model.g(states[0]), weight(states[0]))
+        worst = 0.0
+        for x in states[1:]:
+            worst = max(worst, float(np.max(np.abs(_d_matrix(model.g(x), weight(x)) - d))))
+        if worst > D_CHECK_TOL:
+            raise AssumptionViolationError(
+                "D = g G^{-1} g^T varies by %g over sampled states; closed-form "
+                "Jacobians require constant D" % worst)
+    d.setflags(write=False)     # every later call returns this same array
+    terms.d_matrix = d
+    return d
 
 
 def jacobian_clf_cbf_boundary(controller, x_star: np.ndarray) -> np.ndarray:

@@ -160,6 +160,23 @@ class TestScenarioRun:
                 "dt 0.001; the nearest reachable horizon is 0.01") in text
         assert not (tmp_path / "out" / "roa.csv").exists()
 
+    def test_barrier_that_is_not_a_cbf_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # at x = (2, -1) on the boundary g^T grad_h = 0 and eta = -6: no input
+        # meets the barrier row, and the boundary search says so
+        monkeypatch.chdir(tmp_path)
+        data = builtin_scenario("fig3").to_json_dict()
+        data["system"] = {"linear": {"A": [[0.0, 0.0], [1.0, -1.0]], "B": [[1.0], [0.0]]},
+                          "K": [[-1.0, 0.0]]}
+        data["tasks"] = [{"kind": "equilibria"}]
+        data["output_dir"] = "out"
+        assert main(["run", "--config", write_config(tmp_path / "cfg.json", data)]) == 1
+        assert "not a CBF" in capsys.readouterr().err
+        text = (tmp_path / "out" / "summary.txt").read_text()
+        error = text.split("\nerror\n", 1)[1]
+        assert error.startswith("  - task 0 (equilibria) failed: closed-loop field not finite"
+                                " at the boundary point theta = 4.7123889803846897, x = [")
+        assert "no input meets the barrier row (eta = -6, ||g^T grad_h|| = " in error
+
     def test_out_flag_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         data = builtin_scenario("fig3").to_json_dict()

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from barrier_lab import (
     PolishCounts,
     PreconditionError,
     SafetyFilterController,
+    StrictFeasibilityError,
     attach_spectra,
     classify_desirability,
     collinearity_factor,
@@ -34,6 +36,7 @@ from barrier_lab.equilibria import (
     POLISH_TOL,
     STEP_TOL,
     STOP_REASONS,
+    SWEEP_DEFAULT,
     RESIDUAL_TOL,
     _default_seed_grid,
     state_sort_key,
@@ -206,6 +209,59 @@ class TestBracketSearch:
             lambda x: x[..., 1] * DOUBLE_ROOT[0] - x[..., 0] * DOUBLE_ROOT[1]))
         found = coords(find_boundary_equilibria(crossing))
         assert np.max(np.abs(found - [-DOUBLE_ROOT, DOUBLE_ROOT])) < COORD_TOL
+
+
+def no_cbf_filter():
+    """A filter loop where h is not a CBF: at x = (2, -1), g^T grad_h = 0 and eta = -6."""
+    model = linear_system(np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[1.0], [0.0]]),
+                          gain=np.array([[-1.0, 0.0]]))
+    return SafetyFilterController(model, make_ball_cbf((2.0, 0.0), 1.0))
+
+
+def raised_point(controller, sweep):
+    """(theta, x, eta, ||g^T grad_h||) named by the search's StrictFeasibilityError."""
+    with pytest.raises(StrictFeasibilityError) as excinfo:
+        find_boundary_equilibria(controller, sweep=sweep)
+    number = r"(-?[\d.e+-]+|nan|inf)"
+    match = re.search(r"theta = %s, x = \[%s, %s\].*eta = %s, \|\|g\^T grad_h\|\| = %s"
+                      % ((number,) * 5), str(excinfo.value))
+    assert match, str(excinfo.value)
+    values = [float(v) for v in match.groups()]
+    return values[0], np.array(values[1:3]), values[3], values[4]
+
+
+class TestCbfCondition:
+    # the analysis assumes h is a CBF: wherever the row binds some input meets
+    # it; a boundary point where none does makes the field NaN, and the search
+    # raises there instead of dropping the point without a word
+
+    def test_filter_sample_without_an_input_raises(self):
+        # the default sweep samples theta = 3 pi / 2 (sample 1536 of 2048)
+        theta, x, eta, normal = raised_point(no_cbf_filter(), SWEEP_DEFAULT)
+        assert theta == 1.5 * math.pi
+        assert np.max(np.abs(x - [2.0, -1.0])) < 1e-15
+        assert eta == -6.0
+        assert normal < 1e-15
+
+    def test_refinement_point_without_an_input_raises(self):
+        # seven samples miss 3 pi / 2; tau^T field changes sign through a pole
+        # there, and regula falsi walks into it
+        theta, x, eta, normal = raised_point(no_cbf_filter(), 7)
+        assert not np.any(np.isclose(theta, 2.0 * math.pi * np.arange(7) / 7))
+        assert abs(theta - 1.5 * math.pi) < 1e-9
+        assert np.max(np.abs(x - [2.0, -1.0])) < 1e-9
+        assert eta == -6.0
+        assert normal < 1e-9
+
+    def test_clf_cbf_sample_without_an_input_raises(self):
+        model = linear_system(np.diag([-1.0, 0.0]), np.array([[0.0], [1.0]]))
+        controller = ClfCbfController(model, make_ball_cbf((2.0, 0.0), 1.0),
+                                      quadratic_clf(np.eye(2)))
+        theta, x, eta, normal = raised_point(controller, SWEEP_DEFAULT)
+        assert theta == 0.0
+        assert np.array_equal(x, [3.0, 0.0])
+        assert eta == -6.0
+        assert normal == 0.0
 
 
 class TestMultipliersOnBoundary:

@@ -17,8 +17,6 @@ from barrier_lab import (
     hessian_equivalence,
     identity_map,
     make_ball_cbf,
-    predicted_zeta,
-    predicted_zeta_tilde,
     quadratic_offset_map,
 )
 
@@ -27,6 +25,30 @@ def rebuild(pair, **overrides):
     fields = {f.name: getattr(pair, f.name) for f in dataclasses.fields(type(pair))}
     fields.update(overrides)
     return type(pair)(**fields)
+
+
+def predicted_zeta(step, x):
+    """zeta of a single transform on the boundary: a gamma'(0) + b eta(x)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    if step.a != 0.0:
+        gamma = step.gamma
+        out = out + step.a * float(gamma.deriv(0.0))
+    if step.b != 0.0:
+        eta = step.eta
+        out = out + step.b * np.asarray(eta.fun(x), dtype=float)
+    return out
+
+
+def predicted_zeta_tilde(base, step, x):
+    """zeta_tilde of a single transform: (1/2) a gamma''(0) grad_h + b grad_eta."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    if step.a != 0.0:
+        out = out + 0.5 * step.a * float(step.gamma.second(0.0)) * np.asarray(base.grad_h(x), dtype=float)
+    if step.b != 0.0:
+        out = out + step.b * np.asarray(step.eta.grad(x), dtype=float)
+    return out
 
 
 class TestGoldenPair:

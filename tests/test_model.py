@@ -1,24 +1,28 @@
-"""Barrier/Lyapunov constructors, transforms, projection, derivative audits."""
+"""Barrier/Lyapunov constructors, transforms, derivative audits."""
+
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from barrier_lab import (
+    BarrierPair,
     InvalidParameterError,
-    NumericsError,
+    LyapunovPair,
+    StructuralError,
     SystemModel,
     central_difference_jacobian,
     linear_system,
     make_ball_cbf,
-    project_to_boundary,
     quadratic_clf,
     quadratic_map,
     quadratic_offset_map,
     single_integrator_2d,
     transform_cbf,
-    validate_model,
 )
-from barrier_lab.model import ScalarMap, constant_state_map, identity_map, linear_evaluator
+from barrier_lab.model import (ScalarMap, constant_state_map, dot, identity_map,
+                               linear_evaluator)
 
 
 class TestBallBarrier:
@@ -205,17 +209,138 @@ class TestLinearSystemMarks:
         assert hand_built.drift_evaluator() == hand_built.drift
 
 
-class TestProjection:
-    def test_projects_to_zero_level_set(self):
-        pair = make_ball_cbf((2.0, 0.0), 1.0)
-        for x0 in ([3.4, 0.2], [1.8, 0.0], [2.1, 0.4]):
-            x = project_to_boundary(pair, np.array(x0))
-            assert abs(float(pair.h(x))) <= 1e-12
+DERIVATIVE_TOL = 1e-4        # analytic vs central-difference agreement
+MONOTONE_GRID_POINTS = 101   # class-K monotonicity check on [-10, 10]
+MONOTONE_GRID_SPAN = 10.0
+BOUNDARY_GRAD_MIN = 1e-10    # grad_h must not vanish on the boundary
 
-    def test_fails_at_gradient_singularity(self):
-        pair = make_ball_cbf((2.0, 0.0), 1.0)
-        with pytest.raises(NumericsError):
-            project_to_boundary(pair, np.array([2.0, 0.0]))
+
+@dataclass(frozen=True)
+class ValidationCheck:
+    name: str
+    max_residual: float
+    tolerance: float
+    passed: bool
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    checks: Tuple[ValidationCheck, ...]
+    threshold: float = DERIVATIVE_TOL
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def max_residual(self) -> float:
+        return max((c.max_residual for c in self.checks), default=0.0)
+
+    def failures(self) -> List[ValidationCheck]:
+        return [c for c in self.checks if not c.passed]
+
+
+def _check_shapes(model: SystemModel, x0: np.ndarray) -> None:
+    expected = {
+        "f": ((model.n,), model.f),
+        "g": ((model.n, model.m), model.g),
+        "jf": ((model.n, model.n), model.jf),
+    }
+    if model.k is not None:
+        expected["k"] = ((model.m,), model.k)
+    if model.jk is not None:
+        expected["jk"] = ((model.m, model.n), model.jk)
+    for name, (shape, fun) in expected.items():
+        got = np.asarray(fun(x0)).shape
+        if got != shape:
+            raise StructuralError("evaluator %r returned shape %s, expected %s" % (name, got, shape))
+
+
+def _monotone_check(name: str, fun: Callable) -> ValidationCheck:
+    grid = np.linspace(-MONOTONE_GRID_SPAN, MONOTONE_GRID_SPAN, MONOTONE_GRID_POINTS)
+    vals = np.asarray(fun(grid), dtype=float)
+    min_diff = float(np.min(np.diff(vals)))
+    ok = min_diff > 0.0
+    return ValidationCheck(name=name, max_residual=max(0.0, -min_diff), tolerance=0.0,
+                           passed=ok, detail="strictly increasing on [-10, 10]" if ok else "not increasing")
+
+
+def validate_model(model: SystemModel, pairs: Sequence[object], samples: Sequence[np.ndarray]) -> ValidationReport:
+    """Numerical audit of shape and derivative consistency.
+
+    Checks every analytic Jacobian/gradient/Hessian against central
+    differences at the sampled states (threshold 1e-4), class-K monotonicity
+    on a 101-point grid, definiteness-style sign conditions, and batched vs
+    per-sample evaluation agreement. Dimension mismatches raise immediately.
+    """
+    samples = [np.asarray(s, dtype=float) for s in samples]
+    if not samples:
+        raise InvalidParameterError("validation needs a nonempty sample list")
+    _check_shapes(model, samples[0])
+    checks: List[ValidationCheck] = []
+
+    def fd_entry(name, analytic, reference, pts):
+        res = 0.0
+        for x in pts:
+            approx = central_difference_jacobian(reference, x)
+            res = max(res, float(np.max(np.abs(np.asarray(analytic(x), dtype=float) - approx))))
+        checks.append(ValidationCheck(name=name, max_residual=res, tolerance=DERIVATIVE_TOL,
+                                      passed=res < DERIVATIVE_TOL))
+
+    fd_entry("jf", model.jf, model.f, samples)
+    if model.k is not None and model.jk is not None:
+        fd_entry("jk", model.jk, model.k, samples)
+
+    stacked = np.stack(samples, axis=0)
+    batch_res = float(np.max(np.abs(model.f(stacked) - np.stack([model.f(x) for x in samples]))))
+    batch_res = max(batch_res, float(np.max(np.abs(model.g(stacked) - np.stack([model.g(x) for x in samples])))))
+    checks.append(ValidationCheck(name="batch-evaluation", max_residual=batch_res, tolerance=1e-12,
+                                  passed=batch_res < 1e-12,
+                                  detail="batched f/g agree with per-sample evaluation"))
+
+    for idx, pair in enumerate(pairs):
+        if isinstance(pair, BarrierPair):
+            tag = "cbf[%d]" % idx
+            zero = abs(float(pair.alpha(0.0)))
+            checks.append(ValidationCheck(name="%s.alpha(0)" % tag, max_residual=zero, tolerance=0.0,
+                                          passed=zero == 0.0))
+            checks.append(_monotone_check("%s.alpha-monotone" % tag, pair.alpha))
+            fd_entry("%s.grad_h" % tag,
+                     pair.grad_h, lambda x, p=pair: np.asarray(p.h(x), dtype=float)[None] if np.asarray(p.h(x)).ndim == 0 else p.h(x),
+                     samples)
+            fd_entry("%s.hess_h" % tag, pair.hess_h, pair.grad_h, samples)
+            if pair.geometry is not None:
+                boundary = pair.geometry.boundary_points(128)
+                norms = np.sqrt(dot(pair.grad_h(boundary), pair.grad_h(boundary)))
+                min_norm = float(np.min(norms))
+                checks.append(ValidationCheck(name="%s.grad-on-boundary" % tag,
+                                              max_residual=0.0 if min_norm > BOUNDARY_GRAD_MIN else BOUNDARY_GRAD_MIN - min_norm,
+                                              tolerance=0.0, passed=min_norm > BOUNDARY_GRAD_MIN,
+                                              detail="min ||grad_h|| on boundary = %g" % min_norm))
+        elif isinstance(pair, LyapunovPair):
+            tag = "clf[%d]" % idx
+            at_star = abs(float(pair.v(pair.xstar)))
+            checks.append(ValidationCheck(name="%s.v(xstar)" % tag, max_residual=at_star, tolerance=0.0,
+                                          passed=at_star == 0.0))
+            away = [x for x in samples if np.linalg.norm(x - pair.xstar) > 1e-12]
+            min_v = min((float(pair.v(x)) for x in away), default=1.0)
+            checks.append(ValidationCheck(name="%s.v-positive" % tag,
+                                          max_residual=max(0.0, -min_v), tolerance=0.0,
+                                          passed=min_v > 0.0,
+                                          detail="min V over samples away from xstar = %g" % min_v))
+            zero = abs(float(pair.beta(0.0)))
+            checks.append(ValidationCheck(name="%s.beta(0)" % tag, max_residual=zero, tolerance=0.0,
+                                          passed=zero == 0.0))
+            checks.append(_monotone_check("%s.beta-monotone" % tag, pair.beta))
+            fd_entry("%s.grad_v" % tag,
+                     pair.grad_v, lambda x, p=pair: np.asarray(p.v(x), dtype=float)[None] if np.asarray(p.v(x)).ndim == 0 else p.v(x),
+                     samples)
+            fd_entry("%s.hess_v" % tag, pair.hess_v, pair.grad_v, samples)
+        else:
+            raise StructuralError("unsupported pair type %r at index %d" % (type(pair).__name__, idx))
+
+    return ValidationReport(checks=tuple(checks))
 
 
 class TestValidateModel:

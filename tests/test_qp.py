@@ -16,7 +16,6 @@ from barrier_lab import (
     StrictFeasibilityError,
     StructuralError,
     certificate_errors,
-    check_strict_feasibility,
     clf_cbf_problem,
     linear_system,
     make_ball_cbf,
@@ -250,23 +249,6 @@ class TestSolverStructure:
 
 
 class TestStrictFeasibilityAudit:
-    def test_builtin_pair_passes(self, fig3):
-        samples = fig3.pair.geometry.boundary_points(64)
-        report = check_strict_feasibility(fig3.model, fig3.pair, list(samples))
-        assert report.passed
-        assert report.checked == 64
-
-    def test_degenerate_direction_flagged(self):
-        # g spans x1 only; at (0, +-1) the barrier normal is pure x2 while
-        # grad_h^T f + alpha(h) = 0 there: the binding row is unsatisfiable
-        model = linear_system(np.zeros((2, 2)), np.array([[1.0], [0.0]]))
-        cbf = make_ball_cbf((0.0, 0.0), 1.0, form="full")
-        samples = cbf.geometry.boundary_points(8)
-        report = check_strict_feasibility(model, cbf, list(samples))
-        assert not report.passed
-        assert report.tangency_count >= 2
-        assert len(report.violations) >= 2
-
     def test_infeasible_eta_raises_in_filter(self):
         controller = SafetyFilterController(degenerate_plant(gain=np.zeros((1, 2))),
                                             make_ball_cbf((0.0, 0.0), 1.0, form="full"))

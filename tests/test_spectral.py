@@ -209,10 +209,14 @@ class TestAssumptionGuards:
             calls.append(1)
             return marked.g(x)
 
-        # the same g without the constant mark takes the sampled path
-        sampled = constant_d_matrix(
-            ClfCbfController(replace(marked, g=counted_g), pair, clf, weight))
+        # the same g without the constant mark takes the sampled path, once
+        # per controller: its loop terms keep the checked D
+        controller = ClfCbfController(replace(marked, g=counted_g), pair, clf, weight)
+        sampled = constant_d_matrix(controller)
         assert len(calls) == 16
+        del calls[:]
+        assert constant_d_matrix(controller) is sampled
+        assert calls == []
         counted_g.constant = marked.constant_g()
         del calls[:]
         d = constant_d_matrix(ClfCbfController(replace(marked, g=counted_g), pair, clf, weight))
