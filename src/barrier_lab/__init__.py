@@ -22,7 +22,7 @@ from .equivalence import (EquivalenceReport, TransformStep,
                           hausdorff_distance, hessian_equivalence)
 from .errors import (AssumptionViolationError, BarrierLabError, ConfigError,
                      DefinitenessError, InfeasibleProblemError,
-                     InvalidParameterError, NotOnBoundaryError, NumericsError,
+                     InvalidParameterError, NotOnBoundaryError,
                      PreconditionError, StrictFeasibilityError, StructuralError)
 from .model import (BarrierPair, LyapunovPair, SafeSetGeometry, ScalarMap,
                     StateMap, SystemModel, central_difference_jacobian,
@@ -36,13 +36,11 @@ from .qp import (ClfCbfController, ClfController, ConstraintRow, KktPoint,
                  solve_small_qp)
 from .sim import (FieldGrid, RoaGrid, Trajectory, field_grid, integrate,
                   integrate_batch, invariance_audit, roa_grid)
-from .spectral import (InvarianceVerdict, SpectralResult, aberth_roots,
-                       attach_spectra, char_poly_coefficients,
+from .spectral import (InvarianceVerdict, SpectralResult, attach_spectra,
                        constant_d_matrix, eigen_and_classify,
                        jacobian_clf_cbf_boundary,
                        jacobian_safety_filter_boundary,
-                       spectral_invariance_check, stability_label,
-                       synthetic_division)
+                       spectral_invariance_check, stability_label)
 from .cli import compare_pairs, main, run_scenario
 
 __version__ = "0.1.0"
@@ -53,16 +51,16 @@ __all__ = [
     "DefinitenessError", "EquilibriumReport", "EquivalenceReport",
     "FieldGrid", "InfeasibleProblemError", "InvalidParameterError",
     "InvarianceVerdict", "KktPoint", "LyapunovPair", "NominalClosedLoop",
-    "NotOnBoundaryError", "NumericsError", "PolishCounts", "PolishResult",
+    "NotOnBoundaryError", "PolishCounts", "PolishResult",
     "PreconditionError", "QpProblem",
     "RoaGrid", "SafeSetGeometry", "SafetyFilterController", "ScalarMap",
     "ScenarioConfig", "SpectralResult", "StateMap", "StrictFeasibilityError",
     "StructuralError", "SystemModel", "Trajectory", "TransformStep",
-    "aberth_roots", "attach_spectra",
+    "attach_spectra",
     "boundary_field_difference", "build_clf", "build_controller",
     "build_model", "build_pairs", "builtin_scenario",
     "central_difference_jacobian", "certificate_errors",
-    "char_poly_coefficients", "classify_desirability", "clf_cbf_problem",
+    "classify_desirability", "clf_cbf_problem",
     "collinearity_factor", "compare_pairs",
     "comparison_config", "compose_transforms", "constant_d_matrix",
     "constant_matrix", "constant_state_map", "default_boundary_samples",
@@ -76,6 +74,6 @@ __all__ = [
     "parse_config_text", "polish_roots", "quadratic_clf", "quadratic_map",
     "quadratic_offset_map", "roa_grid", "run_scenario",
     "safety_filter_problem", "single_integrator_2d", "solve_small_qp",
-    "spectral_invariance_check", "stability_label", "synthetic_division",
+    "spectral_invariance_check", "stability_label",
     "transform_cbf", "unfiltered_controller", "validate_config",
 ]

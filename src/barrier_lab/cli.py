@@ -235,7 +235,7 @@ class ScenarioRun:
         # count across every simulate task so names never collide
         total = sum(len(t.get("x0s", [0])) for t in self.config.tasks
                     if t["kind"] == "simulate")
-        pair = self.pairs[0]
+        pair = self.controller.pair
         for traj in trajectories:
             name = ("trajectory.csv" if total == 1
                     else "trajectory-%d.csv" % self._trajectory_index)
@@ -427,9 +427,7 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
     coeff_max = 0.0
     remainder_max = 0.0
     spectra_ok = True
-    base_alpha = float(controllers[0].pair.alpha_prime(0.0))
     for i in range(1, len(per_pair)):
-        other_alpha = float(controllers[i].pair.alpha_prime(0.0))
         for report in per_pair[i]:
             distances = [float(np.linalg.norm(report.x_star - r.x_star))
                          for r in per_pair[0]]
@@ -437,9 +435,7 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
                 spectra_ok = False
                 continue
             match = per_pair[0][int(np.argmin(distances))]
-            verdict = spectral_invariance_check(
-                np.asarray(match.jacobian, dtype=float), base_alpha,
-                np.asarray(report.jacobian, dtype=float), other_alpha)
+            verdict = spectral_invariance_check(match.spectrum, report.spectrum)
             coeff_max = max(coeff_max, float(verdict.max_coeff_difference))
             remainder_max = max(remainder_max, float(max(verdict.remainders)))
             spectra_ok = spectra_ok and verdict.passed

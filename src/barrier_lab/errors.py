@@ -45,10 +45,6 @@ class PreconditionError(BarrierLabError):
     """An operation was called outside its stated preconditions."""
 
 
-class NumericsError(BarrierLabError):
-    """An iterative numerical routine failed to converge."""
-
-
 class ConfigError(BarrierLabError):
     """A scenario config failed to parse or validate.
 

@@ -30,17 +30,13 @@ import numpy as np
 
 from .equilibria import (DESIRABILITY_TOL, EquilibriumReport, collinearity_factor,
                          multipliers_on_boundary)
-from .errors import (AssumptionViolationError, InvalidParameterError, NumericsError,
-                     PreconditionError)
+from .errors import AssumptionViolationError, PreconditionError
 from .model import central_difference_jacobian
 
 D_CHECK_SAMPLES = 16
 D_CHECK_TOL = 1e-10
 D_CHECK_SPAN = 10.0        # sampling box [-10, 10]^n for models without constant marks
 D_CHECK_SEED = 0
-MAX_MATRIX_DIM = 8
-ROOT_TOL = 1e-12
-ROOT_MAX_ITER = 200
 REMAINDER_TOL = 1e-6       # above this the known factor does not divide
 STABILITY_TOL = 1e-8
 INVARIANCE_TOL = 1e-7
@@ -150,86 +146,6 @@ def jacobian_safety_filter_boundary(controller, x_star: np.ndarray) -> np.ndarra
             - d @ (float(grad_h @ ft) * np.eye(n) - np.outer(grad_h, ft)) @ h_h / q)
 
 
-def char_poly_coefficients(mat: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial of det(sI - J) by Faddeev-LeVerrier."""
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise InvalidParameterError("need a square matrix, got shape %s" % (mat.shape,))
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    aux = np.eye(n)
-    for k in range(1, n + 1):
-        aux = mat @ aux
-        coeffs[k] = -np.trace(aux) / k
-        aux = aux + coeffs[k] * np.eye(n)
-    return coeffs
-
-
-def polyval(coeffs: Sequence[float], z: complex) -> complex:
-    """Horner evaluation of a descending-coefficient polynomial."""
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
-def aberth_roots(coeffs: Sequence[float]) -> np.ndarray:
-    """All roots of a monic real polynomial by the Aberth-Ehrlich iteration.
-
-    Starts on a circle inside the Cauchy bound with an asymmetric phase so no
-    initial point sits on a symmetry axis; stops when every simultaneous
-    Newton correction falls below ROOT_TOL relative to the root magnitude.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if abs(coeffs[0] - 1.0) > 1e-12:
-        coeffs = coeffs / coeffs[0]
-    degree = coeffs.size - 1
-    if degree == 0:
-        return np.zeros(0, dtype=complex)
-    if degree == 1:
-        return np.array([-coeffs[1]], dtype=complex)
-    deriv = coeffs[:-1] * np.arange(degree, 0, -1)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    angles = 2.0 * np.pi * (np.arange(degree) + 0.25) / degree + 0.5
-    roots = 0.5 * radius * np.exp(1j * angles)
-    for _ in range(ROOT_MAX_ITER):
-        values = np.array([polyval(coeffs, z) for z in roots])
-        dvalues = np.array([polyval(deriv, z) for z in roots])
-        newton = np.where(dvalues != 0.0, values / np.where(dvalues != 0.0, dvalues, 1.0), 0.1)
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        correction = newton / denom
-        roots = roots - correction
-        if float(np.max(np.abs(correction) / (1.0 + np.abs(roots)))) < ROOT_TOL:
-            break
-    else:
-        residuals = [abs(polyval(coeffs, z)) for z in roots]
-        raise NumericsError("root iteration did not converge in %d steps; residuals %s"
-                            % (ROOT_MAX_ITER, residuals))
-    return roots
-
-
-def synthetic_division(coeffs: Sequence[float], root: float) -> Tuple[np.ndarray, float]:
-    """Divide a descending-coefficient polynomial by (s - root)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros(coeffs.size - 1)
-    acc = 0.0
-    for i in range(coeffs.size - 1):
-        acc = coeffs[i] + root * acc
-        out[i] = acc
-    remainder = coeffs[-1] + root * acc
-    return out, float(remainder)
-
-
-def _sorted_eigs(roots: np.ndarray) -> Tuple[complex, ...]:
-    order = np.lexsort((roots.imag, roots.real))
-    return tuple(complex(roots[i]) for i in order)
-
-
 def stability_label(eigenvalues: Sequence[complex]) -> str:
     reals = np.array([complex(z).real for z in eigenvalues])
     if reals.size == 0:
@@ -246,25 +162,25 @@ def stability_label(eigenvalues: Sequence[complex]) -> str:
 def eigen_and_classify(jacobian: np.ndarray, alpha_prime0: Optional[float] = None) -> SpectralResult:
     """Spectrum, known-factor division, and stability label for one Jacobian.
 
-    alpha_prime0 names the known left-eigenvalue factor: (s + alpha_prime0)
-    is divided out of the characteristic polynomial and the quotient stored
-    as reduced_poly. Pass None (interior equilibria) to skip the division.
+    The eigenvalues come from numpy's eigensolver, sorted by real part and
+    then imaginary part; the characteristic polynomial is the monic
+    polynomial with those roots. alpha_prime0 names the known left-eigenvalue
+    factor: (s + alpha_prime0) is divided out of the characteristic
+    polynomial and the quotient stored as reduced_poly. Pass None (interior
+    equilibria) to skip the division. A non-finite Jacobian raises
+    numpy's LinAlgError.
     """
     jacobian = np.asarray(jacobian, dtype=float)
-    n = jacobian.shape[0]
-    if n > MAX_MATRIX_DIM:
-        raise InvalidParameterError("spectral analysis limited to n <= %d, got %d"
-                                    % (MAX_MATRIX_DIM, n))
-    coeffs = char_poly_coefficients(jacobian)
-    roots = aberth_roots(coeffs)
-    eigenvalues = _sorted_eigs(roots)
+    roots = np.sort_complex(np.linalg.eigvals(jacobian))
+    coeffs = np.poly(roots)     # real: the roots of a real matrix come in conjugate pairs
+    eigenvalues = tuple(complex(z) for z in roots)
     reduced = None
     remainder = None
     factor_root = None
     if alpha_prime0 is not None:
         factor_root = -float(alpha_prime0)
-        reduced_arr, remainder = synthetic_division(coeffs, factor_root)
-        reduced = tuple(reduced_arr.tolist())
+        quotient, rest = np.polydiv(coeffs, [1.0, float(alpha_prime0)])
+        reduced, remainder = tuple(quotient.tolist()), float(rest[-1])
     return SpectralResult(jacobian=jacobian, char_poly=tuple(coeffs.tolist()),
                           eigenvalues=eigenvalues, known_factor_root=factor_root,
                           reduced_poly=reduced, division_remainder=remainder,
@@ -282,23 +198,24 @@ class InvarianceVerdict:
         return self.verdict == "pass"
 
 
-def spectral_invariance_check(j1: np.ndarray, alpha1_prime0: float,
-                              j2: np.ndarray, alpha2_prime0: float,
-                              tol: float = INVARIANCE_TOL) -> InvarianceVerdict:
-    """Compare the reduced characteristic polynomials of two Jacobians.
+def spectral_invariance_check(a: SpectralResult, b: SpectralResult) -> InvarianceVerdict:
+    """Compare the reduced characteristic polynomials of two spectra.
 
-    Each polynomial is divided by its own (s + alpha'(0)); the quotients must
-    agree coefficient-wise within tol. A division remainder above 1e-6 means
-    -alpha'(0) is not actually an eigenvalue and the comparison is void.
+    Each spectrum carries its characteristic polynomial divided by its own
+    (s + alpha'(0)), as attach_spectra stored it; the quotients must agree
+    coefficient-wise within INVARIANCE_TOL. A division remainder above 1e-6
+    means -alpha'(0) is not actually an eigenvalue and the comparison is void.
+    A spectrum without a known factor raises PreconditionError.
     """
-    red1, rem1 = synthetic_division(char_poly_coefficients(j1), -float(alpha1_prime0))
-    red2, rem2 = synthetic_division(char_poly_coefficients(j2), -float(alpha2_prime0))
-    remainders = (abs(rem1), abs(rem2))
+    if a.reduced_poly is None or b.reduced_poly is None:
+        raise PreconditionError("invariance check needs two spectra with a known factor "
+                                "(undesirable boundary equilibria)")
+    remainders = (abs(a.division_remainder), abs(b.division_remainder))
     if max(remainders) > REMAINDER_TOL:
         return InvarianceVerdict(verdict="factorization-failure",
                                  max_coeff_difference=float("nan"), remainders=remainders)
-    diff = float(np.max(np.abs(red1 - red2))) if red1.size else 0.0
-    verdict = "pass" if diff < tol else "fail"
+    diff = float(np.max(np.abs(np.subtract(a.reduced_poly, b.reduced_poly))))
+    verdict = "pass" if diff < INVARIANCE_TOL else "fail"
     return InvarianceVerdict(verdict=verdict, max_coeff_difference=diff, remainders=remainders)
 
 

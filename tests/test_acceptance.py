@@ -119,8 +119,10 @@ class TestBarrierInvariance:
             assert -base_alpha in (-1.0, -10.0) and -other_alpha in (-1.0, -10.0)
             for r in undesirable(other):
                 partner = match(base_bad, r.x_star, 1e-3)
-                verdict = spectral_invariance_check(partner.jacobian, base_alpha,
-                                                    r.jacobian, other_alpha, tol=1e-7)
+                assert partner.spectrum.known_factor_root == -base_alpha
+                assert r.spectrum.known_factor_root == -other_alpha
+                verdict = spectral_invariance_check(partner.spectrum, r.spectrum)
+                assert verdict.max_coeff_difference < 1e-7
                 assert verdict.passed
                 assert max(verdict.remainders) < 1e-6
 
@@ -137,8 +139,8 @@ class TestBarrierInvariance:
         assert len(reports[0]) == len(reports[1]) == 3
         for r in reports[1]:
             partner = match(reports[0], r.x_star, 1e-3)
-            verdict = spectral_invariance_check(partner.jacobian, alphas[0],
-                                                r.jacobian, alphas[1], tol=1e-7)
+            verdict = spectral_invariance_check(partner.spectrum, r.spectrum)
+            assert verdict.max_coeff_difference < 1e-7
             assert verdict.passed
 
     def test_boundary_fields_agree(self, bundles):

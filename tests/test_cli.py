@@ -2,13 +2,16 @@
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import barrier_lab
 from barrier_lab import (
+    build_pairs,
     builtin_scenario,
     comparison_config,
     main,
@@ -16,6 +19,7 @@ from barrier_lab import (
 )
 from barrier_lab.artifacts import json_dumps
 from barrier_lab.cli import ScenarioRun
+from barrier_lab.config import BUILTIN_SCENARIOS
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -105,6 +109,36 @@ class TestScenarioRun:
             undesirable = report["desirability"] == "undesirable"
             assert (known is not None) == undesirable
             assert (entry["known_factor_root"] is not None) == undesirable
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_undesirable_spectra_are_real(self, tmp_path, monkeypatch, name):
+        # the boundary Jacobians of the builtins have real eigenvalues, and
+        # spectra.json writes their imaginary parts as exact zeros
+        monkeypatch.chdir(tmp_path)
+        assert main(["scenario", name]) == 0
+        spectra = json.loads((tmp_path / ("%s-artifacts" % name) / "spectra.json").read_text())
+        undesirable = [e for e in spectra["spectra"] if e["desirability"] == "undesirable"]
+        assert len(undesirable) == 3
+        for entry in undesirable:
+            assert [z["im"] for z in entry["eigenvalues"]] == [0, 0]
+
+    def test_simulate_reads_the_configured_barrier(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = builtin_scenario("fig3").to_json_dict()
+        data["cbfs"].append({"kind": "ball", "center": [-2.0, 1.0], "radius": 0.5,
+                             "form": "half", "alpha": {"kind": "linear", "slope": 2.0}})
+        data["controller"]["cbf"] = 1
+        data["tasks"] = [{"kind": "simulate", "x0": [3.0, 1.0], "t_final": 0.05}]
+        data["output_dir"] = "out"
+        assert main(["run", "--config", write_config(tmp_path / "cfg.json", data)]) == 0
+        table = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+        assert table.shape == (51, 6)
+        states, h = table[:, 1:3], table[:, 5]
+        pairs = build_pairs(parse_config_text(json_dumps(data)))
+        assert h.tolist() == np.asarray(pairs[1].h(states), dtype=float).tolist()
+        assert np.min(np.abs(h - np.asarray(pairs[0].h(states), dtype=float))) > 1.0
+        text = (tmp_path / "out" / "summary.txt").read_text()
+        assert "(min h %.6g)" % np.min(h) in text
 
     def test_task_error_keeps_partial_artifacts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -216,6 +250,19 @@ class TestScenarioRun:
 
 
 class TestEmitConfig:
+    def test_module_entry_point(self, tmp_path):
+        # python -m barrier_lab runs the same command line as barrier-lab
+        src = str(Path(barrier_lab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "barrier_lab", "scenario", "fig3",
+             "--emit-config"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        parsed = parse_config_text(done.stdout)
+        assert parsed.to_json_dict() == builtin_scenario("fig3").to_json_dict()
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trip(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["scenario", "fig2", "--emit-config"]) == 0

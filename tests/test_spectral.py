@@ -8,13 +8,13 @@ import pytest
 
 from barrier_lab import (
     AssumptionViolationError,
+    BarrierPair,
     ClfCbfController,
     PreconditionError,
+    SafetyFilterController,
     SystemModel,
-    aberth_roots,
     attach_spectra,
     central_difference_jacobian,
-    char_poly_coefficients,
     constant_d_matrix,
     constant_matrix,
     eigen_and_classify,
@@ -26,12 +26,11 @@ from barrier_lab import (
     quadratic_clf,
     spectral_invariance_check,
     stability_label,
-    synthetic_division,
 )
 from barrier_lab import spectral
 from barrier_lab.config import (BUILTIN_SCENARIOS, build_clf, build_controller, build_model,
                                 build_pairs, builtin_scenario)
-from barrier_lab.model import constant_value
+from barrier_lab.model import constant_value, linear_map
 from conftest import reference_evaluation
 
 SQ3 = math.sqrt(3.0)
@@ -39,42 +38,40 @@ SQ3 = math.sqrt(3.0)
 
 class TestPolynomialUnits:
     def test_char_poly_upper_triangular(self):
-        coeffs = char_poly_coefficients(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        assert np.max(np.abs(coeffs - [1.0, -5.0, 6.0])) < 1e-12
+        coeffs = eigen_and_classify(np.array([[2.0, 1.0], [0.0, 3.0]])).char_poly
+        assert np.max(np.abs(np.array(coeffs) - [1.0, -5.0, 6.0])) < 1e-12
 
     def test_char_poly_matches_reference_on_random_matrices(self):
+        # complex eigenvalues included: the stored polynomial stays real
         rng = np.random.default_rng(7)
         for _ in range(20):
             mat = rng.uniform(-2.0, 2.0, size=(4, 4))
-            mine = char_poly_coefficients(mat)
+            mine = eigen_and_classify(mat).char_poly
+            assert all(type(c) is float for c in mine)
             ref = np.poly(mat)
             assert np.max(np.abs(mine - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
-    def test_roots_of_factored_quadratic(self):
-        roots = np.sort_complex(aberth_roots([1.0, -5.0, 6.0]))
-        assert np.max(np.abs(roots - [2.0, 3.0])) < 1e-10
+    def test_eigenvalues_sort_by_real_then_imaginary_part(self):
+        mat = np.zeros((4, 4))
+        mat[:2, :2] = [[0.0, -2.0], [2.0, 0.0]]
+        mat[2:, 2:] = np.diag([3.0, -1.0])
+        eigenvalues = eigen_and_classify(mat).eigenvalues
+        assert np.max(np.abs(np.array(eigenvalues) - [-1.0, -2.0j, 2.0j, 3.0])) < 1e-12
 
-    def test_roots_match_reference_on_random_polys(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            coeffs = np.concatenate([[1.0], rng.uniform(-3.0, 3.0, size=4)])
-            mine = aberth_roots(coeffs)
-            ref = np.roots(coeffs)
-            assert mine.shape == ref.shape
-            # conjugate pairs sort unstably, so match each root to its nearest
-            for z in ref:
-                assert np.min(np.abs(mine - z)) < 1e-6
+    def test_known_factor_divides_exactly(self):
+        result = eigen_and_classify(np.diag([1.0, 2.0, 3.0]), alpha_prime0=-1.0)
+        assert result.known_factor_root == 1.0
+        assert np.max(np.abs(np.array(result.reduced_poly) - [1.0, -5.0, 6.0])) < 1e-12
+        assert result.division_remainder == 0.0
 
-    def test_synthetic_division_exact_factor(self):
-        reduced, remainder = synthetic_division([1.0, -6.0, 11.0, -6.0], 1.0)
-        assert np.max(np.abs(reduced - [1.0, -5.0, 6.0])) < 1e-12
-        assert remainder == 0.0
+    def test_known_factor_remainder_is_value_at_root(self):
+        result = eigen_and_classify(np.diag([1.0, 2.0, 3.0]), alpha_prime0=-4.0)
+        assert abs(result.division_remainder - np.polyval(result.char_poly, 4.0)) < 1e-12
+        assert abs(result.division_remainder - 6.0) < 1e-12
 
-    def test_synthetic_division_remainder_is_value_at_root(self):
-        coeffs = [1.0, -6.0, 11.0, -6.0]
-        _, remainder = synthetic_division(coeffs, 4.0)
-        assert abs(remainder - np.polyval(coeffs, 4.0)) < 1e-12
-        assert abs(remainder - 6.0) < 1e-12
+    def test_nan_jacobian_raises_at_once(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            eigen_and_classify(np.array([[np.nan, 0.0], [0.0, -1.0]]), alpha_prime0=1.0)
 
     def test_stability_labels(self):
         assert stability_label([-1.0, -2.0]) == "asymptotically-stable"
@@ -126,6 +123,40 @@ class TestGoldenJacobians:
             assert np.max(np.abs(np.array(r.eigenvalues) - np.array(ev))) < 1e-8
             assert r.stability == label
 
+    def test_three_state_ball_boundary(self):
+        # dx/dt = u, k = -diag(1, 5, 9) x, ball of center (2, 0, 0) and radius 1
+        center = np.array([2.0, 0.0, 0.0])
+
+        def h(x):
+            d = np.asarray(x, dtype=float) - center
+            return np.sum(d * d, axis=-1) - 1.0
+
+        alpha = linear_map(1.0)
+        pair = BarrierPair(h=h, grad_h=lambda x: 2.0 * (np.asarray(x, dtype=float) - center),
+                           hess_h=lambda x: 2.0 * np.eye(3),
+                           alpha=alpha.fun, alpha_prime=alpha.deriv)
+        model = linear_system(np.zeros((3, 3)), np.eye(3), -np.diag([1.0, 5.0, 9.0]))
+        controller = SafetyFilterController(model, pair)
+        s3, s15 = SQ3 / 2.0, math.sqrt(15.0) / 4.0
+        golden = [
+            ([(3.0, 0.0, 0.0)], (-6.0, -2.0, -1.0), (1.0, 8.0, 12.0), "asymptotically-stable"),
+            ([(2.5, s3, 0.0), (2.5, -s3, 0.0)], (-4.0, -1.0, 3.0), (1.0, 1.0, -12.0), "saddle"),
+            ([(2.25, 0.0, s15), (2.25, 0.0, -s15)], (-1.0, 4.0, 7.5), (1.0, -11.5, 30.0),
+             "saddle"),
+        ]
+        for points, eigs, reduced, label in golden:
+            for x in map(np.array, points):
+                assert abs(h(x)) < 1e-12
+                assert np.max(np.abs(controller.field(x))) < 1e-12
+                jac = jacobian_safety_filter_boundary(controller, x)
+                fd = central_difference_jacobian(controller.field, x)
+                assert np.max(np.abs(fd - jac)) < 1e-5
+                result = eigen_and_classify(jac, 1.0)
+                assert np.max(np.abs(np.array(result.eigenvalues) - eigs)) < 1e-12
+                assert np.max(np.abs(np.array(result.reduced_poly) - reduced)) < 1e-12
+                assert abs(result.division_remainder) < 1e-12
+                assert result.stability == label
+
     def test_interior_jacobian_is_nominal_gain(self, analyzed):
         _, interior = analyzed("fig3")
         assert np.max(np.abs(interior[0].jacobian - np.diag([-1.0, -5.0]))) < 1e-10
@@ -169,25 +200,30 @@ class TestReducedSpectrum:
         a2 = float(bundles("fig3-h1a2").pair.alpha_prime(0.0))
         assert a1 != a2
         for r1, r2 in zip(base, other):
-            verdict = spectral_invariance_check(r1.jacobian, a1, r2.jacobian, a2)
+            assert (r1.spectrum.known_factor_root, r2.spectrum.known_factor_root) == (-a1, -a2)
+            verdict = spectral_invariance_check(r1.spectrum, r2.spectrum)
             assert verdict.passed
             assert verdict.verdict == "pass"
             assert verdict.max_coeff_difference < 1e-7
 
     def test_mismatched_points_fail(self, analyzed):
         boundary, _ = analyzed("fig3")
-        verdict = spectral_invariance_check(boundary[0].jacobian, 1.0,
-                                            boundary[2].jacobian, 1.0)
+        verdict = spectral_invariance_check(boundary[0].spectrum, boundary[2].spectrum)
         assert verdict.verdict == "fail"
         assert verdict.max_coeff_difference > 1.0
 
     def test_missing_factor_is_reported(self):
-        verdict = spectral_invariance_check(np.diag([5.0, 7.0]), 1.0,
-                                            np.diag([5.0, 7.0]), 1.0)
+        spectrum = eigen_and_classify(np.diag([5.0, 7.0]), 1.0)
+        verdict = spectral_invariance_check(spectrum, spectrum)
         assert verdict.verdict == "factorization-failure"
         assert not verdict.passed
         assert math.isnan(verdict.max_coeff_difference)
         assert min(verdict.remainders) > 1e-6
+
+    def test_spectrum_without_known_factor_is_rejected(self):
+        with pytest.raises(PreconditionError):
+            spectral_invariance_check(eigen_and_classify(np.diag([-1.0, -2.0]), 1.0),
+                                      eigen_and_classify(np.diag([-1.0, -2.0])))
 
 
 class TestAssumptionGuards:
