@@ -99,12 +99,38 @@ def _csv_cell(value) -> str:
     return FLOAT_FORMAT % float(value)
 
 
+# the _csv_cell token of a cell of exactly this type, as a % conversion
+_CELL_FORMATS = {float: FLOAT_FORMAT, int: "%d", str: "%s"}
+
+
+def _csv_line(row: Sequence) -> str:
+    return ",".join(map(_csv_cell, row)) + "\n"
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows as they come, one line each; rows may be any iterable."""
+    """Write rows as they come, one line each; rows may be any iterable.
+
+    The first row's cell types fix one line format when each is exactly
+    float, int or str: a row of those same types is rendered by one %
+    operation, with the tokens _csv_cell gives. Any other row, and every
+    row when the first holds another type (bool, numpy scalars), is
+    rendered cell by cell.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        handle.write(_csv_line(first))
+        types = tuple(map(type, first))
+        if not all(t in _CELL_FORMATS for t in types):
+            handle.writelines(map(_csv_line, rows))
+            return
+        line = ",".join(_CELL_FORMATS[t] for t in types) + "\n"
+        handle.writelines(line % tuple(row) if tuple(map(type, row)) == types
+                          else _csv_line(row) for row in rows)
 
 
 def write_text(path: str, text: str) -> None:

@@ -5,6 +5,10 @@ outputs gain the corresponding leading axes, so ``f(x) -> (..., n)``,
 ``g(x) -> (..., n, m)``, ``h(x) -> (...)``, ``grad_h(x) -> (..., n)`` and
 ``hess_h(x) -> (..., n, n)``. Scalar maps (alpha, beta, gamma) are elementwise.
 Every type is immutable after construction and safe to share across workers.
+
+An evaluator may return its input (an identity matrix or a unit slope skips
+the multiply by 1) or a read-only view (a constant matrix), so callers never
+write into evaluator output; what they keep beyond a call, they copy.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +65,8 @@ def linear_evaluator(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     An all-zero matrix yields exact +0.0 entries and a diagonal one scales x
     entrywise: both skip the terms 0 * x_j, which could only change the
-    sign of a zero.
+    sign of a zero. The identity returns x as float, possibly x itself,
+    since x * 1.0 is x in every bit.
     """
     mat = np.array(mat, dtype=float)
     mat.flags.writeable = False
@@ -70,6 +75,9 @@ def linear_evaluator(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     if not nonzero:
         def evaluate(x):
             return np.zeros(np.asarray(x).shape[:-1] + mat.shape[:1])
+    elif diagonal and mat.diagonal().tolist() == [1.0] * mat.shape[0]:
+        def evaluate(x):
+            return np.asarray(x, dtype=float)
     elif diagonal:
         scale = mat.diagonal().copy()
 
@@ -102,18 +110,33 @@ class ScalarMap:
 
 @dataclass(frozen=True)
 class StateMap:
-    """Scalar-valued state function with gradient and Hessian, e.g. eta."""
+    """Scalar-valued state function with gradient and Hessian, e.g. eta.
+
+    The optional ``fun_and_grad`` returns (fun(x), grad(x)) with the values
+    of the separate evaluators while sharing their common work, as
+    BarrierPair's h_and_grad does for h.
+    """
 
     fun: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+    fun_and_grad: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+
+    def value_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if self.fun_and_grad is not None:
+            return self.fun_and_grad(x)
+        return self.fun(x), self.grad(x)
 
 
 def linear_map(slope: float) -> ScalarMap:
-    """s -> slope * s with constant derivative; valid class-K for slope > 0."""
+    """s -> slope * s with constant derivative; valid class-K for slope > 0.
+
+    Slope 1 returns s as float, possibly s itself: s * 1.0 is s in every bit.
+    """
     slope = float(slope)
+    unit = slope == 1.0
     return ScalarMap(
-        fun=lambda s: slope * np.asarray(s, dtype=float),
+        fun=lambda s: np.asarray(s, dtype=float) if unit else slope * np.asarray(s, dtype=float),
         deriv=lambda s: slope * np.ones_like(np.asarray(s, dtype=float)),
         second=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
@@ -166,12 +189,16 @@ def quadratic_offset_map(center: Sequence[float], offset: float) -> StateMap:
     def grad(x):
         return 2.0 * (np.asarray(x, dtype=float) - center)
 
+    def fun_and_grad(x):
+        d = np.asarray(x, dtype=float) - center
+        return dot(d, d) + offset, 2.0 * d
+
     def hess(x):
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
         return np.broadcast_to(2.0 * np.eye(n), x.shape[:-1] + (n, n)).copy()
 
-    return StateMap(fun=fun, grad=grad, hess=hess)
+    return StateMap(fun=fun, grad=grad, hess=hess, fun_and_grad=fun_and_grad)
 
 
 @dataclass(frozen=True)
@@ -356,17 +383,23 @@ def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
     if form not in ("full", "half"):
         raise InvalidParameterError("form must be 'full' or 'half', got %r" % (form,))
     scale = 2.0 if form == "full" else 1.0
+    # h = (scale / 2)(||d||^2 - r^2) and grad = scale d; the factor that is 1
+    # (h's in the full form, grad's in the half form) is skipped
+    full = form == "full"
 
     def h(x):
         d = np.asarray(x, dtype=float) - center
-        return 0.5 * scale * (dot(d, d) - radius ** 2)
+        v = dot(d, d) - radius ** 2
+        return v if full else 0.5 * v
 
     def grad_h(x):
-        return scale * (np.asarray(x, dtype=float) - center)
+        d = np.asarray(x, dtype=float) - center
+        return scale * d if full else d
 
     def h_and_grad(x):
         d = np.asarray(x, dtype=float) - center
-        return 0.5 * scale * (dot(d, d) - radius ** 2), scale * d
+        v = dot(d, d) - radius ** 2
+        return (v, scale * d) if full else (0.5 * v, d)
 
     def hess_h(x):
         x = np.asarray(x, dtype=float)
@@ -452,25 +485,34 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
 
     base_h, base_value_and_grad, base_hess = base.h, base.value_and_grad, base.hess_h
     gfun, gprime, gsecond = gamma.fun, gamma.deriv, gamma.second
-    efun, egrad, ehess = eta.fun, eta.grad, eta.hess
+    efun, eta_and_grad, ehess = eta.fun, eta.value_and_grad, eta.hess
+
+    # a coefficient of 1 multiplies nothing: c * v is v in every bit when c = 1.0
+    unit_a, unit_b = a == 1.0, b == 1.0
 
     def h(x):
         hv = base_h(x)
-        out = b * efun(x) * hv
+        ev = efun(x)
+        out = ev * hv if unit_b else b * ev * hv
         if a != 0.0:
-            out = out + a * gfun(hv)
+            gam = gfun(hv)
+            out = out + (gam if unit_a else a * gam)
         return out
 
     def h_and_grad(x):
-        # the base barrier is evaluated once for both outputs
+        # the base barrier and eta are each evaluated once for both outputs
         hv, gv = base_value_and_grad(x)
         hv = np.asarray(hv, dtype=float)
-        ev = efun(x)
-        value = b * ev * hv
-        grad = b * (ev[..., None] * gv + hv[..., None] * egrad(x))
+        ev, egv = eta_and_grad(x)
+        value = ev * hv if unit_b else b * ev * hv
+        grad = ev[..., None] * gv + hv[..., None] * egv
+        if not unit_b:
+            grad = b * grad
         if a != 0.0:
-            value = value + a * gfun(hv)
-            grad = grad + a * np.asarray(gprime(hv), dtype=float)[..., None] * gv
+            gam = gfun(hv)
+            slope = np.asarray(gprime(hv), dtype=float)[..., None]
+            value = value + (gam if unit_a else a * gam)
+            grad = grad + (slope if unit_a else a * slope) * gv
         return value, grad
 
     def grad_h(x):
@@ -480,14 +522,17 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
         hv, gv = base_value_and_grad(x)
         hv = np.asarray(hv, dtype=float)
         hmat = base_hess(x)
-        ev = np.asarray(efun(x), dtype=float)
-        egv = egrad(x)
+        ev, egv = eta_and_grad(x)
+        ev = np.asarray(ev, dtype=float)
         cross = outer(egv, gv)
-        out = b * (hv[..., None, None] * ehess(x) + cross + np.swapaxes(cross, -1, -2)
-                   + ev[..., None, None] * hmat)
+        out = (hv[..., None, None] * ehess(x) + cross + np.swapaxes(cross, -1, -2)
+               + ev[..., None, None] * hmat)
+        if not unit_b:
+            out = b * out
         if a != 0.0:
-            out = out + a * (np.asarray(gsecond(hv), dtype=float)[..., None, None] * outer(gv, gv)
-                             + np.asarray(gprime(hv), dtype=float)[..., None, None] * hmat)
+            curv = (np.asarray(gsecond(hv), dtype=float)[..., None, None] * outer(gv, gv)
+                    + np.asarray(gprime(hv), dtype=float)[..., None, None] * hmat)
+            out = out + (curv if unit_a else a * curv)
         return out
 
     if alpha is None:

@@ -281,7 +281,8 @@ class _LoopTerms:
     parts the model marks as state-independent are computed once, here: g
     (a constant_matrix evaluator), W^{-1} g^T (g and W both constant) and
     the drift matrix A + B K (SystemModel.drift_evaluator); products with
-    them go through linear_evaluator. Unmarked parts are evaluated at each
+    them go through linear_evaluator, so an identity g or W costs no
+    arithmetic. Unmarked parts are evaluated at each
     state. d_matrix holds D = g W^{-1} g^T once spectral.constant_d_matrix
     has formed and checked it.
     """
@@ -367,8 +368,10 @@ def _filter_law(eta: np.ndarray, a: np.ndarray, winv_a: np.ndarray, single: bool
             raise StrictFeasibilityError("eta < 0 with ||g^T grad_h|| ~ 0: the cbf row cannot be met")
         u = np.zeros(a.shape) if not active else -eta * winv_a / den
         return u, den
-    # NaN in the denominator carries degenerate rows to u; 1 keeps inactive ones finite
-    safe_den = np.where(degenerate, np.nan, np.where(active, den, 1.0))
+    # 1 keeps inactive rows finite; NaN in the denominator carries degenerate rows to u
+    safe_den = np.where(active, den, 1.0)
+    if degenerate.any():
+        safe_den[degenerate] = np.nan
     u = np.where(active[..., None], -eta[..., None] * winv_a / safe_den[..., None], 0.0)
     return u, den
 
@@ -459,9 +462,10 @@ def _clf_cbf_solution(data: dict, p: float):
     """Four-case active-set selection, vectorized; mirrors solve_small_qp.
 
     Case order (empty; clf; cbf; both) matches the solver's subset order, so
-    borderline states resolve identically. Returns (u, lam1, lam2, code)
-    with code 0/1/2/3 for the four cases and -1 where no case holds (cbf row
-    unsatisfiable: g^T grad_h = 0 with F_h < 0).
+    borderline states resolve identically. Returns (u, lam1, lam2); lam1
+    (and so u) is NaN exactly where no case holds (cbf row unsatisfiable:
+    g^T grad_h = 0 with F_h < 0): a case's lam1 is 0.0 or passed a
+    comparison that NaN fails.
     """
     fv, fh = data["fv"], data["fh"]
     a = data["vdv"] + 1.0 / p
@@ -482,10 +486,6 @@ def _clf_cbf_solution(data: dict, p: float):
     cond_both = pos_det & (lam1_both >= -DUAL_TOL) & (lam2_both >= -DUAL_TOL)
 
     # nested where keeps np.select's first-true-wins order at stepping cost
-    code = np.where(cond_empty, 0,
-           np.where(cond_clf, 1,
-           np.where(cond_cbf, 2,
-           np.where(cond_both, 3, -1))))
     lam1 = np.where(cond_empty, 0.0,
            np.where(cond_clf, lam1_clf,
            np.where(cond_cbf, 0.0,
@@ -495,7 +495,7 @@ def _clf_cbf_solution(data: dict, p: float):
            np.where(cond_cbf, lam2_cbf,
            np.where(cond_both, lam2_both, np.nan))))
     u = -lam1[..., None] * data["winv_av"] + lam2[..., None] * data["winv_ah"]
-    return u, lam1, lam2, code
+    return u, lam1, lam2
 
 
 def _unfiltered_solution(data: dict, p: float):
@@ -637,8 +637,8 @@ class ClfCbfController(_ControllerViews):
     def _pass(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         data = _clf_cbf_fields(self._terms, self.pair, self.clf, x)
-        u, lam1, lam2, case = _clf_cbf_solution(data, self.p)
-        failed = np.asarray(case) < 0
+        u, lam1, lam2 = _clf_cbf_solution(data, self.p)
+        failed = np.isnan(lam1)
         u = np.where(failed[..., None], np.nan, u)
         return u, data["f"] + self._terms.apply_g(x, u), lam1, lam2, failed
 

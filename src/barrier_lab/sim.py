@@ -65,6 +65,15 @@ def _true_rows(mask: np.ndarray) -> Optional[np.ndarray]:
     return None if mask.all() else np.flatnonzero(mask)
 
 
+def _scatter(x: np.ndarray, idx: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """A copy of x with rows written at idx; rows itself when idx is None."""
+    if idx is None:
+        return rows
+    out = x.copy()
+    out[idx] = rows
+    return out
+
+
 def _horizon_steps(t_final: float, dt: float) -> int:
     """Number of dt steps in t_final; the horizon must be a whole number of steps."""
     if dt <= 0.0:
@@ -95,43 +104,43 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
     last_near = np.full(batch, -1, dtype=int)
 
     recorded = [x] if record else None
-    # basin labeling never needs to keep stepping decided cells; recorded
-    # trajectories keep integrating through convergence to fill the horizon
-    basin = attractor_arr is not None and not record
     n = x.shape[-1]
     steps_done = 0
     idx = None          # the rows that step; None while every row does
     run_idx = None      # the running rows; None while every row runs
+    rows = x            # the stepping rows' states, packed in idx order
     holding = False     # some running row has a nonzero hold counter
     refresh = True      # set whenever a status changes
     for step in range(1, steps + 1):
         if refresh:
+            # x holds every row's state here: a status change scattered rows
             run_idx = _true_rows(status == STATUS_RUNNING)
-            idx = run_idx if basin else _true_rows(status <= STATUS_CONVERGED)
+            # a recorded batch keeps stepping converged rows to fill the
+            # horizon; without recording only the running rows step
+            idx = _true_rows(status <= STATUS_CONVERGED) if record else run_idx
             refresh = False
+            rows = x if idx is None else x[idx]
             if idx is not None and idx.size == 0:
                 break
-        rows = x if idx is None else x[idx]
         trial_rows = rows + _rk4_increment(controller.field, rows, dt)
         # x is replaced, never written in place: recorded steps share no memory
         if np.abs(trial_rows).max() * n < DIVERGE_NORM:
             # every entry finite and every row inside the domain, since
             # ||row|| <= sqrt(n) max |entry|: no status changes this step
-            if idx is None:
-                x = trial_rows
-            else:
-                x = x.copy()
-                x[idx] = trial_rows
+            rows = trial_rows
+            if record:
+                x = _scatter(x, idx, rows)
         else:
-            x = x.copy()
             rows_idx = np.arange(batch) if idx is None else idx
             bad_rows = ~np.all(np.isfinite(trial_rows), axis=-1)
+            trial_rows[bad_rows] = rows[bad_rows]      # a failed row keeps its last state
+            rows = trial_rows
+            x = _scatter(x, idx, rows)
             newly_bad = rows_idx[bad_rows]
             if newly_bad.size:
                 status[newly_bad] = STATUS_ERROR
                 err_time[newly_bad] = (step - 1) * dt
             good = rows_idx[~bad_rows]
-            x[good] = trial_rows[~bad_rows]
             left = good[np.linalg.norm(x[good], axis=-1) > DIVERGE_NORM]
             if left.size:
                 status[left] = STATUS_LEFT
@@ -142,7 +151,10 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
             # a running row far from every attractor with a zero hold counter
             # keeps both counters as they are, so only rows near an attractor,
             # or holding, need the bookkeeping
-            run_x = x if run_idx is None else x[run_idx]
+            if record or refresh:
+                run_x = x if run_idx is None else x[run_idx]
+            else:
+                run_x = rows    # unrecorded and no status change: idx is run_idx
             diff = run_x[:, None, :] - attractor_arr[None, :, :]
             dists = np.sqrt(np.add.reduce(diff * diff, -1))     # == np.linalg.norm
             if holding or dists.min() < CONV_RADIUS:
@@ -164,11 +176,15 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
                     rows_done = np.flatnonzero(done) if run_idx is None else run_idx[done]
                     status[rows_done] = STATUS_CONVERGED
                     attr_index[rows_done] = nearest[done]
+                    if not record:
+                        x = _scatter(x, idx, rows)
                     refresh = True
         if record:
             recorded.append(x)
         steps_done = step
 
+    if not record:
+        x = _scatter(x, idx, rows)
     times = dt * np.arange(steps_done + 1)
     states = np.stack(recorded, axis=1) if record else None   # (batch, K+1, n)
     return times, states, x, status, attr_index, err_time
@@ -200,8 +216,9 @@ def _check_safe_start(controller, x0s: np.ndarray) -> np.ndarray:
 def _assemble(controller, times: np.ndarray, states: np.ndarray, label: str,
               attractor_index: Optional[int]) -> Trajectory:
     inputs, _, mult, _ = controller.evaluate(states)
-    inputs = np.asarray(inputs, dtype=float)
-    mult = np.asarray(mult, dtype=float)
+    # copies: an evaluator may return its input, and a stored array owns its memory
+    inputs = np.array(inputs, dtype=float)
+    mult = np.array(mult, dtype=float)
     if controller.cbf_pairs:
         h_values = np.stack([np.asarray(pair.h(states), dtype=float)
                              for pair in controller.cbf_pairs], axis=-1)
@@ -290,7 +307,7 @@ def roa_grid(controller, bounds, resolution, attractors: Sequence[np.ndarray],
         for j, i in enumerate(safe_idx):
             labels[int(i)] = safe_labels[j]
     return RoaGrid(points=points, labels=tuple(labels), shape=shape,
-                   attractors=tuple(np.asarray(a, dtype=float) for a in attractors))
+                   attractors=tuple(np.array(a, dtype=float) for a in attractors))
 
 
 @dataclass(frozen=True)
@@ -309,10 +326,11 @@ def field_grid(controller, bounds, resolution) -> FieldGrid:
     """Closed-loop velocity, h, and active-set code on a rectangular grid."""
     points, shape = _grid_nodes(bounds, resolution)
     _, velocity, _, code = controller.evaluate(points)
-    velocity = np.asarray(velocity, dtype=float)
-    code = np.asarray(code, dtype=int)
+    # copies: an evaluator may return its input, and a stored array owns its memory
+    velocity = np.array(velocity, dtype=float)
+    code = np.array(code, dtype=int)
     if controller.cbf_pairs:
-        h = np.asarray(controller.cbf_pairs[0].h(points), dtype=float)
+        h = np.array(controller.cbf_pairs[0].h(points), dtype=float)
     else:
         h = np.full(points.shape[0], np.inf)
     masked = (h < 0.0).astype(int)

@@ -158,9 +158,10 @@ def reference_evaluation(controller, x):
         else:
             data.update(fh=c[1], vdh=a[0] @ winv_a[1], hdh=a[1] @ winv_a[1],
                         winv_ah=winv_a[1])
-            u, lam1, lam2, case = _clf_cbf_solution(data, controller.p)
-            u = np.where(case < 0, np.nan, u)
+            u, lam1, lam2 = _clf_cbf_solution(data, controller.p)
+            failed = np.isnan(lam1)
+            u = np.where(failed, np.nan, u)
             multipliers = np.maximum(np.stack([lam1, lam2]), 0.0)
-            code = np.where(case < 0, -1, (lam1 > 0.0).astype(int) + 2 * (lam2 > 0.0).astype(int))
+            code = np.where(failed, -1, (lam1 > 0.0).astype(int) + 2 * (lam2 > 0.0).astype(int))
         drift = model.f(x)
     return u, drift + model.g(x) @ u, multipliers, code

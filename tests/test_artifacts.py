@@ -75,3 +75,32 @@ def test_empty_rows_write_the_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(str(path), ["x1", "x2", "label"], iter(()))
     assert path.read_bytes() == b"x1,x2,label\n"
+
+
+def test_row_format_is_byte_identical_to_the_cell_join(tmp_path):
+    # the rows the CLI writes are float/int/str tuples: one % format per row,
+    # fixed by the first row; any other row goes cell by cell
+    big = 2 ** 63 + 7
+    rows = [
+        (0.5, -0.0, math.nan, 3, "label"),
+        (math.inf, -math.inf, -math.nan, big, "a%sb,%d"),
+        (1e-310, 0.1, -0.0, -big, ""),
+        (1.0, 2.0, 3.0, True, "bool in an int column"),
+        (np.float64(0.25), 2.0, 3.0, 4, "numpy float in a float column"),
+        [1.5, 2.5, 3.5, 4, "a list row"],
+        (1.0, 2, 3.0, 4, "an int in a float column"),
+        (1.0, 2.0, 3.0, 4.0, "a float in an int column"),
+        ("x", 2.0, 3.0, 4, "a str in a float column"),
+        (1.0, 2.0, 3.0, 4),
+        (1.0, 2.0, 3.0, 4, "five", "six"),
+    ]
+    leading = [
+        [(True, 1.0, 2), (False, 2.0, 3), (1.0, 2.0, 3)],        # bool first: every row by cell
+        [(np.float64(1.0), 1.0, 2), (1.0, 2.0, 3), (np.int64(-1), math.nan, 5)],
+        [(), ()],
+    ]
+    for i, case in enumerate([rows] + leading):
+        path = tmp_path / ("rows-%d.csv" % i)
+        write_csv(str(path), ["h"], iter(case))
+        expected = "h\n" + "".join(",".join(map(_csv_cell, row)) + "\n" for row in case)
+        assert path.read_bytes() == expected.encode("utf-8"), i

@@ -1,0 +1,287 @@
+"""Each fast path against the slow path it replaces, compared bit for bit.
+
+The fast paths: products with g and W formed once from their constant marks
+(identity products skipped), unit factors that skip the multiply by 1, eta's
+value and gradient from one pass, the CLF-CBF failure mask read from lam1,
+and the basin loop stepping its running rows packed. Stored results own their memory even when an evaluator returns
+its input.
+"""
+
+import math
+
+import numpy as np
+
+from barrier_lab import (
+    ClfCbfController,
+    NominalClosedLoop,
+    SafetyFilterController,
+    SystemModel,
+    field_grid,
+    integrate_batch,
+    linear_system,
+    make_ball_cbf,
+    quadratic_clf,
+    roa_grid,
+    transform_cbf,
+)
+from barrier_lab.model import (constant_state_map, dot, identity_map, linear_evaluator,
+                               linear_map, outer, quadratic_map, quadratic_offset_map)
+from barrier_lab.qp import DUAL_TOL, FEAS_TOL, _clf_cbf_fields, _clf_cbf_solution
+from barrier_lab.sim import (STATUS_CONVERGED, STATUS_ERROR, STATUS_LEFT, STATUS_RUNNING,
+                             _advance, _labels)
+
+CATALOG = ("fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2", "fig2")
+# -0.0, nan and +-inf in every position, next to ordinary values
+SPECIAL = np.array([[-0.0, -0.0], [-0.0, 1.5], [math.nan, 2.0], [-math.nan, -0.0],
+                    [math.inf, 0.5], [-math.inf, -2.0], [3.0, math.inf], [-1.0, -math.inf]])
+
+
+def bits(value) -> np.ndarray:
+    """The float64 bit patterns of value: tells -0.0 from 0.0 and NaNs apart."""
+    return np.ascontiguousarray(np.asarray(value, dtype=float)).view(np.uint64)
+
+
+def unmarked_twin(controller):
+    """The controller rebuilt with g and W as unmarked callables of the same matrices."""
+    model = controller.model
+    b = model.constant_g()
+    w = controller.weight.constant
+
+    def g(x):
+        return np.broadcast_to(b, np.shape(x)[:-1] + b.shape)
+
+    def weight(x):
+        return np.broadcast_to(w, np.shape(x)[:-1] + w.shape)
+
+    twin = SystemModel(n=model.n, m=model.m, f=model.f, g=g, jf=model.jf, k=model.k,
+                       jk=model.jk)
+    if controller.kind == "safety-filter":
+        return SafetyFilterController(twin, controller.pair, weight)
+    return ClfCbfController(twin, controller.pair, controller.clf, weight, p=controller.p)
+
+
+class TestMarkedLoopTerms:
+    def test_builtins_match_unmarked_callables(self, bundles):
+        for name in CATALOG:
+            bundle = bundles(name)
+            fast, slow = bundle.controller, unmarked_twin(bundle.controller)
+            assert slow._terms.times_g is None and slow._terms.times_winv_gt is None
+            states = bundle.safe_states(10 ** 4, seed=13)
+            for x in (states[0], states[:1], states[:100], states):
+                for got, want in zip(fast.evaluate(x), slow.evaluate(x)):
+                    assert np.array_equal(got, want), name
+                assert np.array_equal(fast.field(x), slow.field(x)), name
+            rk4_fast = integrate_batch(fast, states[:20], t_final=0.2, dt=1e-3)
+            rk4_slow = integrate_batch(slow, states[:20], t_final=0.2, dt=1e-3)
+            for a, b in zip(rk4_fast, rk4_slow):
+                assert len(a.times) == 201
+                for got, want in ((a.states, b.states), (a.inputs, b.inputs),
+                                  (a.multiplier_trace, b.multiplier_trace)):
+                    assert np.array_equal(got, want), name
+
+
+class TestUnitFactors:
+    def test_identity_evaluator_is_the_multiply(self):
+        evaluate = linear_evaluator(np.eye(2))
+        for x in (SPECIAL, SPECIAL[2]):
+            assert np.array_equal(bits(evaluate(x)), bits(x * np.ones(2)))
+        # a diagonal of ones beside a zero is no identity: the zero still scales
+        assert np.array_equal(bits(linear_evaluator(np.diag([1.0, 0.0]))(SPECIAL[:2])),
+                              bits(SPECIAL[:2] * np.array([1.0, 0.0])))
+
+    def test_unit_slope_is_the_multiply(self):
+        unit = linear_map(1.0)
+        s = SPECIAL.ravel()
+        for value in (s, s[0], -0.0, math.nan, math.inf):
+            assert np.array_equal(bits(unit.fun(value)), bits(1.0 * np.asarray(value)))
+            assert np.array_equal(bits(unit.deriv(value)),
+                                  bits(1.0 * np.ones_like(np.asarray(value, dtype=float))))
+
+    def test_ball_unit_factors_are_the_multiply(self):
+        center = np.array([0.0, 3.0])
+        for form, scale in (("full", 2.0), ("half", 1.0)):
+            ball = make_ball_cbf(center, 1.5, form=form)
+            with np.errstate(invalid="ignore"):
+                d = SPECIAL - center
+                want_h = 0.5 * scale * (dot(d, d) - 1.5 ** 2)
+                value, grad = ball.h_and_grad(SPECIAL)
+                assert np.array_equal(bits(grad), bits(scale * d))
+                assert np.array_equal(bits(ball.grad_h(SPECIAL)), bits(scale * d))
+                assert np.array_equal(bits(value), bits(want_h))
+                assert np.array_equal(bits(ball.h(SPECIAL)), bits(want_h))
+
+    def test_transform_coefficients_of_one_are_the_multiply(self):
+        base = make_ball_cbf((2.0, 0.0), 1.0)
+        eta = quadratic_offset_map((5.0, 1.0), 1.0)
+        xs = np.concatenate([SPECIAL, np.random.default_rng(3).uniform(-3.0, 5.0, (20, 2))])
+        for a, b, gamma in ((0.0, 1.0, None), (1.0, 1.0, quadratic_map(1.0, 0.5)),
+                            (1.0, 0.5, identity_map()), (2.0, 1.0, quadratic_map(2.0, -0.1)),
+                            (1.0, 0.0, quadratic_map(1.0, 0.25))):
+            pair = transform_cbf(base, a, b, gamma=gamma, eta=eta)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = reference_transform(base, a, b, gamma or identity_map(), eta, xs)
+                value, grad = pair.h_and_grad(xs)
+                got = (pair.h(xs), value, grad, pair.grad_h(xs), pair.hess_h(xs))
+                for part, expect in zip(got, (want[0], want[0], want[1], want[1], want[2])):
+                    assert np.array_equal(bits(part), bits(expect)), (a, b)
+        # a constant eta of 1 with b = 1 gives back the base barrier's bits
+        same = transform_cbf(base, 0.0, 1.0, eta=constant_state_map(1.0))
+        assert np.array_equal(bits(same.h(xs[8:])), bits(base.h(xs[8:])))
+
+    def test_shared_eta_terms_are_the_separate_evaluators(self):
+        for eta in (quadratic_offset_map((5.0, 1.0), 1.0), constant_state_map(2.0)):
+            for x in (SPECIAL, SPECIAL[0]):
+                with np.errstate(invalid="ignore"):
+                    value, grad = eta.value_and_grad(x)
+                    assert np.array_equal(bits(value), bits(eta.fun(x)))
+                    assert np.array_equal(bits(grad), bits(eta.grad(x)))
+
+
+def reference_transform(base, a, b, gamma, eta, x):
+    """h, grad and Hessian of a gamma(h1) + b eta h1, each coefficient multiplied."""
+    hv, gv = base.value_and_grad(x)
+    hv = np.asarray(hv, dtype=float)
+    ev = eta.fun(x)
+    value = b * ev * hv
+    grad = b * (ev[..., None] * gv + hv[..., None] * eta.grad(x))
+    cross = outer(eta.grad(x), gv)
+    hess = b * (hv[..., None, None] * eta.hess(x) + cross + np.swapaxes(cross, -1, -2)
+                + np.asarray(ev)[..., None, None] * base.hess_h(x))
+    if a != 0.0:
+        value = value + a * gamma.fun(hv)
+        grad = grad + a * np.asarray(gamma.deriv(hv), dtype=float)[..., None] * gv
+        hess = hess + a * (np.asarray(gamma.second(hv), dtype=float)[..., None, None]
+                           * outer(gv, gv)
+                           + np.asarray(gamma.deriv(hv), dtype=float)[..., None, None]
+                           * base.hess_h(x))
+    return value, grad, hess
+
+
+def case_code(data: dict, p: float) -> np.ndarray:
+    """The four-case selection as an active-set code, -1 where no case holds."""
+    fv, fh, bb, c = data["fv"], data["fh"], data["vdh"], data["hdh"]
+    a = data["vdv"] + 1.0 / p
+    cond_empty = (fv <= FEAS_TOL) & (fh >= -FEAS_TOL)
+    lam1_clf = fv / a
+    cond_clf = (lam1_clf >= -DUAL_TOL) & (fh - lam1_clf * bb >= -FEAS_TOL)
+    pos_c = c > 0.0
+    lam2_cbf = -fh / np.where(pos_c, c, 1.0)
+    cond_cbf = pos_c & (lam2_cbf >= -DUAL_TOL) & (fv + lam2_cbf * bb <= FEAS_TOL)
+    det = a * c - bb * bb
+    pos_det = det > 0.0
+    safe_det = np.where(pos_det, det, 1.0)
+    cond_both = (pos_det & ((fv * c - fh * bb) / safe_det >= -DUAL_TOL)
+                 & ((fv * bb - fh * a) / safe_det >= -DUAL_TOL))
+    return np.select([cond_empty, cond_clf, cond_cbf, cond_both], [0, 1, 2, 3], -1)
+
+
+class TestClfCbfFailureMask:
+    def test_nan_lam1_is_the_failed_case(self):
+        # h is no CBF here: g = (0, 1)^T is tangent to the ball at (1, 0) and
+        # (3, 0), and g^T grad_h = 2 x2 vanishes on the whole line x2 = 0
+        model = linear_system(np.diag([-1.0, 0.0]), np.array([[0.0], [1.0]]))
+        controller = ClfCbfController(model, make_ball_cbf((2.0, 0.0), 1.0),
+                                      quadratic_clf(np.eye(2)))
+        x1, x2 = np.meshgrid(np.linspace(-1.0, 5.0, 121), np.linspace(-3.0, 3.0, 121))
+        states = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+        line = np.linspace(-1.0, 5.0, 601)
+        states = np.concatenate([states, np.stack([line, np.zeros_like(line)], axis=-1)])
+        data = _clf_cbf_fields(controller._terms, controller.pair, controller.clf, states)
+        _, lam1, _ = _clf_cbf_solution(data, controller.p)
+        failed = case_code(data, controller.p) < 0
+        assert failed.sum() > 100
+        assert np.array_equal(np.isnan(lam1), failed)
+        assert np.array_equal(controller.active_code(states) < 0, failed)
+
+
+class Mixed:
+    """A duck-typed loop whose rows converge, leave the domain or fail at set times.
+
+    The field is -20 x, so rows converge to the origin, except: 50 x beyond
+    |x1| = 1e5 (the row leaves the domain), -0.1 x above x2 = 10 (too slow to
+    converge within the horizon) and no input at all in two regions.
+    """
+
+    cbf_pairs = ()
+
+    def field(self, x):
+        x = np.asarray(x, dtype=float)
+        v = np.where(np.abs(x[..., :1]) > 1e5, 50.0 * x,
+                     np.where(x[..., 1:] > 10.0, -0.1 * x, -20.0 * x))
+        # no input where x2 > 100, or where x1 < 1.5 while x2 < -1
+        fails = (x[..., 1:] > 100.0) | ((x[..., 1:] < -1.0) & (x[..., :1] < 1.5))
+        return np.where(fails, np.nan, v)
+
+
+class TestPackedBasinLoop:
+    def test_batch_matches_each_row_alone(self):
+        attractors = [np.zeros(2), np.array([0.25, 0.25])]
+        x0s = np.array([[0.0, 0.0],          # on an attractor: done after CONV_HOLD steps
+                        [1.0, 0.5],
+                        [2e5, 0.0],          # leaves the domain
+                        [0.5, 200.0],        # fails at t = 0
+                        [3.0, -1.0],
+                        [4.0, -8.0],         # fails mid-run
+                        [0.25, 0.25],
+                        [-2.0, 1.5],
+                        [0.0, 50.0]])        # still running at the horizon
+        loop = Mixed()
+        batch = _advance(loop, x0s, 1.0, 1e-3, attractors, record=False)
+        status = batch[3]
+        assert {STATUS_RUNNING, STATUS_CONVERGED, STATUS_LEFT,
+                STATUS_ERROR} <= set(status.tolist())
+        assert np.isfinite(batch[5][5]) and batch[5][5] > 0.0
+        # a failed row keeps its last state, and a running one ends off its start
+        assert np.all(np.isfinite(batch[2][status == STATUS_ERROR]))
+        assert batch[2][-1, 1] < 50.0
+        labels = _labels(*batch[3:], attractors)
+        for i, x0 in enumerate(x0s):
+            alone = _advance(loop, x0[None], 1.0, 1e-3, attractors, record=False)
+            assert np.array_equal(alone[2][0], batch[2][i], equal_nan=True), i
+            for got, want in zip(alone[3:], batch[3:]):
+                assert np.array_equal(got[0], want[i], equal_nan=True), i
+            assert _labels(*alone[3:], attractors) == [labels[i]]
+
+    def test_grid_labels_match_each_node_alone(self):
+        # fast plant: k(x) = -20 x around an obstacle at (2, 0), alpha slope 20
+        model = linear_system(np.zeros((2, 2)), np.eye(2), gain=-20.0 * np.eye(2))
+        controller = SafetyFilterController(model, make_ball_cbf((2.0, 0.0), 1.0,
+                                                                 alpha_slope=20.0))
+        attractors = [np.zeros(2), np.array([3.0, 0.0])]
+        grid = roa_grid(controller, ((-1.0, 4.5), (-1.0, 1.0)), [6, 3], attractors,
+                        t_final=0.8, dt=1e-3)
+        assert {"converged-to(0;0)", "converged-to(3;0)", "max-time",
+                "unsafe-start"} <= set(grid.labels)
+        for point, label in zip(grid.points, grid.labels):
+            if label != "unsafe-start":
+                alone = _advance(controller, point[None], 0.8, 1e-3, attractors, record=False)
+                assert _labels(*alone[3:], attractors) == [label]
+
+
+def assert_unshared(arrays, *inputs):
+    arrays = [np.asarray(a) for a in arrays]
+    for i, a in enumerate(arrays):
+        for other in arrays[i + 1:] + [np.asarray(x) for x in inputs]:
+            assert not np.shares_memory(a, other)
+
+
+class TestStoredArraysOwnTheirMemory:
+    def test_identity_gain(self):
+        # K = I with B = I: k and the drift A + B K are identity evaluators,
+        # which return their input
+        model = linear_system(np.zeros((2, 2)), np.eye(2), gain=np.eye(2))
+        assert model.k(SPECIAL) is SPECIAL
+        ball = make_ball_cbf((2.0, 0.0), 1.0)
+        x0s = np.array([[0.5, 0.5], [4.0, 1.0]])
+        attractors = [np.zeros(2), np.array([3.0, 0.0])]
+        for controller in (NominalClosedLoop(model), SafetyFilterController(model, ball)):
+            for traj in integrate_batch(controller, x0s, t_final=0.01, dt=1e-3,
+                                        attractors=attractors):
+                assert_unshared([traj.times, traj.states, traj.inputs, traj.h_values,
+                                 traj.multiplier_trace], x0s, *attractors)
+            grid = field_grid(controller, ((-1.0, 4.0), (-1.0, 1.0)), 4)
+            assert_unshared([grid.states, grid.velocity, grid.h, grid.active_code,
+                             grid.masked])
+            roa = roa_grid(controller, ((-1.0, 4.0), (-1.0, 1.0)), 3, attractors,
+                           t_final=0.01, dt=1e-3)
+            assert_unshared([roa.points, *roa.attractors], *attractors)
