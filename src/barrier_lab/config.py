@@ -302,12 +302,12 @@ def _valid_cbfs(v: _Validator, data: dict, n: int) -> list:
             if base >= i:
                 v.fail(path + ".base",
                        "must reference an earlier cbf entry (got %d at index %d)" % (base, i))
-            a = v.number(d.get("a", 0), path + ".a", minimum=0.0)
-            b = v.number(d.get("b", 0), path + ".b", minimum=0.0)
-            if "a" not in d:
-                d["a"] = 0
-            if "b" not in d:
-                d["b"] = 0
+            for key in ("a", "b"):
+                if key not in d:
+                    d[key] = 0
+                    v.note_default(path + "." + key, "0")
+            a = v.number(d["a"], path + ".a", minimum=0.0)
+            b = v.number(d["b"], path + ".b", minimum=0.0)
             if a + b <= 0.0:
                 v.fail(path, "transform needs a + b > 0 (got a = %g, b = %g)" % (a, b))
             if "gamma" in d:
@@ -365,6 +365,7 @@ def _valid_controller(v: _Validator, data: dict, n: int, m: int,
         v.matrix(w["value"], "controller.weight.value", shape=(m, m))
     if "cbf" not in d:
         d["cbf"] = 0
+        v.note_default("controller.cbf", "0")
     v.integer(d["cbf"], "controller.cbf", minimum=0)
     if d["cbf"] >= n_cbfs:
         v.fail("controller.cbf", "index %d out of range (have %d cbfs)" % (d["cbf"], n_cbfs))

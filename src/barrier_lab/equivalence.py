@@ -56,16 +56,6 @@ def default_boundary_samples(pair: BarrierPair, count: int = DEFAULT_SAMPLES) ->
     return pair.geometry.boundary_points(count)
 
 
-def _check_on_boundary(h1: BarrierPair, h2: BarrierPair, samples: np.ndarray) -> None:
-    for tag, pair in (("first", h1), ("second", h2)):
-        values = np.abs(np.asarray(pair.h(samples), dtype=float))
-        worst = int(np.argmax(values))
-        if float(values[worst]) >= BOUNDARY_TOL:
-            raise PreconditionError(
-                "sample %d is off the %s barrier's zero set: |h| = %g"
-                % (worst, tag, float(values[worst])))
-
-
 def gradient_ratio(h1: BarrierPair, h2: BarrierPair,
                    samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-sample zeta = grad_h2^T grad_h1 / ||grad_h1||^2 and parallelism defect.
@@ -74,9 +64,17 @@ def gradient_ratio(h1: BarrierPair, h2: BarrierPair,
     relation holds when every defect is below 1e-8 and every zeta above 1e-10.
     """
     samples = np.asarray(samples, dtype=float)
-    _check_on_boundary(h1, h2, samples)
-    g1 = np.asarray(h1.grad_h(samples), dtype=float)
-    g2 = np.asarray(h2.grad_h(samples), dtype=float)
+    grads = []
+    for tag, pair in (("first", h1), ("second", h2)):
+        h, grad = pair.value_and_grad(samples)
+        values = np.abs(np.asarray(h, dtype=float))
+        worst = int(np.argmax(values))
+        if float(values[worst]) >= BOUNDARY_TOL:
+            raise PreconditionError(
+                "sample %d is off the %s barrier's zero set: |h| = %g"
+                % (worst, tag, float(values[worst])))
+        grads.append(np.asarray(grad, dtype=float))
+    g1, g2 = grads
     norm1_sq = dot(g1, g1)
     if float(np.min(norm1_sq)) <= ZETA_MIN ** 2:
         raise PreconditionError("grad of the first barrier vanishes at a sample")

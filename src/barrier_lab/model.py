@@ -2,8 +2,10 @@
 
 All evaluators follow a batched convention: states have shape (..., n) and
 outputs gain the corresponding leading axes, so ``f(x) -> (..., n)``,
-``g(x) -> (..., n, m)``, ``h(x) -> (...)``, ``grad_h(x) -> (..., n)`` and
-``hess_h(x) -> (..., n, n)``. Scalar maps (alpha, beta, gamma) are elementwise.
+``g(x) -> (..., n, m)`` and ``hess_h(x) -> (..., n, n)``. A scalar state
+function (a barrier h, a Lyapunov function V, a transform's eta) has one
+evaluator ``value_and_grad(x) -> ((...), (..., n))``. Scalar maps (alpha,
+beta, gamma) are elementwise.
 Every type is immutable after construction and safe to share across workers.
 
 An evaluator may return its input (an identity matrix or a unit slope skips
@@ -112,20 +114,11 @@ class ScalarMap:
 class StateMap:
     """Scalar-valued state function with gradient and Hessian, e.g. eta.
 
-    The optional ``fun_and_grad`` returns (fun(x), grad(x)) with the values
-    of the separate evaluators while sharing their common work, as
-    BarrierPair's h_and_grad does for h.
+    ``value_and_grad(x)`` returns the value and the gradient at x together.
     """
 
-    fun: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     hess: Callable[[np.ndarray], np.ndarray]
-    fun_and_grad: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
-
-    def value_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.fun_and_grad is not None:
-            return self.fun_and_grad(x)
-        return self.fun(x), self.grad(x)
 
 
 def linear_map(slope: float) -> ScalarMap:
@@ -161,20 +154,16 @@ def constant_state_map(value: float) -> StateMap:
     """eta(x) = value; positive value gives a pure rescaling transform."""
     value = float(value)
 
-    def fun(x):
+    def value_and_grad(x):
         x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], value)
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
+        return np.full(x.shape[:-1], value), np.zeros_like(x)
 
     def hess(x):
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
         return np.zeros(x.shape[:-1] + (n, n))
 
-    return StateMap(fun=fun, grad=grad, hess=hess)
+    return StateMap(value_and_grad=value_and_grad, hess=hess)
 
 
 def quadratic_offset_map(center: Sequence[float], offset: float) -> StateMap:
@@ -182,14 +171,7 @@ def quadratic_offset_map(center: Sequence[float], offset: float) -> StateMap:
     center = np.array(center, dtype=float)
     offset = float(offset)
 
-    def fun(x):
-        d = np.asarray(x, dtype=float) - center
-        return dot(d, d) + offset
-
-    def grad(x):
-        return 2.0 * (np.asarray(x, dtype=float) - center)
-
-    def fun_and_grad(x):
+    def value_and_grad(x):
         d = np.asarray(x, dtype=float) - center
         return dot(d, d) + offset, 2.0 * d
 
@@ -198,7 +180,7 @@ def quadratic_offset_map(center: Sequence[float], offset: float) -> StateMap:
         n = x.shape[-1]
         return np.broadcast_to(2.0 * np.eye(n), x.shape[:-1] + (n, n)).copy()
 
-    return StateMap(fun=fun, grad=grad, hess=hess, fun_and_grad=fun_and_grad)
+    return StateMap(value_and_grad=value_and_grad, hess=hess)
 
 
 @dataclass(frozen=True)
@@ -322,45 +304,41 @@ class BarrierPair:
     """A barrier h with its extended class-K function alpha.
 
     The safe set is S = {h >= 0}. The controller constraint built from the
-    pair is grad_h(x)^T (f + g u) + alpha(h(x)) >= 0. The optional
-    ``h_and_grad`` returns (h(x), grad_h(x)) with the values of the separate
-    evaluators while sharing their common work.
+    pair is grad_h(x)^T (f + g u) + alpha(h(x)) >= 0. ``value_and_grad(x)``
+    returns (h(x), grad_h(x)); h and grad_h read it.
     """
 
-    h: Callable[[np.ndarray], np.ndarray]
-    grad_h: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     hess_h: Callable[[np.ndarray], np.ndarray]
     alpha: Callable[[np.ndarray], np.ndarray]
     alpha_prime: Callable[[np.ndarray], np.ndarray]
     geometry: Optional[SafeSetGeometry] = None
-    h_and_grad: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
-    def value_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.h_and_grad is not None:
-            return self.h_and_grad(x)
-        return self.h(x), self.grad_h(x)
+    def h(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(x)[0]
+
+    def grad_h(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(x)[1]
 
 
 @dataclass(frozen=True)
 class LyapunovPair:
     """A Lyapunov function V with class-K beta; V certifies decrease to xstar.
 
-    The optional ``v_and_grad`` returns (v(x), grad_v(x)), as BarrierPair's
-    h_and_grad does for h.
+    ``value_and_grad(x)`` returns (v(x), grad_v(x)); v and grad_v read it.
     """
 
-    v: Callable[[np.ndarray], np.ndarray]
-    grad_v: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     hess_v: Callable[[np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]
     beta_prime: Callable[[np.ndarray], np.ndarray]
     xstar: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    v_and_grad: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
-    def value_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.v_and_grad is not None:
-            return self.v_and_grad(x)
-        return self.v(x), self.grad_v(x)
+    def v(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(x)[0]
+
+    def grad_v(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(x)[1]
 
 
 def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
@@ -387,16 +365,7 @@ def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
     # (h's in the full form, grad's in the half form) is skipped
     full = form == "full"
 
-    def h(x):
-        d = np.asarray(x, dtype=float) - center
-        v = dot(d, d) - radius ** 2
-        return v if full else 0.5 * v
-
-    def grad_h(x):
-        d = np.asarray(x, dtype=float) - center
-        return scale * d if full else d
-
-    def h_and_grad(x):
+    def value_and_grad(x):
         d = np.asarray(x, dtype=float) - center
         v = dot(d, d) - radius ** 2
         return (v, scale * d) if full else (0.5 * v, d)
@@ -407,9 +376,8 @@ def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
 
     alpha = linear_map(alpha_slope)
     geometry = SafeSetGeometry(kind="ball-complement-2d", center=center, radius=radius)
-    return BarrierPair(h=h, grad_h=grad_h, hess_h=hess_h,
-                       alpha=alpha.fun, alpha_prime=alpha.deriv, geometry=geometry,
-                       h_and_grad=h_and_grad)
+    return BarrierPair(value_and_grad=value_and_grad, hess_h=hess_h,
+                       alpha=alpha.fun, alpha_prime=alpha.deriv, geometry=geometry)
 
 
 def quadratic_clf(q: np.ndarray, xstar: Optional[Sequence[float]] = None,
@@ -433,21 +401,14 @@ def quadratic_clf(q: np.ndarray, xstar: Optional[Sequence[float]] = None,
 
     times_q = linear_evaluator(q)
 
-    def v_and_grad(x):
+    def value_and_grad(x):
         d = np.asarray(x, dtype=float) - xstar
         grad = times_q(d)
         return 0.5 * dot(d, grad), grad
 
-    def v(x):
-        return v_and_grad(x)[0]
-
-    def grad_v(x):
-        return times_q(np.asarray(x, dtype=float) - xstar)
-
     beta = linear_map(beta_slope)
-    return LyapunovPair(v=v, grad_v=grad_v, hess_v=constant_matrix(q),
-                        beta=beta.fun, beta_prime=beta.deriv, xstar=xstar,
-                        v_and_grad=v_and_grad)
+    return LyapunovPair(value_and_grad=value_and_grad, hess_v=constant_matrix(q),
+                        beta=beta.fun, beta_prime=beta.deriv, xstar=xstar)
 
 
 TRANSFORM_ETA_SAMPLES = 64   # boundary samples used to vet eta > 0
@@ -479,28 +440,18 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
             raise InvalidParameterError("gamma needs a second derivative when a > 0")
     if b > 0.0 and base.geometry is not None:
         samples = base.geometry.boundary_points(TRANSFORM_ETA_SAMPLES)
-        eta_vals = np.asarray(eta.fun(samples), dtype=float)
+        eta_vals = np.asarray(eta.value_and_grad(samples)[0], dtype=float)
         if np.any(eta_vals <= 0.0):
             raise InvalidParameterError("eta must be positive on the boundary (min %g)" % float(np.min(eta_vals)))
 
-    base_h, base_value_and_grad, base_hess = base.h, base.value_and_grad, base.hess_h
+    base_value_and_grad, base_hess = base.value_and_grad, base.hess_h
     gfun, gprime, gsecond = gamma.fun, gamma.deriv, gamma.second
-    efun, eta_and_grad, ehess = eta.fun, eta.value_and_grad, eta.hess
+    eta_and_grad, ehess = eta.value_and_grad, eta.hess
 
     # a coefficient of 1 multiplies nothing: c * v is v in every bit when c = 1.0
     unit_a, unit_b = a == 1.0, b == 1.0
 
-    def h(x):
-        hv = base_h(x)
-        ev = efun(x)
-        out = ev * hv if unit_b else b * ev * hv
-        if a != 0.0:
-            gam = gfun(hv)
-            out = out + (gam if unit_a else a * gam)
-        return out
-
-    def h_and_grad(x):
-        # the base barrier and eta are each evaluated once for both outputs
+    def value_and_grad(x):
         hv, gv = base_value_and_grad(x)
         hv = np.asarray(hv, dtype=float)
         ev, egv = eta_and_grad(x)
@@ -514,9 +465,6 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
             value = value + (gam if unit_a else a * gam)
             grad = grad + (slope if unit_a else a * slope) * gv
         return value, grad
-
-    def grad_h(x):
-        return h_and_grad(x)[1]
 
     def hess_h(x):
         hv, gv = base_value_and_grad(x)
@@ -539,9 +487,8 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
         alpha_fun, alpha_deriv = base.alpha, base.alpha_prime
     else:
         alpha_fun, alpha_deriv = alpha.fun, alpha.deriv
-    return BarrierPair(h=h, grad_h=grad_h, hess_h=hess_h,
-                       alpha=alpha_fun, alpha_prime=alpha_deriv, geometry=base.geometry,
-                       h_and_grad=h_and_grad)
+    return BarrierPair(value_and_grad=value_and_grad, hess_h=hess_h,
+                       alpha=alpha_fun, alpha_prime=alpha_deriv, geometry=base.geometry)
 
 
 def central_difference_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

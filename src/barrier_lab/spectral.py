@@ -102,13 +102,14 @@ def jacobian_clf_cbf_boundary(controller, x_star: np.ndarray) -> np.ndarray:
             "strict complementarity needed: lam1 = %g, lam2 = %g must exceed %g"
             % (lam1, lam2, DESIRABILITY_TOL))
     d = constant_d_matrix(controller)
-    grad_v = np.asarray(clf.grad_v(x), dtype=float)
+    v, grad_v = clf.value_and_grad(x)
+    grad_v = np.asarray(grad_v, dtype=float)
     grad_h = np.asarray(cbf.grad_h(x), dtype=float)
     h_v = np.asarray(clf.hess_v(x), dtype=float)
     h_h = np.asarray(cbf.hess_h(x), dtype=float)
     j_f = np.asarray(model.jf(x), dtype=float)
     a_p0 = float(cbf.alpha_prime(0.0))
-    b_pv = float(clf.beta_prime(clf.v(x)))
+    b_pv = float(clf.beta_prime(v))
 
     # a, bb and c as the multipliers used them (Delta = [[a, -bb], [-bb, c]])
     a, bb, c = float(delta_mat[0, 0]), -float(delta_mat[0, 1]), float(delta_mat[1, 1])

@@ -16,6 +16,7 @@ from barrier_lab import (
     comparison_config,
     main,
     parse_config_text,
+    validate_config,
 )
 from barrier_lab.artifacts import json_dumps
 from barrier_lab.cli import ScenarioRun
@@ -270,6 +271,25 @@ class TestEmitConfig:
         parsed = parse_config_text(emitted)
         assert parsed.to_json_dict() == builtin_scenario("fig2").to_json_dict()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAppliedDefaults:
+    def test_every_injected_default_is_listed(self):
+        data = builtin_scenario("fig3-h2a1").to_json_dict()
+        del data["cbfs"][1]["a"]
+        data["cbfs"].append({"kind": "transform", "base": 0, "a": 1,
+                             "alpha": {"kind": "linear", "slope": 1}})
+        del data["controller"]["weight"], data["controller"]["cbf"]
+        config = validate_config(data)
+        assert config.applied_defaults == (
+            "cbfs[1].a defaulted to 0",
+            "cbfs[2].b defaulted to 0",
+            "controller.weight defaulted to the identity matrix G = I",
+            "controller.cbf defaulted to 0",
+        )
+        assert (config.cbfs[1]["a"], config.cbfs[2]["b"], config.controller["cbf"]) == (0, 0, 0)
+        for name in BUILTIN_SCENARIOS:
+            assert builtin_scenario(name).applied_defaults == ()
 
 
 class TestComparison:

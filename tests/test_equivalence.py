@@ -36,7 +36,7 @@ def predicted_zeta(step, x):
         out = out + step.a * float(gamma.deriv(0.0))
     if step.b != 0.0:
         eta = step.eta
-        out = out + step.b * np.asarray(eta.fun(x), dtype=float)
+        out = out + step.b * np.asarray(eta.value_and_grad(x)[0], dtype=float)
     return out
 
 
@@ -47,7 +47,7 @@ def predicted_zeta_tilde(base, step, x):
     if step.a != 0.0:
         out = out + 0.5 * step.a * float(step.gamma.second(0.0)) * np.asarray(base.grad_h(x), dtype=float)
     if step.b != 0.0:
-        out = out + step.b * np.asarray(step.eta.grad(x), dtype=float)
+        out = out + step.b * np.asarray(step.eta.value_and_grad(x)[1], dtype=float)
     return out
 
 
@@ -131,10 +131,14 @@ class TestVerdictBoundaries:
 
     def test_flipped_gradient_is_rejected(self, fig3):
         base = fig3.pair
+
+        def flipped_value_and_grad(x):
+            h, grad = base.value_and_grad(x)
+            return -np.asarray(h, dtype=float), -np.asarray(grad, dtype=float)
+
         flipped = rebuild(
             base,
-            h=lambda x: -np.asarray(base.h(x), dtype=float),
-            grad_h=lambda x: -np.asarray(base.grad_h(x), dtype=float),
+            value_and_grad=flipped_value_and_grad,
             hess_h=lambda x: -np.asarray(base.hess_h(x), dtype=float),
         )
         report = hessian_equivalence(base, flipped)

@@ -1,10 +1,10 @@
 """Each fast path against the slow path it replaces, compared bit for bit.
 
 The fast paths: products with g and W formed once from their constant marks
-(identity products skipped), unit factors that skip the multiply by 1, eta's
-value and gradient from one pass, the CLF-CBF failure mask read from lam1,
-and the basin loop stepping its running rows packed. Stored results own their memory even when an evaluator returns
-its input.
+(identity products skipped), unit factors that skip the multiply by 1, each
+state function's value and gradient from one evaluator, the CLF-CBF failure
+mask read from lam1, and the basin loop stepping its running rows packed.
+Stored results own their memory even when an evaluator returns its input.
 """
 
 import math
@@ -25,7 +25,8 @@ from barrier_lab import (
     transform_cbf,
 )
 from barrier_lab.model import (constant_state_map, dot, identity_map, linear_evaluator,
-                               linear_map, outer, quadratic_map, quadratic_offset_map)
+                               linear_map, matvec, outer, quadratic_map,
+                               quadratic_offset_map)
 from barrier_lab.qp import DUAL_TOL, FEAS_TOL, _clf_cbf_fields, _clf_cbf_solution
 from barrier_lab.sim import (STATUS_CONVERGED, STATUS_ERROR, STATUS_LEFT, STATUS_RUNNING,
                              _advance, _labels)
@@ -104,7 +105,7 @@ class TestUnitFactors:
             with np.errstate(invalid="ignore"):
                 d = SPECIAL - center
                 want_h = 0.5 * scale * (dot(d, d) - 1.5 ** 2)
-                value, grad = ball.h_and_grad(SPECIAL)
+                value, grad = ball.value_and_grad(SPECIAL)
                 assert np.array_equal(bits(grad), bits(scale * d))
                 assert np.array_equal(bits(ball.grad_h(SPECIAL)), bits(scale * d))
                 assert np.array_equal(bits(value), bits(want_h))
@@ -120,7 +121,7 @@ class TestUnitFactors:
             pair = transform_cbf(base, a, b, gamma=gamma, eta=eta)
             with np.errstate(invalid="ignore", over="ignore"):
                 want = reference_transform(base, a, b, gamma or identity_map(), eta, xs)
-                value, grad = pair.h_and_grad(xs)
+                value, grad = pair.value_and_grad(xs)
                 got = (pair.h(xs), value, grad, pair.grad_h(xs), pair.hess_h(xs))
                 for part, expect in zip(got, (want[0], want[0], want[1], want[1], want[2])):
                     assert np.array_equal(bits(part), bits(expect)), (a, b)
@@ -128,23 +129,96 @@ class TestUnitFactors:
         same = transform_cbf(base, 0.0, 1.0, eta=constant_state_map(1.0))
         assert np.array_equal(bits(same.h(xs[8:])), bits(base.h(xs[8:])))
 
-    def test_shared_eta_terms_are_the_separate_evaluators(self):
-        for eta in (quadratic_offset_map((5.0, 1.0), 1.0), constant_state_map(2.0)):
-            for x in (SPECIAL, SPECIAL[0]):
-                with np.errstate(invalid="ignore"):
-                    value, grad = eta.value_and_grad(x)
-                    assert np.array_equal(bits(value), bits(eta.fun(x)))
-                    assert np.array_equal(bits(grad), bits(eta.grad(x)))
+
+def written_out_ball(center, radius, form):
+    """The ball's h and grad_h as separate expressions, unit factors skipped."""
+    def h(x):
+        d = np.asarray(x, dtype=float) - center
+        v = dot(d, d) - radius ** 2
+        return v if form == "full" else 0.5 * v
+
+    def grad_h(x):
+        d = np.asarray(x, dtype=float) - center
+        return 2.0 * d if form == "full" else d
+
+    return h, grad_h
+
+
+def written_out_transform(base_h, base_grad, a, b, gamma, eta_fun, eta_grad):
+    """h and grad_h of a gamma(h1) + b eta h1 as separate expressions, unit factors skipped."""
+    def h(x):
+        hv, ev = base_h(x), eta_fun(x)
+        out = ev * hv if b == 1.0 else b * ev * hv
+        if a != 0.0:
+            out = out + (gamma.fun(hv) if a == 1.0 else a * gamma.fun(hv))
+        return out
+
+    def grad_h(x):
+        hv, gv = np.asarray(base_h(x), dtype=float), base_grad(x)
+        grad = eta_fun(x)[..., None] * gv + hv[..., None] * eta_grad(x)
+        if b != 1.0:
+            grad = b * grad
+        if a != 0.0:
+            slope = np.asarray(gamma.deriv(hv), dtype=float)[..., None]
+            grad = grad + (slope if a == 1.0 else a * slope) * gv
+        return grad
+
+    return h, grad_h
+
+
+class TestOneEvaluator:
+    def test_value_and_grad_is_the_written_out_value_and_gradient(self):
+        center = np.array([2.0, 0.0])
+        offset_center = np.array([5.0, 1.0])
+        q, xstar = np.array([[6.0, 1.0], [1.0, 2.0]]), np.array([0.5, -1.0])
+        cases = []
+        for form in ("full", "half"):
+            cases.append((make_ball_cbf(center, 1.0, form=form).value_and_grad,
+                          written_out_ball(center, 1.0, form)))
+        etas = [
+            (constant_state_map(2.0),
+             lambda x: np.full(np.shape(x)[:-1], 2.0),
+             lambda x: np.zeros_like(np.asarray(x, dtype=float))),
+            (quadratic_offset_map(offset_center, 1.0),
+             lambda x: dot(np.asarray(x, dtype=float) - offset_center,
+                           np.asarray(x, dtype=float) - offset_center) + 1.0,
+             lambda x: 2.0 * (np.asarray(x, dtype=float) - offset_center)),
+        ]
+        base = make_ball_cbf(center, 1.0)
+        base_h, base_grad = written_out_ball(center, 1.0, "full")
+        gamma = quadratic_map(1.0, 0.5)
+        for eta, eta_fun, eta_grad in etas:
+            cases.append((eta.value_and_grad, (eta_fun, eta_grad)))
+            for a in (0.0, 1.0, 2.0):
+                for b in (0.5, 1.0):
+                    pair = transform_cbf(base, a, b, gamma=gamma, eta=eta)
+                    cases.append((pair.value_and_grad, written_out_transform(
+                        base_h, base_grad, a, b, gamma, eta_fun, eta_grad)))
+
+        def grad_v(x):
+            return matvec(q, np.asarray(x, dtype=float) - xstar)
+
+        def v(x):
+            return 0.5 * dot(np.asarray(x, dtype=float) - xstar, grad_v(x))
+
+        cases.append((quadratic_clf(q, xstar=xstar).value_and_grad, (v, grad_v)))
+        assert len(cases) == 17
+        for value_and_grad, (value, grad) in cases:
+            for x in (SPECIAL, SPECIAL[1]):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got, want = value_and_grad(x), (value(x), grad(x))
+                for part, expect in zip(got, want):
+                    assert np.array_equal(bits(part), bits(expect))
 
 
 def reference_transform(base, a, b, gamma, eta, x):
     """h, grad and Hessian of a gamma(h1) + b eta h1, each coefficient multiplied."""
     hv, gv = base.value_and_grad(x)
     hv = np.asarray(hv, dtype=float)
-    ev = eta.fun(x)
+    ev, egv = eta.value_and_grad(x)
     value = b * ev * hv
-    grad = b * (ev[..., None] * gv + hv[..., None] * eta.grad(x))
-    cross = outer(eta.grad(x), gv)
+    grad = b * (ev[..., None] * gv + hv[..., None] * egv)
+    cross = outer(egv, gv)
     hess = b * (hv[..., None, None] * eta.hess(x) + cross + np.swapaxes(cross, -1, -2)
                 + np.asarray(ev)[..., None, None] * base.hess_h(x))
     if a != 0.0:

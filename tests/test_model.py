@@ -149,26 +149,6 @@ class TestTransform:
         assert np.max(np.abs(np.asarray(same.h(x)) - np.asarray(base.h(x)))) < 1e-15
         assert np.max(np.abs(np.asarray(same.grad_h(x)) - np.asarray(base.grad_h(x)))) < 1e-15
 
-    def test_combined_evaluators_match_the_separate_ones(self):
-        # the laws read value_and_grad; it must give exactly what h and grad_h give
-        base = self.base()
-        inner = transform_cbf(base, 2.0, 0.5, gamma=quadratic_map(1.0, -0.25),
-                              eta=quadratic_offset_map((5.0, 1.0), 1.0))
-        pairs = [base, make_ball_cbf((0.0, 3.0), 1.5, form="half"),
-                 transform_cbf(base, 0.0, 1.0, eta=quadratic_offset_map((5.0, 1.0), 1.0)),
-                 transform_cbf(inner, 1.5, 0.0, gamma=quadratic_map(2.0, 0.3))]
-        xs = np.random.default_rng(3).uniform(-2.0, 5.0, size=(50, 2))
-        for pair in pairs:
-            for x in (xs, xs[7]):
-                h, grad = pair.value_and_grad(x)
-                assert np.array_equal(h, pair.h(x))
-                assert np.array_equal(grad, pair.grad_h(x))
-        clf = quadratic_clf(np.array([[6.0, 1.0], [1.0, 2.0]]), xstar=(0.5, -1.0))
-        for x in (xs, xs[7]):
-            v, grad = clf.value_and_grad(x)
-            assert np.array_equal(v, clf.v(x))
-            assert np.array_equal(grad, clf.grad_v(x))
-
     def test_alpha_override(self):
         h2 = transform_cbf(self.base(), 0.0, 1.0, eta=constant_state_map(1.0),
                            alpha=ScalarMap(fun=lambda s: 10.0 * np.asarray(s, dtype=float),
@@ -357,9 +337,12 @@ class TestValidateModel:
     def test_wrong_gradient_is_caught_and_named(self):
         model = single_integrator_2d(gain=np.diag([-1.0, -5.0]))
         good = make_ball_cbf((2.0, 0.0), 1.0)
-        bad = type(good)(h=good.h,
-                         grad_h=lambda x: 1.1 * np.asarray(good.grad_h(x), dtype=float),
-                         hess_h=good.hess_h, alpha=good.alpha,
+
+        def value_and_grad(x):
+            h, grad = good.value_and_grad(x)
+            return h, 1.1 * np.asarray(grad, dtype=float)
+
+        bad = type(good)(value_and_grad=value_and_grad, hess_h=good.hess_h, alpha=good.alpha,
                          alpha_prime=good.alpha_prime, geometry=good.geometry)
         report = validate_model(model, [bad], self.samples())
         assert not report.passed

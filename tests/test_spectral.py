@@ -127,13 +127,12 @@ class TestGoldenJacobians:
         # dx/dt = u, k = -diag(1, 5, 9) x, ball of center (2, 0, 0) and radius 1
         center = np.array([2.0, 0.0, 0.0])
 
-        def h(x):
+        def value_and_grad(x):
             d = np.asarray(x, dtype=float) - center
-            return np.sum(d * d, axis=-1) - 1.0
+            return np.sum(d * d, axis=-1) - 1.0, 2.0 * d
 
         alpha = linear_map(1.0)
-        pair = BarrierPair(h=h, grad_h=lambda x: 2.0 * (np.asarray(x, dtype=float) - center),
-                           hess_h=lambda x: 2.0 * np.eye(3),
+        pair = BarrierPair(value_and_grad=value_and_grad, hess_h=lambda x: 2.0 * np.eye(3),
                            alpha=alpha.fun, alpha_prime=alpha.deriv)
         model = linear_system(np.zeros((3, 3)), np.eye(3), -np.diag([1.0, 5.0, 9.0]))
         controller = SafetyFilterController(model, pair)
@@ -146,7 +145,7 @@ class TestGoldenJacobians:
         ]
         for points, eigs, reduced, label in golden:
             for x in map(np.array, points):
-                assert abs(h(x)) < 1e-12
+                assert abs(pair.h(x)) < 1e-12
                 assert np.max(np.abs(controller.field(x))) < 1e-12
                 jac = jacobian_safety_filter_boundary(controller, x)
                 fd = central_difference_jacobian(controller.field, x)
