@@ -129,6 +129,32 @@ class TestUnitFactors:
         same = transform_cbf(base, 0.0, 1.0, eta=constant_state_map(1.0))
         assert np.array_equal(bits(same.h(xs[8:])), bits(base.h(xs[8:])))
 
+    def test_shared_eta_terms_are_the_separate_evaluators(self):
+        for eta, fun, grad in written_out_etas(OFFSET_CENTER):
+            for x in (SPECIAL, SPECIAL[0]):
+                with np.errstate(invalid="ignore"):
+                    value, gradient = eta.value_and_grad(x)
+                    assert np.array_equal(bits(value), bits(fun(x)))
+                    assert np.array_equal(bits(gradient), bits(grad(x)))
+
+
+OFFSET_CENTER = np.array([5.0, 1.0])
+
+
+def written_out_etas(center):
+    """Each eta map beside its value and gradient as separate expressions."""
+    def offset(x):
+        return np.asarray(x, dtype=float) - center
+
+    return [
+        (constant_state_map(2.0),
+         lambda x: np.full(np.shape(x)[:-1], 2.0),
+         lambda x: np.zeros_like(np.asarray(x, dtype=float))),
+        (quadratic_offset_map(center, 1.0),
+         lambda x: dot(offset(x), offset(x)) + 1.0,
+         lambda x: 2.0 * offset(x)),
+    ]
+
 
 def written_out_ball(center, radius, form):
     """The ball's h and grad_h as separate expressions, unit factors skipped."""
@@ -169,21 +195,13 @@ def written_out_transform(base_h, base_grad, a, b, gamma, eta_fun, eta_grad):
 class TestOneEvaluator:
     def test_value_and_grad_is_the_written_out_value_and_gradient(self):
         center = np.array([2.0, 0.0])
-        offset_center = np.array([5.0, 1.0])
+        offset_center = OFFSET_CENTER
         q, xstar = np.array([[6.0, 1.0], [1.0, 2.0]]), np.array([0.5, -1.0])
         cases = []
         for form in ("full", "half"):
             cases.append((make_ball_cbf(center, 1.0, form=form).value_and_grad,
                           written_out_ball(center, 1.0, form)))
-        etas = [
-            (constant_state_map(2.0),
-             lambda x: np.full(np.shape(x)[:-1], 2.0),
-             lambda x: np.zeros_like(np.asarray(x, dtype=float))),
-            (quadratic_offset_map(offset_center, 1.0),
-             lambda x: dot(np.asarray(x, dtype=float) - offset_center,
-                           np.asarray(x, dtype=float) - offset_center) + 1.0,
-             lambda x: 2.0 * (np.asarray(x, dtype=float) - offset_center)),
-        ]
+        etas = written_out_etas(offset_center)
         base = make_ball_cbf(center, 1.0)
         base_h, base_grad = written_out_ball(center, 1.0, "full")
         gamma = quadratic_map(1.0, 0.5)

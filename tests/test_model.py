@@ -149,6 +149,30 @@ class TestTransform:
         assert np.max(np.abs(np.asarray(same.h(x)) - np.asarray(base.h(x)))) < 1e-15
         assert np.max(np.abs(np.asarray(same.grad_h(x)) - np.asarray(base.grad_h(x)))) < 1e-15
 
+    def test_combined_evaluators_match_the_separate_ones(self):
+        # h, grad_h, v and grad_v are the parts of value_and_grad, and a batch
+        # gives each row exactly what that row gives alone
+        base = self.base()
+        inner = transform_cbf(base, 2.0, 0.5, gamma=quadratic_map(1.0, -0.25),
+                              eta=quadratic_offset_map((5.0, 1.0), 1.0))
+        pairs = [base, make_ball_cbf((0.0, 3.0), 1.5, form="half"),
+                 transform_cbf(base, 0.0, 1.0, eta=quadratic_offset_map((5.0, 1.0), 1.0)),
+                 transform_cbf(inner, 1.5, 0.0, gamma=quadratic_map(2.0, 0.3))]
+        xs = np.random.default_rng(3).uniform(-2.0, 5.0, size=(50, 2))
+        clf = quadratic_clf(np.array([[6.0, 1.0], [1.0, 2.0]]), xstar=(0.5, -1.0))
+        evaluators = [(pair.value_and_grad, pair.h, pair.grad_h) for pair in pairs]
+        evaluators.append((clf.value_and_grad, clf.v, clf.grad_v))
+        for value_and_grad, value, grad in evaluators:
+            batch_value, batch_grad = value_and_grad(xs)
+            assert np.array_equal(batch_value, value(xs))
+            assert np.array_equal(batch_grad, grad(xs))
+            for i in (0, 7, 49):
+                row_value, row_grad = value_and_grad(xs[i])
+                assert np.array_equal(row_value, batch_value[i])
+                assert np.array_equal(row_grad, batch_grad[i])
+                assert np.array_equal(value(xs[i]), row_value)
+                assert np.array_equal(grad(xs[i]), row_grad)
+
     def test_alpha_override(self):
         h2 = transform_cbf(self.base(), 0.0, 1.0, eta=constant_state_map(1.0),
                            alpha=ScalarMap(fun=lambda s: 10.0 * np.asarray(s, dtype=float),
