@@ -6,11 +6,12 @@ document and writes JSON/CSV artifacts plus a plain-text summary.
 `barrier-lab compare --config <path>` checks equilibrium/spectrum/field
 invariance across every barrier listed in the config.
 
-Exit codes: 0 success, 1 task error (partial artifacts retained), 2 config
-parse or validation error. A task error is a BarrierLabError, a numpy
-LinAlgError, a ValueError or an ArithmeticError (ZeroDivisionError,
-OverflowError, FloatingPointError) raised by a task; any other exception is
-a programming error and propagates.
+Exit codes: 0 success, 1 task error (partial artifacts retained) or a
+failed comparison check, 2 config parse or validation error. A task error
+is a BarrierLabError, a numpy LinAlgError, a ValueError or an
+ArithmeticError (ZeroDivisionError, OverflowError, FloatingPointError)
+raised by a task; any other exception is a programming error and
+propagates.
 """
 
 from __future__ import annotations
@@ -174,9 +175,9 @@ class ScenarioRun:
                 "char_poly": [float(c) for c in result.char_poly],
                 "eigenvalues": [complex(z) for z in result.eigenvalues],
                 "known_factor_root": result.known_factor_root,
-                "reduced_poly": (None if result.reduced_poly is None
-                                 else [float(c) for c in result.reduced_poly]),
-                "division_remainder": result.division_remainder,
+                "reduced_eigenvalues": (None if result.reduced_eigenvalues is None
+                                        else list(result.reduced_eigenvalues)),
+                "identity_residual": result.identity_residual,
             })
         self._write_equilibria_json()
         self._write_json("spectra.json", {"scenario": self.config.name,
@@ -390,9 +391,10 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
     """Invariance of equilibria, reduced spectra, and boundary fields.
 
     Every barrier in the config is run through the configured controller;
-    undesirable boundary equilibria, their reduced characteristic polynomials,
-    and the closed-loop field on boundary samples are compared against the
-    first barrier. Writes invariance_report.json and returns the report.
+    undesirable boundary equilibria, their reduced spectra (the eigenvalues
+    on the tangent space of the boundary), and the closed-loop field on
+    boundary samples are compared against the first barrier. Writes
+    invariance_report.json and returns the report.
     """
     if len(config.cbfs) < 2:
         raise ConfigError("comparison needs at least two cbfs (got %d)"
@@ -424,8 +426,8 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
                                    [r.x_star for r in per_pair[i]])
         hausdorff_max = max(hausdorff_max, value)
 
-    coeff_max = 0.0
-    remainder_max = 0.0
+    difference_max = 0.0
+    residual_max = 0.0
     spectra_ok = True
     for i in range(1, len(per_pair)):
         for report in per_pair[i]:
@@ -436,8 +438,8 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
                 continue
             match = per_pair[0][int(np.argmin(distances))]
             verdict = spectral_invariance_check(match.spectrum, report.spectrum)
-            coeff_max = max(coeff_max, float(verdict.max_coeff_difference))
-            remainder_max = max(remainder_max, float(max(verdict.remainders)))
+            difference_max = max(difference_max, verdict.max_relative_difference)
+            residual_max = max(residual_max, *verdict.identity_residuals)
             spectra_ok = spectra_ok and verdict.passed
 
     field_samples = default_boundary_samples(pairs[0], BOUNDARY_FIELD_SAMPLES)
@@ -449,10 +451,10 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
     checks = {
         "hausdorff": {"tolerance": HAUSDORFF_TOL, "max": hausdorff_max,
                       "passed": bool(hausdorff_max <= HAUSDORFF_TOL)},
-        "reduced_poly": {"tolerance": INVARIANCE_TOL,
-                         "max_coeff_difference": coeff_max,
-                         "max_division_remainder": remainder_max,
-                         "passed": bool(spectra_ok and coeff_max <= INVARIANCE_TOL)},
+        "reduced_spectrum": {"tolerance": INVARIANCE_TOL,
+                             "max_relative_difference": difference_max,
+                             "max_identity_residual": residual_max,
+                             "passed": bool(spectra_ok)},
         "boundary_field": {"tolerance": BOUNDARY_FIELD_TOL,
                            "samples": BOUNDARY_FIELD_SAMPLES,
                            "max_difference": field_max,
@@ -515,14 +517,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = parse_config(args.config)
         report = compare_pairs(config)
         for name, check in report["checks"].items():
-            bound = check.get("max", check.get("max_coeff_difference",
+            bound = check.get("max", check.get("max_relative_difference",
                                                check.get("max_difference")))
             print("%-15s max %-12.6g tol %-8g %s"
                   % (name, bound, check["tolerance"],
                      "pass" if check["passed"] else "FAIL"))
         print("overall         %s" % ("pass" if report["passed"] else "FAIL"))
         print("wrote %s" % os.path.join(config.output_dir, "invariance_report.json"))
-        return 0
+        return 0 if report["passed"] else 1
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

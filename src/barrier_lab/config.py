@@ -310,6 +310,12 @@ def _valid_cbfs(v: _Validator, data: dict, n: int) -> list:
             b = v.number(d["b"], path + ".b", minimum=0.0)
             if a + b <= 0.0:
                 v.fail(path, "transform needs a + b > 0 (got a = %g, b = %g)" % (a, b))
+            if a > 0.0 and "gamma" not in d:
+                d["gamma"] = {"kind": "identity"}
+                v.note_default(path + ".gamma", "the identity")
+            if b > 0.0 and "eta" not in d:
+                d["eta"] = {"kind": "constant", "value": 1}
+                v.note_default(path + ".eta", "the constant 1")
             if "gamma" in d:
                 _valid_gamma(v, d["gamma"], path + ".gamma")
             if "eta" in d:

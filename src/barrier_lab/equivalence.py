@@ -63,6 +63,13 @@ def gradient_ratio(h1: BarrierPair, h2: BarrierPair,
     The defect is ||grad_h2 - zeta grad_h1|| / ||grad_h2||; the gradient
     relation holds when every defect is below 1e-8 and every zeta above 1e-10.
     """
+    zeta, residual, _ = _gradient_ratio(h1, h2, samples)
+    return zeta, residual
+
+
+def _gradient_ratio(h1: BarrierPair, h2: BarrierPair,
+                    samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gradient_ratio's zeta and defect, and grad_h1 at the samples."""
     samples = np.asarray(samples, dtype=float)
     grads = []
     for tag, pair in (("first", h1), ("second", h2)):
@@ -82,7 +89,7 @@ def gradient_ratio(h1: BarrierPair, h2: BarrierPair,
     defect = np.sqrt(dot(g2 - zeta[..., None] * g1, g2 - zeta[..., None] * g1))
     scale = np.sqrt(dot(g2, g2))
     residual = defect / np.where(scale > 0.0, scale, 1.0)
-    return zeta, residual
+    return zeta, residual, g1
 
 
 def hessian_equivalence(h1: BarrierPair, h2: BarrierPair,
@@ -97,9 +104,7 @@ def hessian_equivalence(h1: BarrierPair, h2: BarrierPair,
     if samples is None:
         samples = default_boundary_samples(h1)
     samples = np.asarray(samples, dtype=float)
-    zeta, grad_residual = gradient_ratio(h1, h2, samples)
-
-    g1 = np.asarray(h1.grad_h(samples), dtype=float)
+    zeta, grad_residual, g1 = _gradient_ratio(h1, h2, samples)
     a_mat = (np.asarray(h2.hess_h(samples), dtype=float)
              - zeta[..., None, None] * np.asarray(h1.hess_h(samples), dtype=float))
     norm_sq = dot(g1, g1)

@@ -18,9 +18,10 @@ The safety-filter analogue at a boundary equilibrium of f~ = f + g k is
     J = J_f~ - (D grad_h grad_h^T / q) (J_f~ + alpha'(0) I)
         - D (grad_h^T f~ I - grad_h f~^T) H_h / q,     q = grad_h^T D grad_h.
 
-Both satisfy grad_h^T J = -alpha'(0) grad_h^T, so (s + alpha'(0)) divides the
-characteristic polynomial and the quotient does not depend on which barrier
-of the safe set (or which alpha) produced the controller.
+Both satisfy grad_h^T J = -alpha'(0) grad_h^T, so J maps grad_h^perp, the
+tangent space of dS, into itself. With T an orthonormal basis of it the
+spectrum is -alpha'(0) and eig(T^T J T), and that reduced part does not depend
+on which barrier of the safe set (or which alpha) produced the controller.
 """
 
 from dataclasses import dataclass, replace
@@ -37,21 +38,21 @@ D_CHECK_SAMPLES = 16
 D_CHECK_TOL = 1e-10
 D_CHECK_SPAN = 10.0        # sampling box [-10, 10]^n for models without constant marks
 D_CHECK_SEED = 0
-REMAINDER_TOL = 1e-6       # above this the known factor does not divide
+IDENTITY_TOL = 1e-6        # above this grad_h is not a left eigenvector of J
 STABILITY_TOL = 1e-8
-INVARIANCE_TOL = 1e-7
+INVARIANCE_TOL = 1e-7      # relative to max(1, |z|) per reduced eigenvalue z
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Spectrum of one Jacobian with the known-factor division bookkeeping."""
+    """Spectrum of one Jacobian and, at a known factor, its tangent-space part."""
 
     jacobian: np.ndarray
     char_poly: Tuple[float, ...]
     eigenvalues: Tuple[complex, ...]
     known_factor_root: Optional[float]
-    reduced_poly: Optional[Tuple[float, ...]]
-    division_remainder: Optional[float]
+    reduced_eigenvalues: Optional[Tuple[complex, ...]]
+    identity_residual: Optional[float]
     stability: str
 
 
@@ -149,9 +150,7 @@ def jacobian_safety_filter_boundary(controller, x_star: np.ndarray) -> np.ndarra
 
 def stability_label(eigenvalues: Sequence[complex]) -> str:
     reals = np.array([complex(z).real for z in eigenvalues])
-    if reals.size == 0:
-        return "inconclusive"
-    if np.any(np.abs(reals) <= STABILITY_TOL):
+    if reals.size == 0 or np.any(np.abs(reals) <= STABILITY_TOL):
         return "inconclusive"
     if np.all(reals < -STABILITY_TOL):
         return "asymptotically-stable"
@@ -160,39 +159,43 @@ def stability_label(eigenvalues: Sequence[complex]) -> str:
     return "saddle"
 
 
-def eigen_and_classify(jacobian: np.ndarray, alpha_prime0: Optional[float] = None) -> SpectralResult:
-    """Spectrum, known-factor division, and stability label for one Jacobian.
+def eigen_and_classify(jacobian: np.ndarray, alpha_prime0: Optional[float] = None,
+                       grad_h: Optional[np.ndarray] = None) -> SpectralResult:
+    """Spectrum, tangent-space spectrum, and stability label for one Jacobian.
 
-    The eigenvalues come from numpy's eigensolver, sorted by real part and
-    then imaginary part; the characteristic polynomial is the monic
-    polynomial with those roots. alpha_prime0 names the known left-eigenvalue
-    factor: (s + alpha_prime0) is divided out of the characteristic
-    polynomial and the quotient stored as reduced_poly. Pass None (interior
-    equilibria) to skip the division. A non-finite Jacobian raises
-    numpy's LinAlgError.
+    Eigenvalues come from numpy's eigensolver, sorted by real then imaginary
+    part; char_poly is the monic polynomial with those roots. alpha_prime0
+    and grad_h, given together, name the known left eigenpair: the reduced
+    eigenvalues are eig(T^T J T), T an orthonormal basis of grad_h^perp, and
+    the identity residual is ||grad_h^T J + alpha_prime0 grad_h^T|| / ||grad_h||.
+    A non-finite Jacobian raises numpy's LinAlgError.
     """
+    if (alpha_prime0 is None) != (grad_h is None):
+        raise PreconditionError("give alpha_prime0 and grad_h together or neither")
     jacobian = np.asarray(jacobian, dtype=float)
     roots = np.sort_complex(np.linalg.eigvals(jacobian))
     coeffs = np.poly(roots)     # real: the roots of a real matrix come in conjugate pairs
     eigenvalues = tuple(complex(z) for z in roots)
-    reduced = None
-    remainder = None
-    factor_root = None
+    factor_root = reduced = residual = None
     if alpha_prime0 is not None:
         factor_root = -float(alpha_prime0)
-        quotient, rest = np.polydiv(coeffs, [1.0, float(alpha_prime0)])
-        reduced, remainder = tuple(quotient.tolist()), float(rest[-1])
+        grad = np.asarray(grad_h, dtype=float)
+        tangent = np.linalg.svd(grad[None, :])[2][1:]      # orthonormal rows spanning grad^perp
+        reduced = np.sort_complex(np.linalg.eigvals(tangent @ jacobian @ tangent.T))
+        reduced = tuple(complex(z) for z in reduced)
+        residual = float(np.linalg.norm(grad @ jacobian - factor_root * grad)
+                         / np.linalg.norm(grad))
     return SpectralResult(jacobian=jacobian, char_poly=tuple(coeffs.tolist()),
                           eigenvalues=eigenvalues, known_factor_root=factor_root,
-                          reduced_poly=reduced, division_remainder=remainder,
+                          reduced_eigenvalues=reduced, identity_residual=residual,
                           stability=stability_label(eigenvalues))
 
 
 @dataclass(frozen=True)
 class InvarianceVerdict:
     verdict: str                 # pass | fail | factorization-failure
-    max_coeff_difference: float
-    remainders: Tuple[float, float]
+    max_relative_difference: float
+    identity_residuals: Tuple[float, float]
 
     @property
     def passed(self) -> bool:
@@ -200,52 +203,48 @@ class InvarianceVerdict:
 
 
 def spectral_invariance_check(a: SpectralResult, b: SpectralResult) -> InvarianceVerdict:
-    """Compare the reduced characteristic polynomials of two spectra.
+    """Compare the reduced eigenvalues of two spectra, each paired with its nearest.
 
-    Each spectrum carries its characteristic polynomial divided by its own
-    (s + alpha'(0)), as attach_spectra stored it; the quotients must agree
-    coefficient-wise within INVARIANCE_TOL. A division remainder above 1e-6
-    means -alpha'(0) is not actually an eigenvalue and the comparison is void.
-    A spectrum without a known factor raises PreconditionError.
+    Every reduced eigenvalue z of a and its nearest unmatched partner w of b
+    must have |z - w| < INVARIANCE_TOL max(1, |z|). An identity residual above
+    1e-6 (grad_h is no left eigenvector) voids the comparison. Spectra without
+    a known factor, or of different dimensions, raise PreconditionError.
     """
-    if a.reduced_poly is None or b.reduced_poly is None:
-        raise PreconditionError("invariance check needs two spectra with a known factor "
-                                "(undesirable boundary equilibria)")
-    remainders = (abs(a.division_remainder), abs(b.division_remainder))
-    if max(remainders) > REMAINDER_TOL:
-        return InvarianceVerdict(verdict="factorization-failure",
-                                 max_coeff_difference=float("nan"), remainders=remainders)
-    diff = float(np.max(np.abs(np.subtract(a.reduced_poly, b.reduced_poly))))
-    verdict = "pass" if diff < INVARIANCE_TOL else "fail"
-    return InvarianceVerdict(verdict=verdict, max_coeff_difference=diff, remainders=remainders)
+    if (a.reduced_eigenvalues is None or b.reduced_eigenvalues is None
+            or len(a.reduced_eigenvalues) != len(b.reduced_eigenvalues)):
+        raise PreconditionError("invariance check needs two spectra of one dimension with "
+                                "a known factor (undesirable boundary equilibria)")
+    residuals = (a.identity_residual, b.identity_residual)
+    if not np.max(residuals) <= IDENTITY_TOL:        # a NaN residual voids it too
+        return InvarianceVerdict("factorization-failure", float("nan"), residuals)
+    unmatched, diff = list(b.reduced_eigenvalues), 0.0
+    for z in a.reduced_eigenvalues:
+        w = unmatched.pop(int(np.argmin([abs(z - u) for u in unmatched])))
+        diff = max(diff, abs(z - w) / max(1.0, abs(z)))
+    return InvarianceVerdict("pass" if diff < INVARIANCE_TOL else "fail", diff, residuals)
 
 
-def _closed_form_jacobian(controller, report: EquilibriumReport) -> Optional[np.ndarray]:
-    if report.kind != "boundary" or report.desirability != "undesirable":
-        return None
-    if controller.kind == "clf-cbf-qp":
-        return jacobian_clf_cbf_boundary(controller, report.x_star)
-    if controller.kind == "safety-filter":
-        return jacobian_safety_filter_boundary(controller, report.x_star)
-    return None
+_CLOSED_FORMS = {"clf-cbf-qp": jacobian_clf_cbf_boundary,
+                 "safety-filter": jacobian_safety_filter_boundary}
 
 
 def _spectrum(controller, report: EquilibriumReport) -> SpectralResult:
-    closed = _closed_form_jacobian(controller, report)
-    if closed is not None:
-        return eigen_and_classify(closed, float(controller.pair.alpha_prime(0.0)))
+    closed_form = _CLOSED_FORMS.get(controller.kind)
+    if closed_form is not None and report.kind == "boundary" \
+            and report.desirability == "undesirable":
+        pair = controller.pair
+        return eigen_and_classify(closed_form(controller, report.x_star),
+                                  float(pair.alpha_prime(0.0)), pair.grad_h(report.x_star))
     jac = central_difference_jacobian(lambda s: np.asarray(controller.field(s), dtype=float),
                                       report.x_star)
-    return eigen_and_classify(jac, None)
+    return eigen_and_classify(jac)
 
 
 def attach_spectra(reports: Sequence[EquilibriumReport], controller) -> List[EquilibriumReport]:
     """Copies of the reports with their spectrum filled in.
 
-    Undesirable boundary equilibria get the closed-form Jacobian and the
-    known-factor division at -alpha'(0); everything else (interior points,
-    non-strict boundary points) gets a central-difference Jacobian of the
-    closed-loop field (model.central_difference_jacobian) with no known
-    factor.
+    Undesirable boundary equilibria get the closed-form Jacobian and the known
+    left eigenpair (-alpha'(0), grad_h(x*)); everything else gets a central-
+    difference Jacobian of the closed-loop field and no known factor.
     """
     return [replace(report, spectrum=_spectrum(controller, report)) for report in reports]

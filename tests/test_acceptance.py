@@ -122,9 +122,9 @@ class TestBarrierInvariance:
                 assert partner.spectrum.known_factor_root == -base_alpha
                 assert r.spectrum.known_factor_root == -other_alpha
                 verdict = spectral_invariance_check(partner.spectrum, r.spectrum)
-                assert verdict.max_coeff_difference < 1e-7
+                assert verdict.max_relative_difference < 1e-7
                 assert verdict.passed
-                assert max(verdict.remainders) < 1e-6
+                assert max(verdict.identity_residuals) < 1e-6
 
         config = comparison_config("fig2")
         model = build_model(config)
@@ -140,7 +140,7 @@ class TestBarrierInvariance:
         for r in reports[1]:
             partner = match(reports[0], r.x_star, 1e-3)
             verdict = spectral_invariance_check(partner.spectrum, r.spectrum)
-            assert verdict.max_coeff_difference < 1e-7
+            assert verdict.max_relative_difference < 1e-7
             assert verdict.passed
 
     def test_boundary_fields_agree(self, bundles):

@@ -74,8 +74,8 @@ class TestScenarioRun:
         for entry in spectra:
             if entry["desirability"] == "undesirable":
                 assert entry["known_factor_root"] == -1.0
-                assert abs(entry["division_remainder"]) < 1e-6
-                assert len(entry["reduced_poly"]) == 2
+                assert abs(entry["identity_residual"]) < 1e-6
+                assert len(entry["reduced_eigenvalues"]) == 1
         text = (out / "summary.txt").read_text()
         assert "equilibria (4)" in text
         assert "task log" in text
@@ -88,9 +88,9 @@ class TestScenarioRun:
         calls = []
         original = spectral.eigen_and_classify
 
-        def counted(jacobian, alpha_prime0=None):
+        def counted(jacobian, alpha_prime0=None, grad_h=None):
             calls.append(alpha_prime0)
-            return original(jacobian, alpha_prime0)
+            return original(jacobian, alpha_prime0, grad_h)
 
         # every alias in the package counts, not only the spectral module's
         for name, module in list(sys.modules.items()):
@@ -122,6 +122,7 @@ class TestScenarioRun:
         assert len(undesirable) == 3
         for entry in undesirable:
             assert [z["im"] for z in entry["eigenvalues"]] == [0, 0]
+            assert [z["im"] for z in entry["reduced_eigenvalues"]] == [0]
 
     def test_simulate_reads_the_configured_barrier(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -279,15 +280,24 @@ class TestAppliedDefaults:
         del data["cbfs"][1]["a"]
         data["cbfs"].append({"kind": "transform", "base": 0, "a": 1,
                              "alpha": {"kind": "linear", "slope": 1}})
+        data["cbfs"].append({"kind": "transform", "base": 0, "b": 2,
+                             "alpha": {"kind": "linear", "slope": 1}})
         del data["controller"]["weight"], data["controller"]["cbf"]
         config = validate_config(data)
         assert config.applied_defaults == (
             "cbfs[1].a defaulted to 0",
             "cbfs[2].b defaulted to 0",
+            "cbfs[2].gamma defaulted to the identity",
+            "cbfs[3].a defaulted to 0",
+            "cbfs[3].eta defaulted to the constant 1",
             "controller.weight defaulted to the identity matrix G = I",
             "controller.cbf defaulted to 0",
         )
         assert (config.cbfs[1]["a"], config.cbfs[2]["b"], config.controller["cbf"]) == (0, 0, 0)
+        assert config.cbfs[2]["gamma"] == {"kind": "identity"}
+        assert config.cbfs[3]["eta"] == {"kind": "constant", "value": 1}
+        # gamma is never read when a = 0, nor eta when b = 0
+        assert "eta" not in config.cbfs[2] and "gamma" not in config.cbfs[3]
         for name in BUILTIN_SCENARIOS:
             assert builtin_scenario(name).applied_defaults == ()
 
@@ -306,6 +316,18 @@ class TestComparison:
         assert all(len(p["equilibria"]) == 3 for p in report["pairs"])
         out = capsys.readouterr().out
         assert "overall         pass" in out
+
+    def test_failed_check_exits_1(self, tmp_path, monkeypatch, capsys):
+        from barrier_lab import cli
+        failing = {"checks": {"reduced_spectrum": {
+            "tolerance": 1e-7, "max_relative_difference": 0.5,
+            "max_identity_residual": 0.0, "passed": False}}, "passed": False}
+        monkeypatch.setattr(cli, "compare_pairs", lambda config: failing)
+        data = comparison_config("fig2").to_json_dict()
+        assert main(["compare", "--config", write_config(tmp_path / "cmp.json", data)]) == 1
+        out = capsys.readouterr().out
+        assert "reduced_spectrum max 0.5" in out
+        assert "overall         FAIL" in out
 
     def test_single_barrier_config_is_rejected(self, tmp_path, capsys):
         data = builtin_scenario("fig3").to_json_dict()

@@ -129,6 +129,25 @@ class TestVerdictBoundaries:
         assert report.max_gradient_residual < 1e-8
         assert report.max_hessian_residual > 1.0
 
+    def test_each_barrier_is_evaluated_once(self, fig3, fig3_h2a1):
+        # the Hessian fit reuses the gradients the gradient relation evaluated
+        calls = []
+
+        def counted(pair, tag):
+            def value_and_grad(x):
+                calls.append(tag)
+                return pair.value_and_grad(x)
+            return rebuild(pair, value_and_grad=value_and_grad)
+
+        samples = default_boundary_samples(fig3.pair, 64)
+        first, second = counted(fig3.pair, "first"), counted(fig3_h2a1.pair, "second")
+        report = hessian_equivalence(first, second, samples=samples)
+        assert calls == ["first", "second"]
+        assert report.verdict == "equivalent-within-tol"
+        reference = hessian_equivalence(fig3.pair, fig3_h2a1.pair, samples=samples)
+        for name in ("zeta", "zeta_tilde", "gradient_residual", "hessian_residual"):
+            assert np.array_equal(getattr(report, name), getattr(reference, name))
+
     def test_flipped_gradient_is_rejected(self, fig3):
         base = fig3.pair
 

@@ -59,19 +59,32 @@ class TestPolynomialUnits:
         assert np.max(np.abs(np.array(eigenvalues) - [-1.0, -2.0j, 2.0j, 3.0])) < 1e-12
 
     def test_known_factor_divides_exactly(self):
-        result = eigen_and_classify(np.diag([1.0, 2.0, 3.0]), alpha_prime0=-1.0)
+        # e1 is the left eigenvector of eigenvalue 1; the tangent block is diag(2, 3)
+        result = eigen_and_classify(np.diag([1.0, 2.0, 3.0]), alpha_prime0=-1.0,
+                                    grad_h=np.array([1.0, 0.0, 0.0]))
         assert result.known_factor_root == 1.0
-        assert np.max(np.abs(np.array(result.reduced_poly) - [1.0, -5.0, 6.0])) < 1e-12
-        assert result.division_remainder == 0.0
+        assert np.max(np.abs(np.array(result.reduced_eigenvalues) - [2.0, 3.0])) < 1e-12
+        assert result.identity_residual == 0.0
 
     def test_known_factor_remainder_is_value_at_root(self):
-        result = eigen_and_classify(np.diag([1.0, 2.0, 3.0]), alpha_prime0=-4.0)
-        assert abs(result.division_remainder - np.polyval(result.char_poly, 4.0)) < 1e-12
-        assert abs(result.division_remainder - 6.0) < 1e-12
+        # the residual measures how far grad_h is from a left eigenvector of the root
+        jac = np.diag([1.0, 2.0, 3.0])
+        result = eigen_and_classify(jac, alpha_prime0=-4.0, grad_h=np.array([2.0, 0.0, 0.0]))
+        assert abs(result.identity_residual - 3.0) < 1e-12
+        # ||(1, 2, 0) - 4 (1, 1, 0)|| / ||(1, 1, 0)|| = sqrt(13 / 2)
+        result = eigen_and_classify(jac, alpha_prime0=-4.0, grad_h=np.array([1.0, 1.0, 0.0]))
+        assert abs(result.identity_residual - math.sqrt(6.5)) < 1e-12
+
+    def test_known_factor_needs_its_gradient(self):
+        with pytest.raises(PreconditionError):
+            eigen_and_classify(np.diag([1.0, 2.0]), alpha_prime0=-1.0)
+        with pytest.raises(PreconditionError):
+            eigen_and_classify(np.diag([1.0, 2.0]), grad_h=np.array([1.0, 0.0]))
 
     def test_nan_jacobian_raises_at_once(self):
         with pytest.raises(np.linalg.LinAlgError):
-            eigen_and_classify(np.array([[np.nan, 0.0], [0.0, -1.0]]), alpha_prime0=1.0)
+            eigen_and_classify(np.array([[np.nan, 0.0], [0.0, -1.0]]), alpha_prime0=1.0,
+                               grad_h=np.array([1.0, 0.0]))
 
     def test_stability_labels(self):
         assert stability_label([-1.0, -2.0]) == "asymptotically-stable"
@@ -82,18 +95,19 @@ class TestPolynomialUnits:
         assert stability_label([complex(-0.5, 4.0), complex(-0.5, -4.0)]) == "asymptotically-stable"
 
     def test_eigen_and_classify_with_known_factor(self):
-        result = eigen_and_classify(np.diag([-1.0, -2.0]), alpha_prime0=1.0)
+        result = eigen_and_classify(np.diag([-1.0, -2.0]), alpha_prime0=1.0,
+                                    grad_h=np.array([1.0, 0.0]))
         assert result.known_factor_root == -1.0
-        assert np.max(np.abs(np.array(result.reduced_poly) - [1.0, 2.0])) < 1e-10
-        assert abs(result.division_remainder) < 1e-10
+        assert np.max(np.abs(np.array(result.reduced_eigenvalues) - [-2.0])) < 1e-10
+        assert abs(result.identity_residual) < 1e-10
         assert result.stability == "asymptotically-stable"
         assert np.max(np.abs(np.array(result.eigenvalues) - [-2.0, -1.0])) < 1e-10
 
     def test_eigen_and_classify_without_factor(self):
         result = eigen_and_classify(np.diag([-1.0, -2.0]))
         assert result.known_factor_root is None
-        assert result.reduced_poly is None
-        assert result.division_remainder is None
+        assert result.reduced_eigenvalues is None
+        assert result.identity_residual is None
 
 
 class TestGoldenJacobians:
@@ -105,10 +119,13 @@ class TestGoldenJacobians:
             np.diag([-1.0, -2.0]),
         ]
         eigs = [(-1.0, 3.0), (-1.0, 3.0), (-2.0, -1.0)]
+        reduced = [(3.0,), (3.0,), (-2.0,)]
         labels = ["saddle", "saddle", "asymptotically-stable"]
-        for r, jac, ev, label in zip(boundary, expected, eigs, labels):
+        for r, jac, ev, red, label in zip(boundary, expected, eigs, reduced, labels):
             assert np.max(np.abs(r.jacobian - jac)) < 1e-6
             assert np.max(np.abs(np.array(r.eigenvalues) - np.array(ev))) < 1e-8
+            assert np.max(np.abs(np.array(r.spectrum.reduced_eigenvalues) - red)) < 1e-8
+            assert r.spectrum.identity_residual < 1e-12
             assert r.stability == label
 
     def test_tracking_scenario_boundary(self, analyzed):
@@ -138,10 +155,9 @@ class TestGoldenJacobians:
         controller = SafetyFilterController(model, pair)
         s3, s15 = SQ3 / 2.0, math.sqrt(15.0) / 4.0
         golden = [
-            ([(3.0, 0.0, 0.0)], (-6.0, -2.0, -1.0), (1.0, 8.0, 12.0), "asymptotically-stable"),
-            ([(2.5, s3, 0.0), (2.5, -s3, 0.0)], (-4.0, -1.0, 3.0), (1.0, 1.0, -12.0), "saddle"),
-            ([(2.25, 0.0, s15), (2.25, 0.0, -s15)], (-1.0, 4.0, 7.5), (1.0, -11.5, 30.0),
-             "saddle"),
+            ([(3.0, 0.0, 0.0)], (-6.0, -2.0, -1.0), (-6.0, -2.0), "asymptotically-stable"),
+            ([(2.5, s3, 0.0), (2.5, -s3, 0.0)], (-4.0, -1.0, 3.0), (-4.0, 3.0), "saddle"),
+            ([(2.25, 0.0, s15), (2.25, 0.0, -s15)], (-1.0, 4.0, 7.5), (4.0, 7.5), "saddle"),
         ]
         for points, eigs, reduced, label in golden:
             for x in map(np.array, points):
@@ -150,10 +166,10 @@ class TestGoldenJacobians:
                 jac = jacobian_safety_filter_boundary(controller, x)
                 fd = central_difference_jacobian(controller.field, x)
                 assert np.max(np.abs(fd - jac)) < 1e-5
-                result = eigen_and_classify(jac, 1.0)
+                result = eigen_and_classify(jac, 1.0, pair.grad_h(x))
                 assert np.max(np.abs(np.array(result.eigenvalues) - eigs)) < 1e-12
-                assert np.max(np.abs(np.array(result.reduced_poly) - reduced)) < 1e-12
-                assert abs(result.division_remainder) < 1e-12
+                assert np.max(np.abs(np.array(result.reduced_eigenvalues) - reduced)) < 1e-12
+                assert abs(result.identity_residual) < 1e-12
                 assert result.stability == label
 
     def test_interior_jacobian_is_nominal_gain(self, analyzed):
@@ -203,26 +219,81 @@ class TestReducedSpectrum:
             verdict = spectral_invariance_check(r1.spectrum, r2.spectrum)
             assert verdict.passed
             assert verdict.verdict == "pass"
-            assert verdict.max_coeff_difference < 1e-7
+            assert verdict.max_relative_difference < 1e-7
+            assert max(verdict.identity_residuals) < 1e-12
 
     def test_mismatched_points_fail(self, analyzed):
         boundary, _ = analyzed("fig3")
         verdict = spectral_invariance_check(boundary[0].spectrum, boundary[2].spectrum)
         assert verdict.verdict == "fail"
-        assert verdict.max_coeff_difference > 1.0
+        assert verdict.max_relative_difference > 1.0
 
     def test_missing_factor_is_reported(self):
-        spectrum = eigen_and_classify(np.diag([5.0, 7.0]), 1.0)
+        # -1 is no eigenvalue of diag(5, 7): grad_h^T J + grad_h^T = (6, 0)
+        spectrum = eigen_and_classify(np.diag([5.0, 7.0]), 1.0, np.array([1.0, 0.0]))
+        assert abs(spectrum.identity_residual - 6.0) < 1e-12
         verdict = spectral_invariance_check(spectrum, spectrum)
         assert verdict.verdict == "factorization-failure"
         assert not verdict.passed
-        assert math.isnan(verdict.max_coeff_difference)
-        assert min(verdict.remainders) > 1e-6
+        assert math.isnan(verdict.max_relative_difference)
+        assert min(verdict.identity_residuals) > spectral.IDENTITY_TOL
+        # a residual that is not a number voids the comparison as well
+        ok = eigen_and_classify(np.diag([-1.0, -2.0]), 1.0, np.array([1.0, 0.0]))
+        for pair in ((replace(ok, identity_residual=float("nan")), ok),
+                     (ok, replace(ok, identity_residual=float("nan")))):
+            assert spectral_invariance_check(*pair).verdict == "factorization-failure"
 
     def test_spectrum_without_known_factor_is_rejected(self):
+        grad = np.array([1.0, 0.0])
         with pytest.raises(PreconditionError):
-            spectral_invariance_check(eigen_and_classify(np.diag([-1.0, -2.0]), 1.0),
+            spectral_invariance_check(eigen_and_classify(np.diag([-1.0, -2.0]), 1.0, grad),
                                       eigen_and_classify(np.diag([-1.0, -2.0])))
+        with pytest.raises(PreconditionError):
+            spectral_invariance_check(
+                eigen_and_classify(np.diag([-1.0, -2.0]), 1.0, grad),
+                eigen_and_classify(np.diag([-1.0, -2.0, -3.0]), 1.0, np.array([1.0, 0.0, 0.0])))
+
+    def test_nearest_partners_are_paired_relative_to_magnitude(self):
+        # reduced spectra {-3, 1e4} and {1e4 (1 + 5e-8), -3}: listed in another
+        # order, paired by distance, and the large pair compared relative to 1e4
+        grad = np.array([0.0, 0.0, 1.0])
+        a = eigen_and_classify(np.diag([-3.0, 1e4, -1.0]), 1.0, grad)
+        b = eigen_and_classify(np.diag([1e4 * (1.0 + 5e-8), -3.0, -10.0]), 10.0, grad)
+        verdict = spectral_invariance_check(a, b)
+        assert verdict.passed
+        assert abs(verdict.max_relative_difference - 5e-8) < 1e-12
+        c = eigen_and_classify(np.diag([1e4 * (1.0 + 2e-7), -3.0, -10.0]), 10.0, grad)
+        assert spectral_invariance_check(a, c).verdict == "fail"
+
+
+def _tangent_family(n: int, rng):
+    """(J1, J2, grad_h) with grad_h^T J1 = -grad_h^T and grad_h^T J2 = -10 grad_h^T.
+
+    J1's entries are scaled by a factor drawn from [1, 50]; J2 = J1 + u grad_h^T
+    moves the left eigenvalue and leaves the tangent block T^T J T alone, as a
+    change of barrier or of alpha does.
+    """
+    grad = rng.standard_normal(n)
+    norm_sq = float(grad @ grad)
+    m = rng.uniform(1.0, 50.0) * rng.standard_normal((n, n))
+    j1 = m - np.outer(grad, grad @ m + grad) / norm_sq
+    v = rng.standard_normal(n)
+    u = v - grad * (float(grad @ v) + 9.0) / norm_sq
+    return j1, j1 + np.outer(u, grad), grad
+
+
+class TestRandomTangentFamily:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_reduced_spectra_agree_in_every_dimension(self, n):
+        rng = np.random.default_rng(2021 + n)
+        for _ in range(200):
+            j1, j2, grad = _tangent_family(n, rng)
+            a = eigen_and_classify(j1, 1.0, grad)
+            b = eigen_and_classify(j2, 10.0, grad)
+            assert len(a.reduced_eigenvalues) == len(b.reduced_eigenvalues) == n - 1
+            verdict = spectral_invariance_check(a, b)
+            assert verdict.passed, (verdict, a.reduced_eigenvalues, b.reduced_eigenvalues)
+            assert verdict.max_relative_difference < 1e-10
 
 
 class TestAssumptionGuards:
