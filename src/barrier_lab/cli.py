@@ -516,13 +516,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # compare
         config = parse_config(args.config)
         report = compare_pairs(config)
+        width = max(len(name) for name in ("overall", *report["checks"]))
         for name, check in report["checks"].items():
             bound = check.get("max", check.get("max_relative_difference",
                                                check.get("max_difference")))
-            print("%-15s max %-12.6g tol %-8g %s"
-                  % (name, bound, check["tolerance"],
+            print("%-*s max %-12.6g tol %-8g %s"
+                  % (width, name, bound, check["tolerance"],
                      "pass" if check["passed"] else "FAIL"))
-        print("overall         %s" % ("pass" if report["passed"] else "FAIL"))
+        print("%-*s %s" % (width, "overall", "pass" if report["passed"] else "FAIL"))
         print("wrote %s" % os.path.join(config.output_dir, "invariance_report.json"))
         return 0 if report["passed"] else 1
     except ConfigError as exc:

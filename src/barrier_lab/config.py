@@ -15,13 +15,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DefinitenessError, InvalidParameterError
 from .model import (BarrierPair, LyapunovPair, ScalarMap, StateMap, SystemModel,
                     constant_matrix, constant_state_map, identity_map, linear_map,
                     linear_system, make_ball_cbf, quadratic_clf, quadratic_map,
                     quadratic_offset_map, single_integrator_2d, transform_cbf)
 from .qp import (ClfCbfController, ClfController, NominalClosedLoop,
-                 SafetyFilterController)
+                 SafetyFilterController, _checked_matrix)
 
 SCHEMA_VERSION = 1
 BUILTIN_SCENARIOS = ("fig2", "fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2")
@@ -77,28 +77,59 @@ class ScenarioConfig:
         return out
 
 
+_SPACE = re.compile(r"\s*")
+_PATH_PART = re.compile(r"\[(\d+)\]|([^.\[\]]+)")
+_DECODER = json.JSONDecoder()
+
+
 class _Source:
-    """Raw config text with best-effort line lookup for error anchoring."""
+    """Raw config text with line lookup for error anchoring."""
 
     def __init__(self, text: Optional[str]):
-        self.lines = text.splitlines() if text else []
+        self.text = text or ""
 
-    def line_of(self, *keys: str) -> Optional[int]:
-        """1-based line of the innermost key, scanning keys left to right."""
-        start = 0
+    def line_of(self, path: str) -> Optional[int]:
+        """1-based line where the value at a dotted path starts.
+
+        The lookup walks the JSON text, so ``cbfs[2]`` is the third entry of
+        ``cbfs`` and each key is looked up among its own object's members; a
+        leading ``config`` names the document. When part of the path is not
+        in the text, the deepest part found gives the line; None when no part is.
+        """
+        parts = [int(index) if index else key for index, key in _PATH_PART.findall(path)]
+        if parts[:1] == ["config"]:
+            parts = parts[1:]
         found = None
-        for key in keys:
-            pattern = re.compile(r'"%s"\s*:' % re.escape(key))
-            hit = None
-            for i in range(start, len(self.lines)):
-                if pattern.search(self.lines[i]):
-                    hit = i
+        try:
+            pos = _SPACE.match(self.text).end()
+            for part in parts:
+                pos = next((start for name, start in self._members(pos) if name == part),
+                           None)
+                if pos is None:
                     break
-            if hit is None:
-                break
-            found = hit
-            start = hit
-        return None if found is None else found + 1
+                found = pos
+        except (ValueError, IndexError):    # text that is not one JSON document
+            pass
+        return None if found is None else self.text.count("\n", 0, found) + 1
+
+    def _members(self, pos: int):
+        """(key or index, value start) of each member of the container at pos."""
+        text = self.text
+        opener = text[pos:pos + 1]
+        if opener not in ("{", "["):
+            return
+        pos = _SPACE.match(text, pos + 1).end()
+        index = 0
+        while text[pos] not in "}]":
+            name = index
+            if opener == "{":
+                name, pos = _DECODER.raw_decode(text, pos)
+                pos = _SPACE.match(text, _SPACE.match(text, pos).end() + 1).end()  # past ':'
+            yield name, pos
+            pos = _SPACE.match(text, _DECODER.raw_decode(text, pos)[1]).end()
+            if text[pos] == ",":
+                pos = _SPACE.match(text, pos + 1).end()
+            index += 1
 
 
 class _Validator:
@@ -109,8 +140,7 @@ class _Validator:
         self.defaults: List[str] = []
 
     def fail(self, path: str, message: str):
-        keys = [k for k in re.split(r"[.\[\]]+", path) if k and not k.isdigit()]
-        raise ConfigError(message, path=path, line=self.source.line_of(*keys))
+        raise ConfigError(message, path=path, line=self.source.line_of(path))
 
     # ---- primitive checks -------------------------------------------------
 
@@ -187,6 +217,14 @@ class _Validator:
         if shape is not None and (len(value), width) != shape:
             self.fail(path, "expected a %dx%d matrix, got %dx%d"
                             % (shape[0], shape[1], len(value), width))
+        return value
+
+    def positive_definite(self, value: list, path: str, check: Callable) -> list:
+        """A matrix that check, the builder's own test, accepts as symmetric positive definite."""
+        try:
+            check(np.array(value, dtype=float))
+        except (InvalidParameterError, DefinitenessError) as exc:
+            self.fail(path, "must be symmetric positive definite (%s)" % exc)
         return value
 
     def note_default(self, path: str, text: str):
@@ -329,7 +367,7 @@ def _valid_clf(v: _Validator, data: dict, n: int) -> Optional[dict]:
         return None
     d = v.dict_at(data["clf"], "clf")
     v.keys(d, "clf", required=("Q",), optional=("xstar", "beta"))
-    v.matrix(d["Q"], "clf.Q", shape=(n, n))
+    v.positive_definite(v.matrix(d["Q"], "clf.Q", shape=(n, n)), "clf.Q", quadratic_clf)
     if "xstar" not in d:
         d["xstar"] = [0] * n
         v.note_default("clf.xstar", "the origin")
@@ -368,7 +406,8 @@ def _valid_controller(v: _Validator, data: dict, n: int, m: int,
         v.keys(w, "controller.weight", required=("kind",))
     else:
         v.keys(w, "controller.weight", required=("kind", "value"))
-        v.matrix(w["value"], "controller.weight.value", shape=(m, m))
+        v.positive_definite(v.matrix(w["value"], "controller.weight.value", shape=(m, m)),
+                            "controller.weight.value", _checked_matrix)
     if "cbf" not in d:
         d["cbf"] = 0
         v.note_default("controller.cbf", "0")

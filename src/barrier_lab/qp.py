@@ -294,6 +294,8 @@ class _LoopTerms:
         self.d_matrix: Optional[np.ndarray] = None
         g = model.constant_g()
         w = constant_value(weight)
+        if w is not None:
+            w = _checked_matrix(w)
         self.times_g = self.times_gt = self.times_winv_gt = None
         if g is not None:
             self.times_g = linear_evaluator(g)

@@ -60,20 +60,6 @@ def _rk4_increment(field, x: np.ndarray, dt: float) -> np.ndarray:
     return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _true_rows(mask: np.ndarray) -> Optional[np.ndarray]:
-    """Indices where mask holds; None when it holds everywhere."""
-    return None if mask.all() else np.flatnonzero(mask)
-
-
-def _scatter(x: np.ndarray, idx: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """A copy of x with rows written at idx; rows itself when idx is None."""
-    if idx is None:
-        return rows
-    out = x.copy()
-    out[idx] = rows
-    return out
-
-
 def _horizon_steps(t_final: float, dt: float) -> int:
     """Number of dt steps in t_final; the horizon must be a whole number of steps."""
     if dt <= 0.0:
@@ -90,102 +76,97 @@ def _horizon_steps(t_final: float, dt: float) -> int:
 
 def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
              attractors: Sequence[np.ndarray], record: bool):
-    """Shared RK4 driver over a batch; returns status bookkeeping per item."""
+    """Shared RK4 driver over a batch; returns status bookkeeping per item.
+
+    The rows that step live in one pack, in index order: each packed row's id,
+    state, hold counter, nearest attractor and running flag. A row leaves the
+    pack when it fails or leaves the domain and, without recording, when it
+    converges; a recorded batch keeps stepping its converged rows to fill the
+    horizon. A row outside the pack keeps in x the state it left with, and x
+    is rebuilt from the pack after each recorded step and once at the end.
+    """
     steps = _horizon_steps(t_final, dt)
     x = np.array(x0s, dtype=float)
-    batch = x.shape[0]
+    batch, n = x.shape
     attractor_arr = (np.stack([np.asarray(a, dtype=float) for a in attractors])
                      if len(attractors) else None)
 
     status = np.full(batch, STATUS_RUNNING, dtype=int)
     attr_index = np.full(batch, -1, dtype=int)
     err_time = np.full(batch, np.nan)
+
+    ids = np.arange(batch)
+    rows = x
     hold = np.zeros(batch, dtype=int)
     last_near = np.full(batch, -1, dtype=int)
+    running = np.ones(batch, dtype=bool)
+    all_running = True  # every packed row runs, so no step has to read running
+    holding = False     # some running row has a nonzero hold counter
 
     recorded = [x] if record else None
-    n = x.shape[-1]
-    steps_done = 0
-    idx = None          # the rows that step; None while every row does
-    run_idx = None      # the running rows; None while every row runs
-    rows = x            # the stepping rows' states, packed in idx order
-    holding = False     # some running row has a nonzero hold counter
-    refresh = True      # set whenever a status changes
-    for step in range(1, steps + 1):
-        if refresh:
-            # x holds every row's state here: a status change scattered rows
-            run_idx = _true_rows(status == STATUS_RUNNING)
-            # a recorded batch keeps stepping converged rows to fill the
-            # horizon; without recording only the running rows step
-            idx = _true_rows(status <= STATUS_CONVERGED) if record else run_idx
-            refresh = False
-            rows = x if idx is None else x[idx]
-            if idx is not None and idx.size == 0:
-                break
+    step = 0
+    while step < steps and ids.size:
+        step += 1
         trial_rows = rows + _rk4_increment(controller.field, rows, dt)
-        # x is replaced, never written in place: recorded steps share no memory
-        if np.abs(trial_rows).max() * n < DIVERGE_NORM:
-            # every entry finite and every row inside the domain, since
-            # ||row|| <= sqrt(n) max |entry|: no status changes this step
-            rows = trial_rows
-            if record:
-                x = _scatter(x, idx, rows)
-        else:
-            rows_idx = np.arange(batch) if idx is None else idx
-            bad_rows = ~np.all(np.isfinite(trial_rows), axis=-1)
-            trial_rows[bad_rows] = rows[bad_rows]      # a failed row keeps its last state
-            rows = trial_rows
-            x = _scatter(x, idx, rows)
-            newly_bad = rows_idx[bad_rows]
-            if newly_bad.size:
-                status[newly_bad] = STATUS_ERROR
-                err_time[newly_bad] = (step - 1) * dt
-            good = rows_idx[~bad_rows]
-            left = good[np.linalg.norm(x[good], axis=-1) > DIVERGE_NORM]
-            if left.size:
-                status[left] = STATUS_LEFT
-            refresh = True
-            run_idx = _true_rows(status == STATUS_RUNNING)
+        changed = False     # some packed row's status changed this step
+        # below the bound every entry is finite and every row inside the domain,
+        # since ||row|| <= sqrt(n) max |entry|: no status changes this step
+        if not np.abs(trial_rows).max() * n < DIVERGE_NORM:     # NaN lands here
+            bad = ~np.all(np.isfinite(trial_rows), axis=-1)
+            trial_rows[bad] = rows[bad]     # a failed row keeps its last state
+            left = ~bad & (np.linalg.norm(trial_rows, axis=-1) > DIVERGE_NORM)
+            status[ids[bad]] = STATUS_ERROR
+            err_time[ids[bad]] = (step - 1) * dt
+            status[ids[left]] = STATUS_LEFT
+            running &= ~(bad | left)
+            changed, all_running = True, False
+        rows = trial_rows
 
-        if attractor_arr is not None and (run_idx is None or run_idx.size):
+        run = slice(None) if all_running else np.flatnonzero(running)   # a slice gathers nothing
+        run_x = rows[run]
+        if attractor_arr is not None and len(run_x):
             # a running row far from every attractor with a zero hold counter
             # keeps both counters as they are, so only rows near an attractor,
             # or holding, need the bookkeeping
-            if record or refresh:
-                run_x = x if run_idx is None else x[run_idx]
-            else:
-                run_x = rows    # unrecorded and no status change: idx is run_idx
             diff = run_x[:, None, :] - attractor_arr[None, :, :]
             dists = np.sqrt(np.add.reduce(diff * diff, -1))     # == np.linalg.norm
             if holding or dists.min() < CONV_RADIUS:
                 nearest = np.argmin(dists, axis=-1)
                 near = np.take_along_axis(dists, nearest[:, None], -1)[:, 0] < CONV_RADIUS
-                run_hold = hold if run_idx is None else hold[run_idx]
-                run_last = last_near if run_idx is None else last_near[run_idx]
-                run_hold = np.where(near & (nearest == run_last), run_hold + 1,
+                run_hold = np.where(near & (nearest == last_near[run]), hold[run] + 1,
                                     near.astype(int))
                 done = run_hold >= CONV_HOLD
                 holding = bool(run_hold[~done].any())
-                if run_idx is None:
-                    hold = run_hold
-                    last_near = np.where(near, nearest, -1)
-                else:
-                    hold[run_idx] = run_hold
-                    last_near[run_idx] = np.where(near, nearest, -1)
+                hold[run] = run_hold
+                last_near[run] = np.where(near, nearest, -1)
                 if done.any():
-                    rows_done = np.flatnonzero(done) if run_idx is None else run_idx[done]
-                    status[rows_done] = STATUS_CONVERGED
-                    attr_index[rows_done] = nearest[done]
-                    if not record:
-                        x = _scatter(x, idx, rows)
-                    refresh = True
+                    status[ids[run][done]] = STATUS_CONVERGED
+                    attr_index[ids[run][done]] = nearest[done]
+                    running[run] = ~done
+                    changed, all_running = True, False
+
         if record:
+            # x is replaced, never written in place: recorded steps share no
+            # memory, and while the pack holds every row it is x
+            if ids.size == batch:
+                x = rows
+            else:
+                x = x.copy()
+                x[ids] = rows
             recorded.append(x)
-        steps_done = step
+        if changed:
+            # the one place the pack shrinks: failed and departed rows leave,
+            # converged ones too unless the recording needs them
+            keep = status[ids] <= STATUS_CONVERGED if record else running
+            if not record:
+                x[ids[~keep]] = rows[~keep]
+            ids, rows, hold, last_near, running = (
+                a[keep] for a in (ids, rows, hold, last_near, running))
+            all_running = bool(running.all())
 
     if not record:
-        x = _scatter(x, idx, rows)
-    times = dt * np.arange(steps_done + 1)
+        x[ids] = rows
+    times = dt * np.arange(step + 1)
     states = np.stack(recorded, axis=1) if record else None   # (batch, K+1, n)
     return times, states, x, status, attr_index, err_time
 
@@ -303,9 +284,8 @@ def roa_grid(controller, bounds, resolution, attractors: Sequence[np.ndarray],
     if safe_idx.size:
         _, _, _, status, attr_index, err_time = _advance(
             controller, points[safe_idx], t_final, dt, attractors, record=False)
-        safe_labels = _labels(status, attr_index, err_time, attractors)
-        for j, i in enumerate(safe_idx):
-            labels[int(i)] = safe_labels[j]
+        for i, label in zip(safe_idx, _labels(status, attr_index, err_time, attractors)):
+            labels[i] = label
     return RoaGrid(points=points, labels=tuple(labels), shape=shape,
                    attractors=tuple(np.array(a, dtype=float) for a in attractors))
 

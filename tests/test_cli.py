@@ -1,6 +1,8 @@
 """CLI exit codes, artifact layout, determinism, config round trips."""
 
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 
 import barrier_lab
 from barrier_lab import (
+    ConfigError,
     build_pairs,
     builtin_scenario,
     comparison_config,
@@ -20,7 +23,7 @@ from barrier_lab import (
 )
 from barrier_lab.artifacts import json_dumps
 from barrier_lab.cli import ScenarioRun
-from barrier_lab.config import BUILTIN_SCENARIOS
+from barrier_lab.config import BUILTIN_SCENARIOS, _Source
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -54,6 +57,61 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["scenario", "fig3", "--out", "somewhere"])
         assert excinfo.value.code == 2
+
+
+FIG2, FIG3 = (functools.partial(builtin_scenario, name) for name in ("fig2", "fig3"))
+FIG3_COMPARE = functools.partial(comparison_config, "fig3")
+NOT_SPD = "must be symmetric positive definite (%s)"
+# one bad value per section: (config, keys to the edited entry, its new value,
+# path, message, line of the value in the document written by json.dumps(indent=2))
+REJECTIONS = [
+    (FIG3, ("system", "K"), [[-1, 0]], "system.K", "expected a 2x2 matrix, got 1x2", 6),
+    (FIG3_COMPARE, ("cbfs", 2, "radius"), -1, "cbfs[2].radius", "must be positive, got -1", 55),
+    (FIG2, ("clf", "Q"), [[1, 2], [3, 4]], "clf.Q", NOT_SPD % "Q must be symmetric", 33),
+    (FIG2, ("clf", "Q"), [[1, 0], [0, -1]], "clf.Q",
+     NOT_SPD % "Q must be positive definite (min eigenvalue -1)", 33),
+    (FIG3, ("controller", "weight"), {"kind": "matrix", "value": [[1, 0], [0, -1]]},
+     "controller.weight.value", NOT_SPD % "weight matrix is not positive definite", 36),
+    (FIG3, ("tasks", 1), {"kind": "roa", "bounds": [[0, 1], [1, 0]], "resolution": [3, 3]},
+     "tasks[1].bounds", "axis 1 bounds must satisfy low < high", 45),
+    (FIG3_COMPARE, ("tasks", 1), {"kind": "equivalence", "pairs": [[0, 1], [2, 2]]},
+     "tasks[1].pairs[1]", "indices must differ", 99),
+]
+
+
+class TestValidatorRejections:
+    @pytest.mark.parametrize("config, keys, value, path, message, line", REJECTIONS,
+                             ids=["system", "cbfs", "clf-asymmetric", "clf-indefinite",
+                                  "controller", "tasks", "tasks-pairs"])
+    def test_error_names_path_message_and_line(self, tmp_path, capsys, config, keys, value,
+                                               path, message, line):
+        doc = config().to_json_dict()
+        functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
+        text = json.dumps(doc, indent=2)
+        assert text.splitlines()[line - 1].strip().startswith(
+            "[" if path.endswith("]") else '"%s"' % path.rsplit(".", 1)[-1])
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(text)
+        assert (excinfo.value.path, excinfo.value.args[0], excinfo.value.line) == (
+            path, message, line)
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "config error: line %d: %s: %s\n" % (
+            line, path, message)
+
+    def test_entries_are_found_by_index(self):
+        # the third cbf's key, not the first cbf's, and a member of the entry itself
+        text = json.dumps(comparison_config("fig3").to_json_dict(), indent=2)
+        lines = text.splitlines()
+        source = _Source(text)
+        assert lines[source.line_of("cbfs[2]") - 1].strip() == "{"
+        assert source.line_of("cbfs[0].radius") < source.line_of("cbfs[2].radius")
+        assert '"radius"' in lines[source.line_of("cbfs[2].radius") - 1]
+        # a missing part gives the line of the deepest part found
+        assert source.line_of("cbfs[9].radius") == source.line_of("cbfs")
+        assert source.line_of("config.nope") is None
+        assert _Source("{not json").line_of("cbfs") is None
 
 
 class TestScenarioRun:
@@ -315,7 +373,10 @@ class TestComparison:
         assert [p["alpha_slope"] for p in report["pairs"]] == [1.0, 10.0]
         assert all(len(p["equilibria"]) == 3 for p in report["pairs"])
         out = capsys.readouterr().out
-        assert "overall         pass" in out
+        # the name column is as wide as the longest check name, reduced_spectrum
+        lines = out.splitlines()[:len(report["checks"])]
+        assert [line.index(" max ") for line in lines] == [16] * len(lines)
+        assert "overall          pass" in out
 
     def test_failed_check_exits_1(self, tmp_path, monkeypatch, capsys):
         from barrier_lab import cli
@@ -327,7 +388,7 @@ class TestComparison:
         assert main(["compare", "--config", write_config(tmp_path / "cmp.json", data)]) == 1
         out = capsys.readouterr().out
         assert "reduced_spectrum max 0.5" in out
-        assert "overall         FAIL" in out
+        assert "overall          FAIL" in out
 
     def test_single_barrier_config_is_rejected(self, tmp_path, capsys):
         data = builtin_scenario("fig3").to_json_dict()

@@ -334,6 +334,32 @@ class TestPackedBasinLoop:
                 assert np.array_equal(got[0], want[i], equal_nan=True), i
             assert _labels(*alone[3:], attractors) == [labels[i]]
 
+    def test_recorded_batch_matches_each_row_alone(self):
+        # the rows above, recorded: converged rows step on to the horizon, and a
+        # row alone that fails or leaves the domain stops its recording early
+        attractors = [np.zeros(2), np.array([0.25, 0.25])]
+        x0s = np.array([[0.0, 0.0], [1.0, 0.5], [2e5, 0.0], [0.5, 200.0], [3.0, -1.0],
+                        [4.0, -8.0], [0.25, 0.25], [-2.0, 1.5], [0.0, 50.0]])
+        loop = Mixed()
+        batch = _advance(loop, x0s, 1.0, 1e-3, attractors, record=True)
+        times, states, status = batch[0], batch[1], batch[3]
+        assert {STATUS_RUNNING, STATUS_CONVERGED, STATUS_LEFT,
+                STATUS_ERROR} <= set(status.tolist())
+        assert states.shape == (x0s.shape[0], times.size, 2)
+        assert np.array_equal(states[:, -1], batch[2])
+        for i, x0 in enumerate(x0s):
+            alone = _advance(loop, x0[None], 1.0, 1e-3, attractors, record=True)
+            k = alone[0].size
+            assert np.array_equal(alone[0], times[:k]), i
+            assert np.array_equal(alone[1][0], states[i, :k]), i
+            # after the row's own recording ends, the batch repeats its last state
+            assert np.array_equal(states[i, k:], np.broadcast_to(
+                states[i, k - 1], states[i, k:].shape)), i
+            assert k == times.size or status[i] in (STATUS_LEFT, STATUS_ERROR), i
+            assert np.array_equal(alone[2][0], batch[2][i]), i
+            for got, want in zip(alone[3:], batch[3:]):
+                assert np.array_equal(got[0], want[i], equal_nan=True), i
+
     def test_grid_labels_match_each_node_alone(self):
         # fast plant: k(x) = -20 x around an obstacle at (2, 0), alpha slope 20
         model = linear_system(np.zeros((2, 2)), np.eye(2), gain=-20.0 * np.eye(2))

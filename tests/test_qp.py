@@ -581,6 +581,17 @@ class TestOneStateOracle:
             with pytest.raises(DefinitenessError):
                 solve_small_qp(filtered, np.array([3.0, 0.0]))
 
+    def test_controllers_check_a_constant_weight(self, fig2, fig3):
+        # the loop terms check the weight when they are built, on the first evaluation
+        for weight in (np.diag([1.0, -1.0]), np.array([[1.0, 0.3], [0.0, 1.0]])):
+            for controller in (SafetyFilterController(fig3.model, fig3.pair,
+                                                      constant_matrix(weight)),
+                               ClfCbfController(fig2.model, fig2.pair, fig2.clf,
+                                                constant_matrix(weight)),
+                               ClfController(fig2.model, fig2.clf, constant_matrix(weight))):
+                with pytest.raises(DefinitenessError):
+                    controller.field(np.array([3.0, 0.5]))
+
     def test_unmarked_weight_is_checked_at_every_state(self, fig3):
         bad = np.array([3.0, 0.5])
 
