@@ -27,14 +27,23 @@ SCHEMA_VERSION = 1
 BUILTIN_SCENARIOS = ("fig2", "fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2")
 COMPARISON_SCENARIOS = ("fig2", "fig3")
 SYSTEM_BUILTINS = ("integrator-2d",)
-TASK_KINDS = ("equilibria", "jacobians", "equivalence", "field", "simulate", "roa")
 CONTROLLER_KINDS = ("safety-filter", "clf-cbf-qp")
-CBF_KINDS = ("ball", "transform")
-GAMMA_KINDS = ("identity", "linear", "quadratic")
-ETA_KINDS = ("constant", "quadratic-offset")
-ALPHA_KINDS = ("linear",)
-BETA_KINDS = ("identity", "linear")
-WEIGHT_KINDS = ("identity", "matrix")
+
+# The kinds of each tagged object, in the order messages list them:
+# kind -> (required keys besides "kind", optional keys).
+_CBFS = {"ball": (("center", "radius", "alpha"), ("form",)),
+         "transform": (("base", "alpha"), ("a", "b", "gamma", "eta"))}
+_ALPHAS = {"linear": ((), ("slope",))}
+_GAMMAS = {"identity": ((), ()), "linear": (("slope",), ()), "quadratic": (("c1", "c2"), ())}
+_BETAS = {kind: _GAMMAS[kind] for kind in ("identity", "linear")}
+_ETAS = {"constant": (("value",), ()), "quadratic-offset": (("center", "offset"), ())}
+_WEIGHTS = {"identity": ((), ()), "matrix": (("value",), ())}
+_TASKS = {"equilibria": ((), ("sweep", "box", "per_axis")),
+          "jacobians": ((), ()),
+          "equivalence": ((), ("samples", "pairs")),
+          "field": (("bounds", "resolution"), ()),
+          "simulate": ((), ("x0", "x0s", "t_final", "dt", "unfiltered")),
+          "roa": (("bounds", "resolution"), ("t_final", "dt"))}
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,15 @@ class _Validator:
             self.fail(path, "needs at least %d entries, got %d" % (min_len, len(value)))
         return value
 
+    def tagged(self, value, path: str, kinds: dict) -> dict:
+        """An object whose 'kind' is a key of kinds and whose keys are that kind's."""
+        d = self.dict_at(value, path)
+        if "kind" not in d:
+            self.fail(path, "missing required key 'kind'")
+        required, optional = kinds[self.string(d["kind"], path + ".kind", choices=kinds)]
+        self.keys(d, path, required=("kind",) + required, optional=optional)
+        return d
+
     def keys(self, d: dict, path: str, required=(), optional=()):
         for key in required:
             if key not in d:
@@ -227,8 +245,11 @@ class _Validator:
             self.fail(path, "must be symmetric positive definite (%s)" % exc)
         return value
 
-    def note_default(self, path: str, text: str):
-        self.defaults.append("%s defaulted to %s" % (path, text))
+    def default(self, d: dict, path: str, key: str, value, note: str):
+        """Write a missing d[key] and list it among the applied defaults."""
+        if key not in d:
+            d[key] = value
+            self.defaults.append("%s.%s defaulted to %s" % (path, key, note))
 
 
 def _type_name(value) -> str:
@@ -274,42 +295,22 @@ def _valid_system(v: _Validator, data: dict) -> Tuple[dict, int, int]:
     return sd, n, m
 
 
-def _valid_alpha(v: _Validator, data, path: str) -> dict:
-    d = v.dict_at(data, path)
-    v.keys(d, path, required=("kind",), optional=("slope",))
-    v.string(d["kind"], path + ".kind", choices=ALPHA_KINDS)
-    if "slope" not in d:
-        d["slope"] = 1
-        v.note_default(path + ".slope", "1")
-    v.number(d["slope"], path + ".slope", positive=True)
-    return d
-
-
-def _valid_gamma(v: _Validator, data, path: str) -> dict:
-    d = v.dict_at(data, path)
-    kind = v.string(d.get("kind"), path + ".kind", choices=GAMMA_KINDS) \
-        if "kind" in d else v.fail(path, "missing required key 'kind'")
-    if kind == "identity":
-        v.keys(d, path, required=("kind",))
-    elif kind == "linear":
-        v.keys(d, path, required=("kind", "slope"))
-        v.number(d["slope"], path + ".slope", positive=True)
-    else:
-        v.keys(d, path, required=("kind", "c1", "c2"))
-        v.number(d["c1"], path + ".c1", positive=True)
+def _valid_scalar_map(v: _Validator, data, path: str, kinds: dict) -> dict:
+    """An alpha, gamma or beta: a slope, or the coefficients of c1 s + c2 s^2."""
+    d = v.tagged(data, path, kinds)
+    for key in ("slope", "c1"):
+        if key in d:
+            v.number(d[key], path + "." + key, positive=True)
+    if "c2" in d:
         v.number(d["c2"], path + ".c2")
     return d
 
 
 def _valid_eta(v: _Validator, data, path: str, n: int) -> dict:
-    d = v.dict_at(data, path)
-    kind = v.string(d.get("kind"), path + ".kind", choices=ETA_KINDS) \
-        if "kind" in d else v.fail(path, "missing required key 'kind'")
-    if kind == "constant":
-        v.keys(d, path, required=("kind", "value"))
+    d = v.tagged(data, path, _ETAS)
+    if d["kind"] == "constant":
         v.number(d["value"], path + ".value", positive=True)
     else:
-        v.keys(d, path, required=("kind", "center", "offset"))
         v.vector(d["center"], path + ".center", length=n)
         v.number(d["offset"], path + ".offset", positive=True)
     return d
@@ -319,46 +320,36 @@ def _valid_cbfs(v: _Validator, data: dict, n: int) -> list:
     entries = v.list_at(data.get("cbfs"), "cbfs", min_len=1)
     for i, entry in enumerate(entries):
         path = "cbfs[%d]" % i
-        d = v.dict_at(entry, path)
-        kind = v.string(d.get("kind"), path + ".kind", choices=CBF_KINDS) \
-            if "kind" in d else v.fail(path, "missing required key 'kind'")
-        if kind == "ball":
-            v.keys(d, path, required=("kind", "center", "radius", "alpha"),
-                   optional=("form",))
+        d = v.tagged(entry, path, _CBFS)
+        if d["kind"] == "ball":
             if n != 2:
                 v.fail(path, "ball barriers need a planar system (n = 2), got n = %d" % n)
             v.vector(d["center"], path + ".center", length=2)
             v.number(d["radius"], path + ".radius", positive=True)
-            if "form" not in d:
-                d["form"] = "full"
-                v.note_default(path + ".form", "'full'")
+            v.default(d, path, "form", "full", "'full'")
             v.string(d["form"], path + ".form", choices=("full", "half"))
         else:
-            v.keys(d, path, required=("kind", "base", "alpha"),
-                   optional=("a", "b", "gamma", "eta"))
             base = v.integer(d["base"], path + ".base", minimum=0)
             if base >= i:
                 v.fail(path + ".base",
                        "must reference an earlier cbf entry (got %d at index %d)" % (base, i))
             for key in ("a", "b"):
-                if key not in d:
-                    d[key] = 0
-                    v.note_default(path + "." + key, "0")
+                v.default(d, path, key, 0, "0")
             a = v.number(d["a"], path + ".a", minimum=0.0)
             b = v.number(d["b"], path + ".b", minimum=0.0)
             if a + b <= 0.0:
                 v.fail(path, "transform needs a + b > 0 (got a = %g, b = %g)" % (a, b))
-            if a > 0.0 and "gamma" not in d:
-                d["gamma"] = {"kind": "identity"}
-                v.note_default(path + ".gamma", "the identity")
-            if b > 0.0 and "eta" not in d:
-                d["eta"] = {"kind": "constant", "value": 1}
-                v.note_default(path + ".eta", "the constant 1")
+            if a > 0.0:
+                v.default(d, path, "gamma", {"kind": "identity"}, "the identity")
+            if b > 0.0:
+                v.default(d, path, "eta", {"kind": "constant", "value": 1}, "the constant 1")
             if "gamma" in d:
-                _valid_gamma(v, d["gamma"], path + ".gamma")
+                _valid_scalar_map(v, d["gamma"], path + ".gamma", _GAMMAS)
             if "eta" in d:
                 _valid_eta(v, d["eta"], path + ".eta", n)
-        _valid_alpha(v, d["alpha"], path + ".alpha")
+        # an omitted slope defaults to 1, which needs no check
+        alpha = _valid_scalar_map(v, d["alpha"], path + ".alpha", _ALPHAS)
+        v.default(alpha, path + ".alpha", "slope", 1, "1")
     return entries
 
 
@@ -368,21 +359,10 @@ def _valid_clf(v: _Validator, data: dict, n: int) -> Optional[dict]:
     d = v.dict_at(data["clf"], "clf")
     v.keys(d, "clf", required=("Q",), optional=("xstar", "beta"))
     v.positive_definite(v.matrix(d["Q"], "clf.Q", shape=(n, n)), "clf.Q", quadratic_clf)
-    if "xstar" not in d:
-        d["xstar"] = [0] * n
-        v.note_default("clf.xstar", "the origin")
+    v.default(d, "clf", "xstar", [0] * n, "the origin")
     v.vector(d["xstar"], "clf.xstar", length=n)
-    if "beta" not in d:
-        d["beta"] = {"kind": "identity"}
-        v.note_default("clf.beta", "the identity class-K function")
-    beta = v.dict_at(d["beta"], "clf.beta")
-    kind = v.string(beta.get("kind"), "clf.beta.kind", choices=BETA_KINDS) \
-        if "kind" in beta else v.fail("clf.beta", "missing required key 'kind'")
-    if kind == "identity":
-        v.keys(beta, "clf.beta", required=("kind",))
-    else:
-        v.keys(beta, "clf.beta", required=("kind", "slope"))
-        v.number(beta["slope"], "clf.beta.slope", positive=True)
+    v.default(d, "clf", "beta", {"kind": "identity"}, "the identity class-K function")
+    _valid_scalar_map(v, d["beta"], "clf.beta", _BETAS)
     return d
 
 
@@ -396,30 +376,19 @@ def _valid_controller(v: _Validator, data: dict, n: int, m: int,
         v.fail("controller.kind",
                "must be one of {%s}, got %r" % (", ".join(CONTROLLER_KINDS), kind))
     d["kind"] = normalized
-    if "weight" not in d:
-        d["weight"] = {"kind": "identity"}
-        v.note_default("controller.weight", "the identity matrix G = I")
-    w = v.dict_at(d["weight"], "controller.weight")
-    wkind = v.string(w.get("kind"), "controller.weight.kind", choices=WEIGHT_KINDS) \
-        if "kind" in w else v.fail("controller.weight", "missing required key 'kind'")
-    if wkind == "identity":
-        v.keys(w, "controller.weight", required=("kind",))
-    else:
-        v.keys(w, "controller.weight", required=("kind", "value"))
+    v.default(d, "controller", "weight", {"kind": "identity"}, "the identity matrix G = I")
+    w = v.tagged(d["weight"], "controller.weight", _WEIGHTS)
+    if w["kind"] == "matrix":
         v.positive_definite(v.matrix(w["value"], "controller.weight.value", shape=(m, m)),
                             "controller.weight.value", _checked_matrix)
-    if "cbf" not in d:
-        d["cbf"] = 0
-        v.note_default("controller.cbf", "0")
+    v.default(d, "controller", "cbf", 0, "0")
     v.integer(d["cbf"], "controller.cbf", minimum=0)
     if d["cbf"] >= n_cbfs:
         v.fail("controller.cbf", "index %d out of range (have %d cbfs)" % (d["cbf"], n_cbfs))
     if normalized == "clf-cbf-qp":
         if not has_clf:
             v.fail("controller.kind", "clf-cbf-qp needs a 'clf' section")
-        if "p" not in d:
-            d["p"] = 1
-            v.note_default("controller.p", "1")
+        v.default(d, "controller", "p", 1, "1")
         v.number(d["p"], "controller.p", positive=True)
     else:
         if "p" in d:
@@ -433,25 +402,11 @@ def _valid_tasks(v: _Validator, data: dict, n: int, n_cbfs: int) -> list:
     entries = v.list_at(data.get("tasks"), "tasks", min_len=1)
     for i, entry in enumerate(entries):
         path = "tasks[%d]" % i
-        d = v.dict_at(entry, path)
-        kind = v.string(d.get("kind"), path + ".kind", choices=TASK_KINDS) \
-            if "kind" in d else v.fail(path, "missing required key 'kind'")
-        if kind == "equilibria":
-            v.keys(d, path, required=("kind",), optional=("sweep", "box", "per_axis"))
-            if "sweep" in d:
-                v.integer(d["sweep"], path + ".sweep", minimum=8)
-            if "box" in d:
-                v.matrix(d["box"], path + ".box", shape=(2, n))
-            if "per_axis" in d:
-                v.integer(d["per_axis"], path + ".per_axis", minimum=1)
-        elif kind == "jacobians":
-            v.keys(d, path, required=("kind",))
-        elif kind == "equivalence":
-            v.keys(d, path, required=("kind",), optional=("samples", "pairs"))
+        d = v.tagged(entry, path, _TASKS)
+        kind = d["kind"]
+        if kind == "equivalence":
             if n_cbfs < 2:
                 v.fail(path, "equivalence needs at least two cbfs")
-            if "samples" in d:
-                v.integer(d["samples"], path + ".samples", minimum=1)
             if "pairs" in d:
                 plist = v.list_at(d["pairs"], path + ".pairs", min_len=1)
                 for j, pair in enumerate(plist):
@@ -466,8 +421,6 @@ def _valid_tasks(v: _Validator, data: dict, n: int, n_cbfs: int) -> list:
                     if pair[0] == pair[1]:
                         v.fail(ppath, "indices must differ")
         elif kind in ("field", "roa"):
-            v.keys(d, path, required=("kind", "bounds", "resolution"),
-                   optional=("t_final", "dt") if kind == "roa" else ())
             if n != 2:
                 v.fail(path, "%s grids need a planar system (n = 2), got n = %d" % (kind, n))
             v.matrix(d["bounds"], path + ".bounds", shape=(2, 2))
@@ -480,13 +433,7 @@ def _valid_tasks(v: _Validator, data: dict, n: int, n_cbfs: int) -> list:
                 v.fail(path + ".resolution", "expected [nx, ny]")
             for r in res:
                 v.integer(r, path + ".resolution", minimum=2)
-            if "t_final" in d:
-                v.number(d["t_final"], path + ".t_final", positive=True)
-            if "dt" in d:
-                v.number(d["dt"], path + ".dt", positive=True)
-        else:  # simulate
-            v.keys(d, path, required=("kind",),
-                   optional=("x0", "x0s", "t_final", "dt", "unfiltered"))
+        elif kind == "simulate":
             if ("x0" in d) == ("x0s" in d):
                 v.fail(path, "give exactly one of 'x0' or 'x0s'")
             if "x0" in d:
@@ -495,12 +442,17 @@ def _valid_tasks(v: _Validator, data: dict, n: int, n_cbfs: int) -> list:
                 x0s = v.list_at(d["x0s"], path + ".x0s", min_len=1)
                 for j, x0 in enumerate(x0s):
                     v.vector(x0, "%s.x0s[%d]" % (path, j), length=n)
-            if "t_final" in d:
-                v.number(d["t_final"], path + ".t_final", positive=True)
-            if "dt" in d:
-                v.number(d["dt"], path + ".dt", positive=True)
             if "unfiltered" in d:
                 v.boolean(d["unfiltered"], path + ".unfiltered")
+        # the options that several kinds take; the kind's keys say which are allowed
+        if "box" in d:
+            v.matrix(d["box"], path + ".box", shape=(2, n))
+        for key, minimum in (("sweep", 8), ("per_axis", 1), ("samples", 1)):
+            if key in d:
+                v.integer(d[key], path + "." + key, minimum=minimum)
+        for key in ("t_final", "dt"):
+            if key in d:
+                v.number(d[key], path + "." + key, positive=True)
     return entries
 
 
