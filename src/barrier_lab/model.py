@@ -21,6 +21,7 @@ import numpy as np
 from .errors import InvalidParameterError, StructuralError
 
 FD_STEP = 1e-5
+SYMMETRY_TOL = 1e-12     # bound on max |M - M^T| of a Lyapunov or weight matrix
 
 
 def matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -386,7 +387,7 @@ def quadratic_clf(q: np.ndarray, xstar: Optional[Sequence[float]] = None,
     q = np.array(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise InvalidParameterError("Q must be square")
-    if not np.allclose(q, q.T, atol=1e-12):
+    if not float(np.max(np.abs(q - q.T))) <= SYMMETRY_TOL:
         raise InvalidParameterError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(q)
     if np.min(eigs) <= 0.0:

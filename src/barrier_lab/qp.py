@@ -31,13 +31,12 @@ import numpy as np
 
 from .errors import (DefinitenessError, InfeasibleProblemError, InvalidParameterError,
                      StrictFeasibilityError, StructuralError)
-from .model import (BarrierPair, LyapunovPair, SystemModel, constant_matrix, constant_value, dot,
-                    identity_weight, linear_evaluator, matvec)
+from .model import (SYMMETRY_TOL, BarrierPair, LyapunovPair, SystemModel, constant_matrix,
+                    constant_value, dot, identity_weight, linear_evaluator, matvec)
 
 MAX_ROWS = 12
 FEAS_TOL = 1e-9          # row satisfaction at the returned point
 DUAL_TOL = 1e-12         # multipliers may undershoot zero by this much
-SYMMETRY_TOL = 1e-12
 DEGENERATE_NORM = 1e-12  # explicit-law denominator floor when the row binds
 
 Weight = Callable[[np.ndarray], np.ndarray]

@@ -2,8 +2,10 @@
 
 import functools
 import json
+import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +81,105 @@ REJECTIONS = [
 ]
 
 
+ALL_KINDS = Path(__file__).parent / "data" / "all-kinds.json"
+
+
+def all_kinds() -> dict:
+    return json.loads(ALL_KINDS.read_text())
+
+
+DELETE = object()   # the edit that removes the key or entry
+# one bad value per distinct validator message not pinned above, in the same
+# form; a None line is a complaint about the document as a whole
+MESSAGES = {
+    "not-an-object": (FIG3, ("system",), [], "system", "expected an object, got an array", 4),
+    "not-an-array": (FIG3, ("cbfs",), {}, "cbfs", "expected an array, got an object", 17),
+    "too-few-entries": (FIG3, ("tasks",), [], "tasks", "needs at least 1 entries, got 0", 39),
+    "missing-key": (FIG3, ("cbfs", 0, "radius"), DELETE, "cbfs[0]",
+                    "missing required key 'radius'", 18),
+    "missing-top-level-key": (FIG3, ("tasks",), DELETE, "config",
+                              "missing required key 'tasks'", None),
+    "missing-kind": (FIG3_COMPARE, ("cbfs", 1, "eta", "kind"), DELETE, "cbfs[1].eta",
+                     "missing required key 'kind'", 36),
+    "unknown-key": (FIG3, ("controller", "gain"), 1, "controller.gain",
+                    "unknown key 'gain' (allowed: cbf, kind, p, weight)", 38),
+    "not-a-number": (FIG3, ("cbfs", 0, "radius"), "1", "cbfs[0].radius",
+                     "expected a number, got a string", 24),
+    "not-finite": (FIG3, ("cbfs", 0, "center", 1), math.inf, "cbfs[0].center[1]",
+                   "must be finite", 22),
+    "below-number-minimum": (all_kinds, ("cbfs", 3, "a"), -1, "cbfs[3].a",
+                             "must be >= 0, got -1", 59),
+    "not-an-integer": (FIG3, ("controller", "cbf"), 0.5, "controller.cbf",
+                       "expected an integer, got a number", 37),
+    "below-integer-minimum": (all_kinds, ("tasks", 0, "sweep"), 4, "tasks[0].sweep",
+                              "must be >= 8, got 4", 140),
+    "not-a-string": (FIG3, ("name",), 3, "name", "expected a string, got a number", 3),
+    "not-a-choice": (FIG3, ("cbfs", 0, "form"), "quarter", "cbfs[0].form",
+                     "must be one of {full, half}, got 'quarter'", 25),
+    "not-a-kind": (all_kinds, ("cbfs", 4, "gamma", "kind"), "cubic", "cbfs[4].gamma.kind",
+                   "must be one of {identity, linear, quadratic}, got 'cubic'", 76),
+    "not-a-boolean": (all_kinds, ("tasks", 5, "unfiltered"), "yes", "tasks[5].unfiltered",
+                      "expected true or false, got a string", 200),
+    "vector-length": (FIG3, ("cbfs", 0, "center"), [2, 0, 0], "cbfs[0].center",
+                      "expected 2 entries, got 3", 20),
+    "unequal-rows": (FIG3, ("system", "K"), [[-1, 0], [0]], "system.K",
+                     "rows have unequal lengths", 6),
+    "weight-asymmetric": (FIG3, ("controller", "weight"),
+                          {"kind": "matrix", "value": [[1, 1], [0, 1]]},
+                          "controller.weight.value",
+                          NOT_SPD % "weight matrix is not symmetric within 1e-12", 36),
+    # within np.allclose's default rtol, but V's gradient would not be Q d
+    "clf-asymmetric-by-1e-6": (FIG2, ("clf", "Q"), [[6, 1 + 1e-6], [1, 2]], "clf.Q",
+                               NOT_SPD % "Q must be symmetric", 33),
+    "builtin-and-linear": (FIG3, ("system", "linear"),
+                           {"A": [[0, 0], [0, 0]], "B": [[1, 0], [0, 1]]}, "system",
+                           "give exactly one of 'builtin' or 'linear'", 4),
+    "a-not-square": (FIG3, ("system",), {"linear": {"A": [[0, 1, 0], [0, 0, 1]], "B": [[1], [1]]}},
+                     "system.linear.A", "A must be square", 6),
+    "b-rows": (FIG3, ("system",), {"linear": {"A": [[0, 1], [0, 0]], "B": [[1]]}},
+               "system.linear.B", "B must have 2 rows to match A", 16),
+    "ball-not-planar": (FIG3, ("system",),
+                        {"linear": {"A": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                    "B": [[1], [0], [0]]}, "K": [[-1, 0, 0]]},
+                        "cbfs[0]", "ball barriers need a planar system (n = 2), got n = 3", 44),
+    "base-not-earlier": (FIG3_COMPARE, ("cbfs", 1, "base"), 1, "cbfs[1].base",
+                         "must reference an earlier cbf entry (got 1 at index 1)", 33),
+    "transform-a-b-zero": (FIG3_COMPARE, ("cbfs", 1, "b"), 0, "cbfs[1]",
+                           "transform needs a + b > 0 (got a = 0, b = 0)", 31),
+    "controller-kind": (FIG3, ("controller", "kind"), "mpc", "controller.kind",
+                        "must be one of {safety-filter, clf-cbf-qp}, got 'mpc'", 33),
+    "controller-cbf-range": (FIG3, ("controller", "cbf"), 1, "controller.cbf",
+                             "index 1 out of range (have 1 cbfs)", 37),
+    "clf-cbf-qp-needs-clf": (FIG3, ("controller", "kind"), "clf-cbf-qp", "controller.kind",
+                             "clf-cbf-qp needs a 'clf' section", 33),
+    "filter-takes-no-p": (FIG3, ("controller", "p"), 1, "controller.p",
+                          "the safety filter takes no relaxation penalty", 38),
+    "filter-needs-gain": (FIG3, ("system", "K"), DELETE, "controller.kind",
+                          "the safety filter needs system.K as the nominal controller", 23),
+    "equivalence-one-cbf": (FIG3, ("tasks", 1), {"kind": "equivalence"}, "tasks[1]",
+                            "equivalence needs at least two cbfs", 43),
+    "pair-not-a-pair": (FIG3_COMPARE, ("tasks", 1),
+                        {"kind": "equivalence", "pairs": [[0, 1, 2]]}, "tasks[1].pairs[0]",
+                        "expected [base, other] index pair", 95),
+    "pair-out-of-range": (FIG3_COMPARE, ("tasks", 1),
+                          {"kind": "equivalence", "pairs": [[0, 4]]}, "tasks[1].pairs[0]",
+                          "index 4 out of range (have 4 cbfs)", 95),
+    "resolution-length": (FIG3, ("tasks", 1),
+                          {"kind": "field", "bounds": [[0, 1], [0, 1]], "resolution": [3]},
+                          "tasks[1].resolution", "expected [nx, ny]", 55),
+    "x0-and-x0s": (all_kinds, ("tasks", 4, "x0s"), [[0, 2]], "tasks[4]",
+                   "give exactly one of 'x0' or 'x0s'", 177),
+    "schema-version": (FIG3, ("schema_version",), 2, "schema_version",
+                       "unsupported version 2 (this build reads 1)", 2),
+}
+
+
+def value_at(doc, path: str):
+    for index, key in re.findall(r"\[(\d+)\]|([^.\[\]]+)", path):
+        doc = doc[int(index)] if index else doc[key]
+    return doc
+
+
 class TestValidatorRejections:
     @pytest.mark.parametrize("config, keys, value, path, message, line", REJECTIONS,
                              ids=["system", "cbfs", "clf-asymmetric", "clf-indefinite",
@@ -99,6 +200,33 @@ class TestValidatorRejections:
         assert main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err == "config error: line %d: %s: %s\n" % (
             line, path, message)
+
+    @pytest.mark.parametrize("case", MESSAGES)
+    def test_each_message_names_path_and_line(self, tmp_path, capsys, case):
+        config, keys, value, path, message, line = MESSAGES[case]
+        doc = config()
+        doc = json.loads(json.dumps(doc if isinstance(doc, dict) else doc.to_json_dict()))
+        holder = functools.reduce(operator.getitem, keys[:-1], doc)
+        if value is DELETE:
+            del holder[keys[-1]]
+        else:
+            holder[keys[-1]] = value
+        text = json.dumps(doc, indent=2)
+        if line is not None:
+            # the line holds the value at path, after its key when path ends in one
+            found = text.splitlines()[line - 1].strip().rstrip(",")
+            if not path.endswith("]"):
+                found = found[len('"%s": ' % path.rsplit(".", 1)[-1]):]
+            assert found == json.dumps(value_at(doc, path), indent=2).splitlines()[0]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(text)
+        assert (excinfo.value.path, excinfo.value.args[0], excinfo.value.line) == (
+            path, message, line)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad)]) == 2
+        where = "" if line is None else "line %d: " % line
+        assert capsys.readouterr().err == "config error: %s%s: %s\n" % (where, path, message)
 
     def test_entries_are_found_by_index(self):
         # the third cbf's key, not the first cbf's, and a member of the entry itself
@@ -358,6 +486,66 @@ class TestAppliedDefaults:
         assert "eta" not in config.cbfs[2] and "gamma" not in config.cbfs[3]
         for name in BUILTIN_SCENARIOS:
             assert builtin_scenario(name).applied_defaults == ()
+
+
+    def test_defaults_no_other_case_reaches(self):
+        data = builtin_scenario("fig2").to_json_dict()
+        del data["cbfs"][0]["form"], data["cbfs"][0]["alpha"]["slope"]
+        del data["clf"]["xstar"], data["clf"]["beta"], data["controller"]["p"]
+        config = validate_config(data)
+        assert config.applied_defaults == (
+            "cbfs[0].form defaulted to 'full'",
+            "cbfs[0].alpha.slope defaulted to 1",
+            "clf.xstar defaulted to the origin",
+            "clf.beta defaulted to the identity class-K function",
+            "controller.p defaulted to 1",
+        )
+        assert (config.cbfs[0]["form"], config.cbfs[0]["alpha"], config.controller["p"]) == (
+            "full", {"kind": "linear", "slope": 1}, 1)
+        assert (config.clf["xstar"], config.clf["beta"]) == ([0, 0], {"kind": "identity"})
+
+
+class TestAllKindsRun:
+    def test_every_task_kind_writes_its_artifacts(self, tmp_path, capsys):
+        # the document every kind is in, also run by CI through the console script
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(ALL_KINDS), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        csv_rows = {  # header, data rows
+            "field.csv": ("x1,x2,v1,v2,h,active_code,masked", 4 * 3),
+            "trajectory-0.csv": ("t,x1,x2,u1,u2,h", 51),
+            "trajectory-1.csv": ("t,x1,x2,u1,u2,h", 51),
+            "trajectory-2.csv": ("t,x1,x2,u1,u2,h", 51),
+            "roa.csv": ("x1,x2,label", 3 * 3),
+        }
+        for name, (header, rows) in csv_rows.items():
+            lines = (out / name).read_text().splitlines()
+            assert (lines[0], len(lines) - 1) == (header, rows), name
+        equilibria = json.loads((out / "equilibria.json").read_text())
+        spectra = json.loads((out / "spectra.json").read_text())
+        equivalence = json.loads((out / "equivalence.json").read_text())
+        assert (equilibria["scenario"], equilibria["controller"]) == ("all-kinds", "safety-filter")
+        assert len(equilibria["reports"]) == len(spectra["spectra"]) == 2
+        # with no pairs given, each barrier is checked against the first
+        assert [(c["base"], c["other"], c["samples"], c["verdict"])
+                for c in equivalence["checks"]] == [
+            (0, j, 16, "equivalent-within-tol") for j in range(1, 7)]
+        summary = (out / "summary.txt").read_text()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["equilibria.json", "spectra.json", "equivalence.json", "summary.txt", *csv_rows])
+        assert ("\ndefaults applied\n  - cbfs[2].b defaulted to 0\n"
+                "  - cbfs[5].a defaulted to 0\n") in summary
+        log = summary.split("\ntask log\n")[1].split("\n\n")[0].splitlines()
+        assert log[2:8] == ["  - equivalence cbf[0] ~ cbf[%d]: equivalent-within-tol" % j
+                            for j in range(1, 7)]
+        assert [line.split(": ")[0] for line in log[9:12]] == [
+            "  - simulate from (0, 2)", "  - unfiltered simulate from (4, 1)",
+            "  - unfiltered simulate from (5, -2)"]
+        assert log[12:] == ["  - roa: 3x3 grid; converged-to(0;0) x8, unsafe-start x1"]
+        # the unfiltered loop leaves the safe set, the filtered one does not
+        h = [np.loadtxt(out / ("trajectory-%d.csv" % j), delimiter=",", skiprows=1)[:, -1]
+             for j in range(3)]
+        assert min(h[0]) > 0.0 > min(h[1])
 
 
 class TestComparison:

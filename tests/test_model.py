@@ -91,6 +91,12 @@ class TestQuadraticClf:
         with pytest.raises(InvalidParameterError):
             quadratic_clf(np.eye(2), xstar=(1.0, 2.0, 3.0))
 
+    def test_rejects_q_asymmetric_by_1e_6(self):
+        # within np.allclose's default rtol, but Q d would then miss the
+        # gradient of V = (1/2) d^T Q d, (1/2)(Q + Q^T) d, by 5e-7 at (1, 1)
+        with pytest.raises(InvalidParameterError, match=r"^Q must be symmetric$"):
+            quadratic_clf(np.array([[6.0, 1.0 + 1e-6], [1.0, 2.0]]))
+
 
 class TestTransform:
     def base(self):
