@@ -587,27 +587,29 @@ def unfiltered_controller(config: ScenarioConfig, model: SystemModel,
 
 # ---- builtin catalog ------------------------------------------------------
 
-_FIG3_SYSTEM = {"builtin": "integrator-2d", "K": [[-1, 0], [0, -5]]}
-_FIG3_BALL = {"kind": "ball", "center": [2, 0], "radius": 1, "form": "full"}
-_ETA_OFFSET = {"kind": "quadratic-offset", "center": [5, 1], "offset": 1}
+# each builder returns fresh literals: a config holds its documents' lists,
+# so one caller's edit must not reach the next call's config
+
+
+def _eta_offset() -> dict:
+    return {"kind": "quadratic-offset", "center": [5, 1], "offset": 1}
 
 
 def _fig3_cbf(alpha_slope) -> dict:
-    d = dict(_FIG3_BALL)
-    d["alpha"] = {"kind": "linear", "slope": alpha_slope}
-    return d
+    return {"kind": "ball", "center": [2, 0], "radius": 1, "form": "full",
+            "alpha": {"kind": "linear", "slope": alpha_slope}}
 
 
 def _fig3_transform(base: int, alpha_slope) -> dict:
     return {"kind": "transform", "base": base, "a": 0, "b": 1,
-            "eta": dict(_ETA_OFFSET), "alpha": {"kind": "linear", "slope": alpha_slope}}
+            "eta": _eta_offset(), "alpha": {"kind": "linear", "slope": alpha_slope}}
 
 
 def _fig3_raw(name: str, cbfs: list, active: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
-        "system": dict(_FIG3_SYSTEM),
+        "system": {"builtin": "integrator-2d", "K": [[-1, 0], [0, -5]]},
         "cbfs": cbfs,
         "controller": {"kind": "safety-filter",
                        "weight": {"kind": "identity"}, "cbf": active},
@@ -672,7 +674,7 @@ def builtin_scenario(name: str) -> ScenarioConfig:
 
 def _fig2_transform() -> dict:
     return {"kind": "transform", "base": 0, "a": 0, "b": 1,
-            "eta": dict(_ETA_OFFSET), "alpha": {"kind": "linear", "slope": 10}}
+            "eta": _eta_offset(), "alpha": {"kind": "linear", "slope": 10}}
 
 
 def comparison_config(name: str) -> ScenarioConfig:

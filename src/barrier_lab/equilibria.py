@@ -110,7 +110,7 @@ def collinearity_factor(controller, x: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     terms = controller._terms
-    [(_, winv_a)] = terms.rows(x, np.asarray(controller.pair.grad_h(x), dtype=float))
+    _, winv_a = terms.row(x, np.asarray(controller.pair.grad_h(x), dtype=float))
     d_grad = terms.apply_g(x, winv_a)
     den = float(d_grad @ d_grad)
     if den <= NORMAL_MIN ** 2:

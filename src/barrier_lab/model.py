@@ -11,6 +11,10 @@ Every type is immutable after construction and safe to share across workers.
 An evaluator may return its input (an identity matrix or a unit slope skips
 the multiply by 1) or a read-only view (a constant matrix), so callers never
 write into evaluator output; what they keep beyond a call, they copy.
+
+A batch need not be C-contiguous: the stepping loop (sim._advance) hands
+planar evaluators (N, 2) batches in Fortran order, so an evaluator indexes
+and broadcasts over the trailing axis and assumes no memory layout.
 """
 
 from dataclasses import dataclass, field
@@ -18,25 +22,33 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:     # numpy < 2; numpy.core warns on numpy 2, so it is tried second
+    from numpy.core.multiarray import c_einsum
+
 from .errors import InvalidParameterError, StructuralError
 
 FD_STEP = 1e-5
 SYMMETRY_TOL = 1e-12     # bound on max |M - M^T| of a Lyapunov or weight matrix
 
 
+# The products below call c_einsum, the C kernel np.einsum ends in when its
+# optimize is off: the same bits without np.einsum's Python dispatch.
+
 def matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Batched matrix-vector product over the trailing axes."""
-    return np.einsum("...ij,...j->...i", mat, vec)
+    return c_einsum("...ij,...j->...i", mat, vec)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched inner product over the trailing axis."""
-    return np.einsum("...i,...i->...", a, b)
+    return c_einsum("...i,...i->...", a, b)
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched outer product a b^T."""
-    return np.einsum("...i,...j->...ij", a, b)
+    return c_einsum("...i,...j->...ij", a, b)
 
 
 def constant_matrix(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -77,7 +89,9 @@ def linear_evaluator(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     diagonal = mat.shape[0] == mat.shape[1] and nonzero == np.count_nonzero(mat.diagonal())
     if not nonzero:
         def evaluate(x):
-            return np.zeros(np.asarray(x).shape[:-1] + mat.shape[:1])
+            # in x's layout, like the ufunc outputs of the other branches
+            x = np.asarray(x)
+            return np.zeros_like(x, dtype=float, shape=x.shape[:-1] + mat.shape[:1])
     elif diagonal and mat.diagonal().tolist() == [1.0] * mat.shape[0]:
         def evaluate(x):
             return np.asarray(x, dtype=float)

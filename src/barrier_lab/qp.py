@@ -311,19 +311,17 @@ class _LoopTerms:
             return self.times_g(u)
         return matvec(self.model.g(x), u)
 
-    def rows(self, x: np.ndarray, *grads: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """(g^T grad, W^{-1} g^T grad) at x for each gradient."""
+    def row(self, x: np.ndarray, grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(g^T grad, W^{-1} g^T grad) at x."""
         if self.times_gt is not None:
-            normals = [self.times_gt(grad) for grad in grads]
+            a = self.times_gt(grad)
         else:
-            gt = np.swapaxes(self.model.g(x), -1, -2)
-            normals = [matvec(gt, grad) for grad in grads]
+            a = matvec(np.swapaxes(self.model.g(x), -1, -2), grad)
         if self.times_winv_gt is self.times_gt is not None:
-            return [(a, a) for a in normals]
+            return a, a
         if self.times_winv_gt is not None:
-            return [(a, self.times_winv_gt(grad)) for a, grad in zip(normals, grads)]
-        w = np.asarray(self.weight(x), dtype=float)
-        return [(a, _apply_inverse(w, a)) for a in normals]
+            return a, self.times_winv_gt(grad)
+        return a, _apply_inverse(np.asarray(self.weight(x), dtype=float), a)
 
 
 def safety_filter_problem(model: SystemModel, pair: BarrierPair,
@@ -350,7 +348,7 @@ def _filter_row(terms: _LoopTerms, pair: BarrierPair, x: np.ndarray):
     hv, grad = pair.value_and_grad(x)
     drift = terms.drift(x)
     eta = np.asarray(dot(grad, drift) + pair.alpha(hv), dtype=float)
-    [(a, winv_a)] = terms.rows(x, grad)
+    a, winv_a = terms.row(x, grad)
     return eta, a, winv_a, drift
 
 
@@ -371,7 +369,7 @@ def _filter_law(eta: np.ndarray, a: np.ndarray, winv_a: np.ndarray, single: bool
         return u, den
     # 1 keeps inactive rows finite; NaN in the denominator carries degenerate rows to u
     safe_den = np.where(active, den, 1.0)
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         safe_den[degenerate] = np.nan
     u = np.where(active[..., None], -eta[..., None] * winv_a / safe_den[..., None], 0.0)
     return u, den
@@ -435,12 +433,11 @@ def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: Lyapunov
     f = np.asarray(terms.drift(x), dtype=float)
     v, grad_v = clf.value_and_grad(x)
     grad_v = np.asarray(grad_v, dtype=float)
-    if cbf is None:
-        [(av, winv_av)] = terms.rows(x, grad_v)
-    else:
+    av, winv_av = terms.row(x, grad_v)
+    if cbf is not None:
         hv, grad_h = cbf.value_and_grad(x)
         grad_h = np.asarray(grad_h, dtype=float)
-        (av, winv_av), (ah, winv_ah) = terms.rows(x, grad_v, grad_h)
+        ah, winv_ah = terms.row(x, grad_h)
     data = {
         "f": f,
         "av": av,

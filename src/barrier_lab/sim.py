@@ -84,10 +84,23 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
     converges; a recorded batch keeps stepping its converged rows to fill the
     horizon. A row outside the pack keeps in x the state it left with, and x
     is rebuilt from the pack after each recorded step and once at the end.
+
+    For n <= 2 the pack is batch-contiguous (Fortran order), so each
+    elementwise op of the field runs one loop down the batch instead of N
+    loops of length n; ufuncs keep their inputs' layout, so only the
+    shrinking step, whose boolean index returns C order, restores it. For
+    n >= 3 the pack stays in C order: einsum vectorizes a contiguous trailing
+    axis of three or more, so its sums, and with them a row's bits, would
+    depend on the layout and on the batch the row steps in. At n <= 2 every
+    finite and infinite result has the same bits in either layout; a NaN may
+    differ in its sign bit, and a row that holds one leaves the pack.
     """
     steps = _horizon_steps(t_final, dt)
     x = np.array(x0s, dtype=float)
     batch, n = x.shape
+    batch_contiguous = n <= 2
+    if batch_contiguous:
+        x = np.asfortranarray(x)
     attractor_arr = (np.stack([np.asarray(a, dtype=float) for a in attractors])
                      if len(attractors) else None)
 
@@ -162,6 +175,8 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
                 x[ids[~keep]] = rows[~keep]
             ids, rows, hold, last_near, running = (
                 a[keep] for a in (ids, rows, hold, last_near, running))
+            if batch_contiguous:
+                rows = np.asfortranarray(rows)
             all_running = bool(running.all())
 
     if not record:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,14 @@ from barrier_lab import (
     build_model,
     build_pairs,
     builtin_scenario,
+    comparison_config,
     make_ball_cbf,
     parse_config_text,
     quadratic_clf,
     transform_cbf,
     validate_config,
 )
+from barrier_lab.config import BUILTIN_SCENARIOS, COMPARISON_SCENARIOS
 from barrier_lab.model import (constant_matrix, constant_state_map, identity_map, linear_map,
                                quadratic_map, quadratic_offset_map)
 
@@ -189,3 +192,26 @@ class TestSingleFaults:
             outcomes["built"] += 1
         # the sample holds both outcomes, most of them rejections
         assert outcomes["rejected"] > outcomes["built"] > 0
+
+
+def poison(doc):
+    """Overwrite every list entry and dict value reachable from doc, in place."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items()
+    for key, value in list(items):
+        if isinstance(value, (dict, list)):
+            poison(value)
+        elif key != "kind":
+            doc[key] = math.inf
+
+
+class TestBuiltinCatalog:
+    def test_editing_one_config_leaves_the_next_call_alone(self):
+        makers = [(builtin_scenario, name) for name in BUILTIN_SCENARIOS]
+        makers += [(comparison_config, name) for name in COMPARISON_SCENARIOS]
+        for make, name in makers:
+            fresh = json.dumps(make(name).to_json_dict())
+            for other_make, other in makers:
+                poison(other_make(other).to_json_dict())
+            again = make(name)
+            assert json.dumps(again.to_json_dict()) == fresh, name
+            assert again == validate_config(json.loads(fresh)), name

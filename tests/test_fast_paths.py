@@ -3,7 +3,9 @@
 The fast paths: products with g and W formed once from their constant marks
 (identity products skipped), unit factors that skip the multiply by 1, each
 state function's value and gradient from one evaluator, the CLF-CBF failure
-mask read from lam1, and the basin loop stepping its running rows packed.
+mask read from lam1, the basin loop stepping its running rows packed, in
+Fortran order for planar systems, and the batched products calling einsum's
+C kernel.
 Stored results own their memory even when an evaluator returns its input.
 """
 
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from barrier_lab import (
+    BarrierPair,
     ClfCbfController,
     NominalClosedLoop,
     SafetyFilterController,
@@ -28,8 +31,8 @@ from barrier_lab.model import (constant_state_map, dot, identity_map, linear_eva
                                linear_map, matvec, outer, quadratic_map,
                                quadratic_offset_map)
 from barrier_lab.qp import DUAL_TOL, FEAS_TOL, _clf_cbf_fields, _clf_cbf_solution
-from barrier_lab.sim import (STATUS_CONVERGED, STATUS_ERROR, STATUS_LEFT, STATUS_RUNNING,
-                             _advance, _labels)
+from barrier_lab.sim import (CONV_HOLD, CONV_RADIUS, STATUS_CONVERGED, STATUS_ERROR,
+                             STATUS_LEFT, STATUS_RUNNING, _advance, _attractor_label, _labels)
 
 CATALOG = ("fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2", "fig2")
 # -0.0, nan and +-inf in every position, next to ordinary values
@@ -403,3 +406,166 @@ class TestStoredArraysOwnTheirMemory:
             roa = roa_grid(controller, ((-1.0, 4.0), (-1.0, 1.0)), 3, attractors,
                            t_final=0.01, dt=1e-3)
             assert_unshared([roa.points, *roa.attractors], *attractors)
+
+
+def assert_same_or_nan(got, want, what):
+    """Equal bits where want is a number; NaN where want is NaN, of either sign."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), what
+    assert np.array_equal(bits(got)[~nan], bits(want)[~nan]), what
+
+
+class TestBatchContiguousStates:
+    def test_fortran_ordered_states_give_the_c_ordered_bits(self, bundles):
+        for name in CATALOG:
+            bundle = bundles(name)
+            states = np.concatenate([bundle.safe_states(10 ** 4, seed=21), SPECIAL])
+            for batch in (states[:1], states[:100], states, SPECIAL):
+                fortran, c_order = np.asfortranarray(batch), np.ascontiguousarray(batch)
+                assert fortran.flags.f_contiguous and c_order.flags.c_contiguous
+                for controller in (bundle.controller, bundle.unfiltered):
+                    with np.errstate(all="ignore"):
+                        got = (controller.field(fortran),) + controller.evaluate(fortran)
+                        want = (controller.field(c_order),) + controller.evaluate(c_order)
+                    for part, (a, b) in enumerate(zip(got, want)):
+                        assert_same_or_nan(a, b, (name, controller.kind, len(batch), part))
+
+
+def c_layout_rk4(controller, x, dt):
+    """One RK4 step of _advance's arithmetic with every stage state in C order."""
+    def field(s):
+        return np.asarray(controller.field(np.ascontiguousarray(s)), dtype=float)
+
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
+    return np.ascontiguousarray(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def c_layout_basins(controller, x0s, attractors, steps, dt):
+    """Labels and final states of a basin run, every row stepped in one C-ordered batch.
+
+    A row converges once it has stayed within CONV_RADIUS of one attractor
+    for CONV_HOLD steps; its final state is the state it converged at. Every
+    row steps to the horizon, so no row ever leaves the batch.
+    """
+    x = np.ascontiguousarray(x0s, dtype=float)
+    attractors = np.array(attractors, dtype=float)
+    hold = np.zeros(len(x), dtype=int)
+    last_near = np.full(len(x), -1)
+    labels, final = ["max-time"] * len(x), x.copy()
+    for _ in range(steps):
+        x = c_layout_rk4(controller, x, dt)
+        assert np.isfinite(x).all()
+        dists = np.linalg.norm(x[:, None, :] - attractors[None], axis=-1)
+        nearest = np.argmin(dists, axis=-1)
+        near = dists.min(axis=-1) < CONV_RADIUS
+        hold = np.where(near & (nearest == last_near), hold + 1, near.astype(int))
+        last_near = np.where(near, nearest, -1)
+        for i in np.flatnonzero(hold >= CONV_HOLD):
+            if labels[i] == "max-time":
+                labels[i] = _attractor_label(attractors, nearest[i])
+                final[i] = x[i]
+    running = [i for i, label in enumerate(labels) if label == "max-time"]
+    final[running] = x[running]
+    return labels, final
+
+
+class TestCLayoutReference:
+    def test_integrate_batch_matches_the_c_layout_loop(self, bundles):
+        for name in CATALOG:
+            bundle = bundles(name)
+            x0s = bundle.safe_states(20, seed=5)
+            want = [x0s]
+            for _ in range(200):
+                want.append(c_layout_rk4(bundle.controller, want[-1], 1e-3))
+            want = np.stack(want, axis=1)
+            trajectories = integrate_batch(bundle.controller, x0s, t_final=0.2, dt=1e-3)
+            assert len(trajectories) == 20
+            for traj, states in zip(trajectories, want):
+                assert traj.states.shape == (201, 2)
+                assert np.array_equal(bits(traj.states), bits(states)), name
+
+    def test_roa_grid_matches_the_c_layout_loop(self):
+        # the fast plant of test_grid_labels_match_each_node_alone, on a finer grid
+        model = linear_system(np.zeros((2, 2)), np.eye(2), gain=-20.0 * np.eye(2))
+        controller = SafetyFilterController(model, make_ball_cbf((2.0, 0.0), 1.0,
+                                                                 alpha_slope=20.0))
+        attractors = [np.zeros(2), np.array([3.0, 0.0])]
+        bounds, t_final, dt = ((-1.0, 4.5), (-1.0, 1.0)), 0.8, 1e-3
+        grid = roa_grid(controller, bounds, [12, 5], attractors, t_final=t_final, dt=dt)
+        safe = np.array([label != "unsafe-start" for label in grid.labels])
+        labels, final = c_layout_basins(controller, grid.points[safe], attractors, 800, dt)
+        assert [label for label in grid.labels if label != "unsafe-start"] == labels
+        assert {"converged-to(0;0)", "converged-to(3;0)", "max-time"} <= set(labels)
+        packed = _advance(controller, grid.points[safe], t_final, dt, attractors, record=False)
+        assert packed[2].flags.f_contiguous
+        assert np.array_equal(bits(packed[2]), bits(final))
+
+
+def readme_filter():
+    """The README's custom barrier: the unit ball around (2, 0, 0) in three states."""
+    center = np.array([2.0, 0.0, 0.0])
+
+    def value_and_grad(x):
+        d = np.asarray(x, dtype=float) - center
+        return np.sum(d * d, axis=-1) - 1.0, 2.0 * d
+
+    def hess_h(x):
+        return np.broadcast_to(2.0 * np.eye(3), np.shape(x)[:-1] + (3, 3))
+
+    alpha = linear_map(1.0)
+    pair = BarrierPair(value_and_grad=value_and_grad, hess_h=hess_h,
+                       alpha=alpha.fun, alpha_prime=alpha.deriv)
+    model = linear_system(np.zeros((3, 3)), np.eye(3), -np.diag([1.0, 5.0, 9.0]))
+    return SafetyFilterController(model, pair)
+
+
+class TestThreeStatePack:
+    def test_batch_matches_each_row_alone(self):
+        # einsum sums a contiguous trailing axis of three in another order than
+        # a strided one, so a batch-contiguous pack would move some rows' bits
+        controller = readme_filter()
+        x0s = np.random.default_rng(17).uniform((2.5, -2.0, -2.0), (6.0, 2.0, 2.0), (100, 3))
+        times, states, final = _advance(controller, x0s, 0.02, 1e-3, (), record=True)[:3]
+        assert states.shape == (100, 21, 3)
+        for i, x0 in enumerate(x0s):
+            alone = _advance(controller, x0[None], 0.02, 1e-3, (), record=True)
+            assert np.array_equal(bits(alone[1][0]), bits(states[i])), i
+            assert np.array_equal(bits(alone[2][0]), bits(final[i])), i
+
+
+class TestEinsumKernel:
+    def test_products_are_np_einsum(self):
+        rng = np.random.default_rng(11)
+        pool = np.array([-0.0, 0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, -math.nan,
+                         1e308, -3e-310])
+
+        def draw(*shape):
+            out = rng.normal(size=shape)
+            mask = rng.random(shape) < 0.3
+            out[mask] = rng.choice(pool, size=int(mask.sum()))
+            return out
+
+        products = ((dot, "...i,...i->..."), (matvec, "...ij,...j->...i"),
+                    (outer, "...i,...j->...ij"))
+        for n in range(1, 9):
+            batch = draw(50, n)
+            cases = {
+                dot: [(draw(n), draw(n)), (batch, draw(50, n)), (batch, draw(n)),
+                      (np.asfortranarray(batch), draw(n)), (draw(7, 1, n), draw(4, n))],
+                matvec: [(draw(n, n), draw(n)), (draw(50, n, n), batch), (draw(n, n), batch),
+                         (draw(50, n, n), draw(n)), (draw(n, n), np.asfortranarray(batch))],
+                outer: [(draw(n), draw(n)), (batch, draw(50, n)), (batch, draw(n)),
+                        (np.asfortranarray(batch), draw(n)), (draw(7, 1, n), draw(4, n))],
+            }
+            for product, spec in products:
+                for a, b in cases[product]:
+                    with np.errstate(all="ignore"):
+                        got, want = product(a, b), np.einsum(spec, a, b)
+                    assert type(got) is type(want), (product.__name__, n)
+                    assert np.shape(got) == np.shape(want), (product.__name__, n)
+                    assert np.array_equal(bits(got), bits(want)), (product.__name__, n)
