@@ -343,7 +343,7 @@ def find_boundary_equilibria(controller, sweep: int = SWEEP_DEFAULT,
     not finite raises StrictFeasibilityError: no input meets the barrier row
     there, so h is not a CBF, which the analysis assumes.
     """
-    geometry = controller.pair.geometry if controller.cbf_pairs else None
+    geometry = None if controller.pair is None else controller.pair.geometry
     if geometry is None:
         raise PreconditionError("controller carries no barrier with a parametrized boundary")
     counts = PolishCounts() if counts is None else counts
@@ -413,7 +413,7 @@ def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
     Newton runs on the unfiltered field, which has no solver-tolerance
     plateaus; the filtered field still gates the reported residual. The
     seeds inside the safe set are polished in one batch. Converged points
-    with h > 1e-6 for every carried barrier are reported. counts, when
+    with h > 1e-6 for the controller's barrier are reported. counts, when
     given, receives each polish and each drop.
     """
     if seeds is None:
@@ -426,7 +426,9 @@ def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
         return np.asarray(controller.unfiltered_field(x), dtype=float)
 
     counts = PolishCounts() if counts is None else counts
-    safe = [not any(float(pair.h(x0)) < 0.0 for pair in controller.cbf_pairs) for x0 in seeds]
+    pair = controller.pair
+    # not h < 0 rather than h >= 0: a seed where h is NaN still gets polished
+    safe = [pair is None or not float(pair.h(x0)) < 0.0 for x0 in seeds]
     polished = iter(polish_roots(field_at, [x0 for x0, ok in zip(seeds, safe) if ok]))
     # states go to the log as lazy %s arguments: no formatting below the level
     roots: List[Tuple[np.ndarray, float]] = []
@@ -443,7 +445,7 @@ def find_interior_equilibria(controller, box=((-5.0, -5.0), (5.0, 5.0)),
             counts.dropped += 1
             continue
         root = result.x
-        if any(float(pair.h(root)) <= INTERIOR_MIN_H for pair in controller.cbf_pairs):
+        if pair is not None and float(pair.h(root)) <= INTERIOR_MIN_H:
             log.debug("interior seed %s dropped: its root %s is not inside the safe set",
                       x0, root)
             counts.dropped += 1

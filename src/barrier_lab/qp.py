@@ -512,20 +512,27 @@ def _unfiltered_pass(terms: _LoopTerms, clf: LyapunovPair, p: float, x: np.ndarr
     return u, data["f"] + terms.apply_g(x, u), lam1
 
 
-class _ControllerViews:
-    """control, multipliers, active_code and point as views of evaluate(x).
+class _Controller:
+    """What every controller shares: its one barrier, point and unfiltered_field.
 
     Each controller defines evaluate(x) -> (u, field, multipliers,
     active_code) and field(x), the same pass without the multiplier and
     active-code arithmetic the integrator never reads. Bit row_bits[i] of
     the active code marks row i of problem() active (1: clf row, 2: cbf
-    row); p is the penalty of a relaxed clf row. A loop with no barrier row
-    is its own unfiltered loop; filtered controllers override
-    unfiltered_field.
+    row); p is the penalty of a relaxed clf row. pair is the controller's
+    barrier, None on a loop with no barrier row; such a loop is its own
+    unfiltered loop, and filtered controllers override unfiltered_field.
     """
 
+    pair: Optional[BarrierPair] = None
     row_bits: Tuple[int, ...] = ()
     p: Optional[float] = None
+
+    @property
+    def cbf_pairs(self) -> Tuple[BarrierPair, ...]:
+        # only reader: perfbench/workloads.py:127 (safe_states); it goes with
+        # the [benchmark] change of ROADMAP item 2
+        return () if self.pair is None else (self.pair,)
 
     def point(self, x: np.ndarray) -> KktPoint:
         """evaluate at one state as the KktPoint of problem(); delta = lam1 / p.
@@ -547,24 +554,15 @@ class _ControllerViews:
                         multipliers=multipliers,
                         active_set=tuple(i for i, bit in enumerate(self.row_bits) if code & bit))
 
-    def control(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[0]
-
-    def multipliers(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[2]
-
-    def active_code(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[3]
-
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return self.field(x)
 
 
-class SafetyFilterController(_ControllerViews):
+class SafetyFilterController(_Controller):
     """Nominal closed loop f + g k wrapped by the explicit safety filter.
 
     evaluate(x) returns (u, field, multipliers, active_code) from one pass
-    over the law; eta and the views of _ControllerViews read that pass.
+    over the law, and point(x) reads that pass.
     State-independent parts of the loop are computed once, on the first
     evaluation (see _LoopTerms), so building a controller stays cheap. The
     controllers below follow the same layout.
@@ -579,14 +577,13 @@ class SafetyFilterController(_ControllerViews):
         self.model = model
         self.pair = pair
         self.weight = _weight_or_identity(weight, model.m)
-        self.cbf_pairs: Tuple[BarrierPair, ...] = (pair,)
 
     @cached_property
     def _terms(self) -> _LoopTerms:
         return _LoopTerms(self.model, self.weight, nominal=True)
 
     def _pass(self, x: np.ndarray):
-        # the shared part of every view; field stops here, since the
+        # the shared part of evaluate and field; field stops here, since the
         # integrator never reads the multipliers or the active code
         x = np.asarray(x, dtype=float)
         eta, a, winv_a, drift = _filter_row(self._terms, self.pair, x)
@@ -600,9 +597,6 @@ class SafetyFilterController(_ControllerViews):
         lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
         return u, field, np.maximum(lam, 0.0)[..., None], code
 
-    def eta(self, x: np.ndarray) -> np.ndarray:
-        return _filter_row(self._terms, self.pair, np.asarray(x, dtype=float))[0]
-
     def field(self, x: np.ndarray) -> np.ndarray:
         return self._pass(x)[1]
 
@@ -613,7 +607,7 @@ class SafetyFilterController(_ControllerViews):
         return safety_filter_problem(self.model, self.pair, self.weight)
 
 
-class ClfCbfController(_ControllerViews):
+class ClfCbfController(_Controller):
     """CLF-CBF QP controller on the raw plant (no nominal k)."""
 
     kind = "clf-cbf-qp"
@@ -626,7 +620,6 @@ class ClfCbfController(_ControllerViews):
         self.clf = clf
         self.weight = _weight_or_identity(weight, model.m)
         self.p = _penalty(p)
-        self.cbf_pairs: Tuple[BarrierPair, ...] = (cbf,)
 
     @cached_property
     def _terms(self) -> _LoopTerms:
@@ -657,7 +650,7 @@ class ClfCbfController(_ControllerViews):
         return clf_cbf_problem(self.model, self.pair, self.clf, self.weight, self.p)
 
 
-class ClfController(_ControllerViews):
+class ClfController(_Controller):
     """Unfiltered min-norm CLF controller (the clf-cbf QP without its cbf row)."""
 
     kind = "clf"
@@ -669,7 +662,6 @@ class ClfController(_ControllerViews):
         self.clf = clf
         self.weight = _weight_or_identity(weight, model.m)
         self.p = _penalty(p)
-        self.cbf_pairs: Tuple[BarrierPair, ...] = ()
 
     @cached_property
     def _terms(self) -> _LoopTerms:
@@ -686,7 +678,7 @@ class ClfController(_ControllerViews):
         return clf_problem(self.model, self.clf, self.weight, self.p)
 
 
-class NominalClosedLoop(_ControllerViews):
+class NominalClosedLoop(_Controller):
     """The nominal closed loop f + g k with no optimization in the loop."""
 
     kind = "nominal"
@@ -695,7 +687,6 @@ class NominalClosedLoop(_ControllerViews):
         if model.k is None:
             raise StructuralError("nominal closed loop needs a controller k on the model")
         self.model = model
-        self.cbf_pairs: Tuple[BarrierPair, ...] = ()
 
     @cached_property
     def _drift(self) -> Callable[[np.ndarray], np.ndarray]:

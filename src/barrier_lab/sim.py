@@ -35,15 +35,13 @@ class Trajectory:
     times: np.ndarray              # (T,)
     states: np.ndarray             # (T, n)
     inputs: np.ndarray             # (T, m)
-    h_values: np.ndarray           # (T, P) for the controller's P barriers
+    h_values: np.ndarray           # (T,) h of the controller's barrier, +inf if none
     multiplier_trace: np.ndarray   # (T, L)
     terminal_label: str
     attractor_index: Optional[int] = None
 
     @property
     def min_h(self) -> float:
-        if self.h_values.size == 0:
-            return float("inf")
         return float(np.min(self.h_values))
 
 
@@ -201,12 +199,16 @@ def _labels(status: np.ndarray, attr_index: np.ndarray, err_time: np.ndarray,
     return out
 
 
+def _barrier_h(controller, x: np.ndarray) -> np.ndarray:
+    """h of the controller's barrier at x (a copy), +inf where it carries none."""
+    if controller.pair is None:
+        return np.full(x.shape[:-1], np.inf)
+    return np.array(controller.pair.h(x), dtype=float)
+
+
 def _check_safe_start(controller, x0s: np.ndarray) -> np.ndarray:
-    """h(x0) >= 0 for every carried barrier; returns the per-item verdict."""
-    ok = np.ones(x0s.shape[0], dtype=bool)
-    for pair in controller.cbf_pairs:
-        ok &= np.asarray(pair.h(x0s), dtype=float) >= 0.0
-    return ok
+    """h(x0) >= 0 for the controller's barrier; returns the per-item verdict."""
+    return _barrier_h(controller, x0s) >= 0.0
 
 
 def _assemble(controller, times: np.ndarray, states: np.ndarray, label: str,
@@ -215,12 +217,8 @@ def _assemble(controller, times: np.ndarray, states: np.ndarray, label: str,
     # copies: an evaluator may return its input, and a stored array owns its memory
     inputs = np.array(inputs, dtype=float)
     mult = np.array(mult, dtype=float)
-    if controller.cbf_pairs:
-        h_values = np.stack([np.asarray(pair.h(states), dtype=float)
-                             for pair in controller.cbf_pairs], axis=-1)
-    else:
-        h_values = np.zeros(states.shape[:-1] + (0,))
-    return Trajectory(times=times, states=states, inputs=inputs, h_values=h_values,
+    return Trajectory(times=times, states=states, inputs=inputs,
+                      h_values=_barrier_h(controller, states),
                       multiplier_trace=mult, terminal_label=label,
                       attractor_index=attractor_index)
 
@@ -287,7 +285,7 @@ def roa_grid(controller, bounds, resolution, attractors: Sequence[np.ndarray],
              t_final: float = T_DEFAULT, dt: float = DT_DEFAULT) -> RoaGrid:
     """Label every grid node by where its trajectory ends up.
 
-    Unsafe nodes (h < 0 for some barrier of the controller) are labeled
+    Unsafe nodes (h < 0 for the controller's barrier) are labeled
     'unsafe-start' and not integrated; controller failures become per-node
     error labels rather than run failures.
     """
@@ -324,10 +322,7 @@ def field_grid(controller, bounds, resolution) -> FieldGrid:
     # copies: an evaluator may return its input, and a stored array owns its memory
     velocity = np.array(velocity, dtype=float)
     code = np.array(code, dtype=int)
-    if controller.cbf_pairs:
-        h = np.array(controller.cbf_pairs[0].h(points), dtype=float)
-    else:
-        h = np.full(points.shape[0], np.inf)
+    h = _barrier_h(controller, points)
     masked = (h < 0.0).astype(int)
     return FieldGrid(states=points, velocity=velocity, h=h, active_code=code,
                      masked=masked, shape=shape)

@@ -1,5 +1,6 @@
-"""Shared fixtures: builtin scenario bundles, safe-state sampling, caches, and
-the per-state reference the controllers' one-pass evaluate is checked against."""
+"""Shared fixtures: builtin scenario bundles, safe-state sampling, caches, the
+per-state reference the controllers' one-pass evaluate is checked against, and
+the slack of a barrier row."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from barrier_lab import (
     find_interior_equilibria,
     unfiltered_controller,
 )
+from barrier_lab.model import dot
 from barrier_lab.qp import _clf_cbf_solution, _filter_law, _unfiltered_solution
 
 settings.register_profile(
@@ -55,16 +57,13 @@ class ScenarioBundle:
         return self.controller.pair
 
     def safe_states(self, count: int, seed: int) -> np.ndarray:
-        """Uniform rejection samples with h >= 0 for every carried barrier."""
+        """Uniform rejection samples with h >= 0 for the controller's barrier."""
         (x1_lo, x2_lo), (x1_hi, x2_hi) = SAMPLE_BOX[self.name]
         rng = np.random.default_rng(seed)
         out = []
         while len(out) < count:
             x = rng.uniform((x1_lo, x2_lo), (x1_hi, x2_hi), size=(4 * count, 2))
-            keep = np.ones(x.shape[0], dtype=bool)
-            for pair in self.controller.cbf_pairs:
-                keep &= np.asarray(pair.h(x), dtype=float) >= 0.0
-            out.extend(x[keep])
+            out.extend(x[np.asarray(self.pair.h(x), dtype=float) >= 0.0])
         return np.asarray(out[:count])
 
 
@@ -165,3 +164,13 @@ def reference_evaluation(controller, x):
             code = np.where(failed, -1, (lam1 > 0.0).astype(int) + 2 * (lam2 > 0.0).astype(int))
         drift = model.f(x)
     return u, drift + model.g(x) @ u, multipliers, code
+
+
+def barrier_slack(pair, x, drift):
+    """eta = grad_h^T drift + alpha(h) at x: the barrier row's slack at that drift.
+
+    With the drift of the loop the row filters (controller.unfiltered_field),
+    eta >= 0 exactly where the row is inactive.
+    """
+    h, grad = pair.value_and_grad(np.asarray(x, dtype=float))
+    return np.asarray(dot(grad, drift) + pair.alpha(h), dtype=float)

@@ -40,6 +40,7 @@ from barrier_lab import (
     spectral_invariance_check,
 )
 from barrier_lab.artifacts import write_csv
+from conftest import barrier_slack
 
 SQ3 = math.sqrt(3.0)
 FIG3_FAMILY = ("fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2")
@@ -210,7 +211,7 @@ class TestMinimalIntervention:
             bundle = bundles(name)
             controller = bundle.controller
             pool = bundle.safe_states(32768, seed=77)
-            eta = np.asarray(controller.eta(pool), dtype=float)
+            eta = barrier_slack(controller.pair, pool, controller.unfiltered_field(pool))
             slack = pool[eta > 1e-6][:512]
             assert slack.shape[0] == 512
             filtered = np.asarray(controller.field(slack), dtype=float)
@@ -221,13 +222,11 @@ class TestMinimalIntervention:
         controller = fig2.controller
         pool = fig2.safe_states(4096, seed=78)
         u_unf, drift, _, _ = fig2.unfiltered.evaluate(pool)
-        grad = np.asarray(controller.pair.grad_h(pool), dtype=float)
-        slack_val = (np.einsum("...i,...i->...", grad, drift)
-                     + np.asarray(controller.pair.alpha(controller.pair.h(pool)), dtype=float))
+        slack_val = barrier_slack(controller.pair, pool, drift)
         keep = pool[slack_val > 1e-6][:512]
         kept_u = u_unf[slack_val > 1e-6][:512]
         assert keep.shape[0] == 512
-        constrained = np.asarray(controller.control(keep), dtype=float)
+        constrained = np.asarray(controller.evaluate(keep)[0], dtype=float)
         assert np.max(np.abs(constrained - kept_u)) < 1e-10
 
 

@@ -137,7 +137,6 @@ class _DuckBoundaryLoop:
 
     def __init__(self, field):
         self.pair = make_ball_cbf((0.0, 0.0), 1.0)
-        self.cbf_pairs = (self.pair,)
         self.field = self.unfiltered_field = field
 
 
@@ -390,7 +389,7 @@ class _DuckLoop:
     """A barrier-free loop whose unfiltered and closed-loop fields are given."""
 
     kind = "clf"
-    cbf_pairs = ()
+    pair = None
 
     def __init__(self, unfiltered, closed):
         self.unfiltered_field = unfiltered
@@ -539,7 +538,7 @@ class TestBatchedPolish:
     def test_interior_roots_match_the_one_seed_polish(self, bundles, name):
         controller = bundles(name).controller
         seeds = [s for s in _default_seed_grid(((-5.0, -5.0), (5.0, 5.0)), 5)
-                 if all(float(pair.h(s)) >= 0.0 for pair in controller.cbf_pairs)]
+                 if float(controller.pair.h(s)) >= 0.0]
         results = polish_roots(controller.unfiltered_field, seeds)
         reference = [_reference_root(controller.unfiltered_field, s) for s in seeds]
         assert_same_as_reference(results, reference)

@@ -10,6 +10,7 @@ Stored results own their memory even when an evaluator returns its input.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -286,7 +287,7 @@ class TestClfCbfFailureMask:
         failed = case_code(data, controller.p) < 0
         assert failed.sum() > 100
         assert np.array_equal(np.isnan(lam1), failed)
-        assert np.array_equal(controller.active_code(states) < 0, failed)
+        assert np.array_equal(controller.evaluate(states)[3] < 0, failed)
 
 
 class Mixed:
@@ -297,7 +298,7 @@ class Mixed:
     converge within the horizon) and no input at all in two regions.
     """
 
-    cbf_pairs = ()
+    pair = None
 
     def field(self, x):
         x = np.asarray(x, dtype=float)
@@ -504,6 +505,30 @@ class TestCLayoutReference:
         packed = _advance(controller, grid.points[safe], t_final, dt, attractors, record=False)
         assert packed[2].flags.f_contiguous
         assert np.array_equal(bits(packed[2]), bits(final))
+
+    def test_c_ordered_evaluator_keeps_the_bits(self, fig3):
+        # a barrier evaluator that returns C-ordered copies turns the planar
+        # pack back to C order at the first stage: the speed of the Fortran
+        # pack is lost, the bits of every trajectory are not
+        def value_and_grad(x):
+            h, grad = fig3.pair.value_and_grad(x)
+            return np.array(h, order="C"), np.array(grad, order="C")
+
+        pair = replace(fig3.pair, value_and_grad=value_and_grad)
+        controller = SafetyFilterController(fig3.model, pair, fig3.controller.weight)
+        x0s = fig3.safe_states(100, seed=5)
+        fortran = np.asfortranarray(x0s)
+        assert fig3.controller.field(fortran).flags.f_contiguous
+        assert not controller.field(fortran).flags.f_contiguous
+        wrapped = integrate_batch(controller, x0s, t_final=0.2, dt=1e-3)
+        plain = integrate_batch(fig3.controller, x0s, t_final=0.2, dt=1e-3)
+        assert len(wrapped) == len(plain) == 100
+        for got, want in zip(wrapped, plain):
+            assert got.terminal_label == want.terminal_label
+            for a, b in ((got.states, want.states), (got.inputs, want.inputs),
+                         (got.h_values, want.h_values),
+                         (got.multiplier_trace, want.multiplier_trace)):
+                assert np.array_equal(bits(a), bits(b))
 
 
 def readme_filter():

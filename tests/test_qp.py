@@ -28,7 +28,7 @@ from barrier_lab import (
 from barrier_lab.model import constant_matrix, constant_value
 from barrier_lab.qp import (DUAL_TOL, FEAS_TOL, MAX_ROWS, ConstraintRow, KktPoint, QpProblem,
                             _checked_matrix, clf_problem)
-from conftest import reference_evaluation
+from conftest import barrier_slack, reference_evaluation
 
 CERT_TOL = 1e-9
 MATCH_TOL = 1e-10
@@ -57,8 +57,9 @@ def degenerate_plant(gain=None):
 class TestSafetyFilter:
     def test_inactive_region_passes_nominal_through(self, fig3):
         x = np.array([1.5, 0.0])
-        assert float(fig3.controller.eta(x)) > 0.0
-        assert np.array_equal(fig3.controller.control(x), [0.0, 0.0])
+        controller = fig3.controller
+        assert float(barrier_slack(fig3.pair, x, controller.unfiltered_field(x))) > 0.0
+        assert np.array_equal(controller.evaluate(x)[0], [0.0, 0.0])
         point = fig3.controller.point(x)
         assert np.array_equal(point.u, [0.0, 0.0])
         assert point.active_set == ()
@@ -67,7 +68,7 @@ class TestSafetyFilter:
     def test_active_golden_point(self, fig3):
         # at (3, 0): eta = -6, u = (3, 0), row multiplier 3 under the 2G weight
         x = np.array([3.0, 0.0])
-        assert float(fig3.controller.eta(x)) == -6.0
+        assert float(barrier_slack(fig3.pair, x, fig3.controller.unfiltered_field(x))) == -6.0
         point = fig3.controller.point(x)
         assert np.max(np.abs(point.u - [3.0, 0.0])) < 1e-12
         assert point.active_set == (0,)
@@ -89,16 +90,18 @@ class TestSafetyFilter:
         problem = safety_filter_problem(fig3.model, fig3.pair, weight=weight)
         for x in fig3.safe_states(64, seed=12):
             point = solve_small_qp(problem, x)
-            assert np.max(np.abs(controller.control(x) - point.u)) < MATCH_TOL
+            assert np.max(np.abs(controller.evaluate(x)[0] - point.u)) < MATCH_TOL
             assert max_certificate_error(problem, x, point) < CERT_TOL
 
     def test_batched_matches_single(self, fig3):
         xs = fig3.safe_states(64, seed=13)
-        u_batch = fig3.controller.control(xs)
-        eta_batch = fig3.controller.eta(xs)
+        controller = fig3.controller
+        u_batch = controller.evaluate(xs)[0]
+        eta_batch = barrier_slack(fig3.pair, xs, controller.unfiltered_field(xs))
         for i, x in enumerate(xs):
-            assert np.array_equal(u_batch[i], fig3.controller.control(x))
-            assert float(eta_batch[i]) == float(fig3.controller.eta(x))
+            assert np.array_equal(u_batch[i], controller.evaluate(x)[0])
+            assert float(eta_batch[i]) == float(
+                barrier_slack(fig3.pair, x, controller.unfiltered_field(x)))
 
 
 class TestClfCbfQp:
@@ -256,8 +259,8 @@ class TestStrictFeasibilityAudit:
         with pytest.raises(StrictFeasibilityError):
             controller.point(x)
         with pytest.raises(StrictFeasibilityError):
-            controller.control(x)
-        u = controller.control(x[None, :])
+            controller.evaluate(x)
+        u = controller.evaluate(x[None, :])[0]
         assert np.all(np.isnan(u[0]))
 
 
@@ -271,11 +274,12 @@ def assert_matches_reference(controller, x):
         gap = np.abs(np.nan_to_num(got) - np.nan_to_num(want))
         assert gap.size == 0 or float(np.max(gap)) < EVAL_TOL, (name, float(np.max(gap)))
     assert np.array_equal(mine[3], ref[3])
-    # the views are the same pass
-    assert np.array_equal(controller.control(x), mine[0], equal_nan=True)
+    # a second pass, and field, give the same bits
+    again = controller.evaluate(x)
+    assert np.array_equal(again[0], mine[0], equal_nan=True)
     assert np.array_equal(controller.field(x), mine[1], equal_nan=True)
-    assert np.array_equal(controller.multipliers(x), mine[2], equal_nan=True)
-    assert np.array_equal(controller.active_code(x), mine[3])
+    assert np.array_equal(again[2], mine[2], equal_nan=True)
+    assert np.array_equal(again[3], mine[3])
     return mine
 
 

@@ -24,9 +24,9 @@ from barrier_lab.sim import CONV_HOLD, CONV_RADIUS
 
 
 class DuckLoop:
-    """Duck-typed closed loop with no barriers: the subclass gives the field."""
+    """Duck-typed closed loop with no barrier: the subclass gives the field."""
 
-    cbf_pairs = ()
+    pair = None
 
     def evaluate(self, x):
         velocity = self.field(x)
@@ -99,7 +99,7 @@ class TestIntegrator:
         assert traj.times.shape == (51,)
         assert traj.states.shape == (51, 2)
         assert traj.inputs.shape == (51, 2)
-        assert traj.h_values.shape == (51, 1)
+        assert traj.h_values.shape == (51,)
         assert traj.multiplier_trace.shape == (51, 1)
         assert traj.times[0] == 0.0
         assert abs(traj.times[-1] - 0.05) < 1e-12
@@ -134,6 +134,9 @@ class TestIntegrator:
         traj = integrate(loop, np.array([9.0e5, 0.0]), t_final=0.1, dt=1e-3)
         assert traj.terminal_label == "left-domain"
         assert traj.min_h == math.inf
+        # a loop with no barrier records h = +inf, one entry per time
+        assert traj.h_values.shape == traj.times.shape
+        assert np.all(traj.h_values == math.inf)
 
     def test_infeasible_controller_labels_the_time(self):
         model = linear_system(np.array([[0.0, 0.0], [0.0, -1.0]]), np.array([[1.0], [0.0]]))
@@ -236,6 +239,10 @@ class TestFieldGrid:
         grid = field_grid(fig2.controller, ((-3.0, 3.0), (0.0, 6.0)), 7)
         assert np.array_equal(grid.masked, (grid.h < 0.0).astype(int))
         assert grid.velocity.shape == (49, 2)
+        # with no barrier, h is +inf and no node is masked
+        unfiltered = field_grid(fig2.unfiltered, ((-3.0, 3.0), (0.0, 6.0)), 7)
+        assert unfiltered.h.shape == (49,) and np.all(unfiltered.h == math.inf)
+        assert np.array_equal(unfiltered.masked, np.zeros(49, dtype=int))
 
 
 class TestConvergenceHold:
