@@ -420,16 +420,12 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
         reports.sort(key=lambda r: state_sort_key(r.x_star))
         per_pair.append(reports)
 
-    hausdorff_max = 0.0
-    for i in range(1, len(per_pair)):
-        value = hausdorff_distance([r.x_star for r in per_pair[0]],
-                                   [r.x_star for r in per_pair[i]])
-        hausdorff_max = max(hausdorff_max, value)
-
-    difference_max = 0.0
-    residual_max = 0.0
+    field_samples = default_boundary_samples(pairs[0], BOUNDARY_FIELD_SAMPLES)
+    hausdorff_max = difference_max = residual_max = field_max = 0.0
     spectra_ok = True
     for i in range(1, len(per_pair)):
+        hausdorff_max = max(hausdorff_max, hausdorff_distance(
+            [r.x_star for r in per_pair[0]], [r.x_star for r in per_pair[i]]))
         for report in per_pair[i]:
             distances = [float(np.linalg.norm(report.x_star - r.x_star))
                          for r in per_pair[0]]
@@ -441,10 +437,6 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
             difference_max = max(difference_max, verdict.max_relative_difference)
             residual_max = max(residual_max, *verdict.identity_residuals)
             spectra_ok = spectra_ok and verdict.passed
-
-    field_samples = default_boundary_samples(pairs[0], BOUNDARY_FIELD_SAMPLES)
-    field_max = 0.0
-    for i in range(1, len(controllers)):
         field_max = max(field_max, float(boundary_field_difference(
             controllers[0], controllers[i], field_samples)))
 

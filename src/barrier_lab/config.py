@@ -370,12 +370,7 @@ def _valid_controller(v: _Validator, data: dict, n: int, m: int,
                       n_cbfs: int, has_clf: bool, has_gain: bool) -> dict:
     d = v.dict_at(data.get("controller"), "controller")
     v.keys(d, "controller", required=("kind",), optional=("weight", "p", "cbf"))
-    kind = v.string(d["kind"], "controller.kind")
-    normalized = kind.replace("_", "-")
-    if normalized not in CONTROLLER_KINDS:
-        v.fail("controller.kind",
-               "must be one of {%s}, got %r" % (", ".join(CONTROLLER_KINDS), kind))
-    d["kind"] = normalized
+    kind = v.string(d["kind"], "controller.kind", choices=CONTROLLER_KINDS)
     v.default(d, "controller", "weight", {"kind": "identity"}, "the identity matrix G = I")
     w = v.tagged(d["weight"], "controller.weight", _WEIGHTS)
     if w["kind"] == "matrix":
@@ -385,7 +380,7 @@ def _valid_controller(v: _Validator, data: dict, n: int, m: int,
     v.integer(d["cbf"], "controller.cbf", minimum=0)
     if d["cbf"] >= n_cbfs:
         v.fail("controller.cbf", "index %d out of range (have %d cbfs)" % (d["cbf"], n_cbfs))
-    if normalized == "clf-cbf-qp":
+    if kind == "clf-cbf-qp":
         if not has_clf:
             v.fail("controller.kind", "clf-cbf-qp needs a 'clf' section")
         v.default(d, "controller", "p", 1, "1")
@@ -421,8 +416,6 @@ def _valid_tasks(v: _Validator, data: dict, n: int, n_cbfs: int) -> list:
                     if pair[0] == pair[1]:
                         v.fail(ppath, "indices must differ")
         elif kind in ("field", "roa"):
-            if n != 2:
-                v.fail(path, "%s grids need a planar system (n = 2), got n = %d" % (kind, n))
             v.matrix(d["bounds"], path + ".bounds", shape=(2, 2))
             for axis in range(2):
                 lo, hi = d["bounds"][axis]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotOnBoundaryError, PreconditionError, StrictFeasibilityError
 from .model import central_difference_jacobian
-from .qp import _clf_cbf_fields, _filter_row
+from .qp import _both_rows, _clf_cbf_fields, _filter_row
 
 if TYPE_CHECKING:
     from .spectral import SpectralResult
@@ -82,7 +82,7 @@ def multipliers_on_boundary(controller, x: np.ndarray):
 
     controller is a CLF-CBF QP controller. F_V, F_h, g^T grad_h and the
     D-weighted products come from the law code it runs (qp._clf_cbf_fields
-    on its cached loop terms).
+    on its cached loop terms), and the multipliers from the law's qp._both_rows.
     """
     x = np.asarray(x, dtype=float)
     h = float(controller.pair.h(x))
@@ -91,15 +91,8 @@ def multipliers_on_boundary(controller, x: np.ndarray):
     data = _clf_cbf_fields(controller._terms, controller.pair, controller.clf, x)
     if float(np.linalg.norm(data["ah"])) <= NORMAL_MIN:
         raise StrictFeasibilityError("||g^T grad_h|| vanishes on the boundary")
-    fv, fh = float(data["fv"]), float(data["fh"])
-    a = float(data["vdv"]) + 1.0 / float(controller.p)
-    bb = float(data["vdh"])
-    c = float(data["hdh"])
-    det = a * c - bb * bb
-    lam1 = (fv * c - fh * bb) / det
-    lam2 = (fv * bb - fh * a) / det
-    delta_mat = np.array([[a, -bb], [-bb, c]])
-    return lam1, lam2, delta_mat, det
+    a, bb, c, det, num1, num2 = map(float, _both_rows(data, controller.p))
+    return num1 / det, num2 / det, np.array([[a, -bb], [-bb, c]]), det
 
 
 def collinearity_factor(controller, x: np.ndarray) -> float:

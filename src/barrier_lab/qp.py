@@ -324,6 +324,26 @@ class _LoopTerms:
         return a, _apply_inverse(np.asarray(self.weight(x), dtype=float), a)
 
 
+def _row(kind: str, model: SystemModel, value_and_grad: Callable, margin: Callable,
+         drift: Callable[[np.ndarray], np.ndarray], relax_coeff: float = 0.0) -> ConstraintRow:
+    """An oracle row: a = g^T grad, c = grad^T drift + margin(value).
+
+    g^T is formed once when g is marked constant; both branches multiply
+    through matvec, so they give the same bits. The row reads only the
+    model and pair evaluators, never a controller's loop terms, which keeps
+    the solver independent of the laws it checks.
+    """
+    g = model.constant_g()
+    gt = None if g is None else g.T
+
+    def terms(x):
+        value, grad = value_and_grad(x)
+        a = matvec(np.swapaxes(model.g(x), -1, -2) if gt is None else gt, grad)
+        return a, dot(grad, drift(x)) + margin(value)
+
+    return ConstraintRow(kind=kind, terms=terms, relax_coeff=relax_coeff)
+
+
 def safety_filter_problem(model: SystemModel, pair: BarrierPair,
                           weight: Optional[Weight] = None) -> QpProblem:
     """QP form of the safety filter; one cbf row, no relaxation.
@@ -340,7 +360,8 @@ def safety_filter_problem(model: SystemModel, pair: BarrierPair,
         def doubled(x):
             return 2.0 * np.asarray(base(x), dtype=float)
 
-    return QpProblem(weight=doubled, penalty=None, rows=(_cbf_row(model, pair, model.drift),))
+    row = _row("cbf", model, pair.value_and_grad, pair.alpha, model.drift)
+    return QpProblem(weight=doubled, penalty=None, rows=(row,))
 
 
 def _filter_row(terms: _LoopTerms, pair: BarrierPair, x: np.ndarray):
@@ -375,55 +396,19 @@ def _filter_law(eta: np.ndarray, a: np.ndarray, winv_a: np.ndarray, single: bool
     return u, den
 
 
-def _times_gt(model: SystemModel) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(x, grad) -> g(x)^T grad; g^T is formed once when g is marked constant.
-
-    Both branches multiply through matvec, so they give the same bits. The
-    rows read only the model and pair evaluators, never the controllers'
-    loop terms, which keeps the solver independent of the laws it checks.
-    """
-    g = model.constant_g()
-    if g is not None:
-        gt = g.T
-        return lambda x, grad: matvec(gt, grad)
-    return lambda x, grad: matvec(np.swapaxes(model.g(x), -1, -2), grad)
-
-
-def _clf_row(model: SystemModel, clf: LyapunovPair) -> ConstraintRow:
-    """The relaxed clf row: a = g^T grad_v, c = grad_v^T f + beta(V)."""
-    times_gt = _times_gt(model)
-
-    def terms(x):
-        v, grad = clf.value_and_grad(x)
-        return times_gt(x, grad), dot(grad, model.f(x)) + clf.beta(v)
-
-    return ConstraintRow(kind="clf-relaxed", terms=terms, relax_coeff=1.0)
-
-
-def _cbf_row(model: SystemModel, pair: BarrierPair,
-             drift: Callable[[np.ndarray], np.ndarray]) -> ConstraintRow:
-    """The cbf row: a = g^T grad_h, c = grad_h^T drift + alpha(h)."""
-    times_gt = _times_gt(model)
-
-    def terms(x):
-        hv, grad = pair.value_and_grad(x)
-        return times_gt(x, grad), dot(grad, drift(x)) + pair.alpha(hv)
-
-    return ConstraintRow(kind="cbf", terms=terms)
-
-
 def clf_cbf_problem(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
                     weight: Optional[Weight] = None, p: float = 1.0) -> QpProblem:
     """QP with one relaxed clf row (index 0) and one cbf row (index 1)."""
-    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p),
-                     rows=(_clf_row(model, clf), _cbf_row(model, cbf, model.f)))
+    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p), rows=(
+        _row("clf-relaxed", model, clf.value_and_grad, clf.beta, model.f, 1.0),
+        _row("cbf", model, cbf.value_and_grad, cbf.alpha, model.f)))
 
 
 def clf_problem(model: SystemModel, clf: LyapunovPair,
                 weight: Optional[Weight] = None, p: float = 1.0) -> QpProblem:
     """The clf_cbf_problem without its cbf row (unfiltered controller)."""
-    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p),
-                     rows=(_clf_row(model, clf),))
+    return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p), rows=(
+        _row("clf-relaxed", model, clf.value_and_grad, clf.beta, model.f, 1.0),))
 
 
 def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: LyapunovPair,
@@ -456,6 +441,20 @@ def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: Lyapunov
     return data
 
 
+def _both_rows(data: dict, p: float):
+    """(a, bb, c, det, num1, num2) of the both-rows-active case, batched.
+
+    a = ||grad_v||_D^2 + 1/p, bb = grad_v^T D grad_h, c = ||grad_h||_D^2,
+    det = a c - bb^2, and lam1 = num1 / det, lam2 = num2 / det. The law and
+    equilibria.multipliers_on_boundary both read these floats.
+    """
+    fv, fh = data["fv"], data["fh"]
+    a = data["vdv"] + 1.0 / p
+    bb, c = data["vdh"], data["hdh"]
+    det = a * c - bb * bb
+    return a, bb, c, det, fv * c - fh * bb, fv * bb - fh * a
+
+
 def _clf_cbf_solution(data: dict, p: float):
     """Four-case active-set selection, vectorized; mirrors solve_small_qp.
 
@@ -466,9 +465,7 @@ def _clf_cbf_solution(data: dict, p: float):
     comparison that NaN fails.
     """
     fv, fh = data["fv"], data["fh"]
-    a = data["vdv"] + 1.0 / p
-    bb = data["vdh"]
-    c = data["hdh"]
+    a, bb, c, det, num1, num2 = _both_rows(data, p)
 
     cond_empty = (fv <= FEAS_TOL) & (fh >= -FEAS_TOL)
     lam1_clf = fv / a
@@ -476,11 +473,10 @@ def _clf_cbf_solution(data: dict, p: float):
     pos_c = c > 0.0
     lam2_cbf = -fh / np.where(pos_c, c, 1.0)   # read only where pos_c holds
     cond_cbf = pos_c & (lam2_cbf >= -DUAL_TOL) & (fv + lam2_cbf * bb <= FEAS_TOL)
-    det = a * c - bb * bb
     pos_det = det > 0.0
     safe_det = np.where(pos_det, det, 1.0)
-    lam1_both = (fv * c - fh * bb) / safe_det
-    lam2_both = (fv * bb - fh * a) / safe_det
+    lam1_both = num1 / safe_det
+    lam2_both = num2 / safe_det
     cond_both = pos_det & (lam1_both >= -DUAL_TOL) & (lam2_both >= -DUAL_TOL)
 
     # nested where keeps np.select's first-true-wins order at stepping cost
@@ -513,20 +509,27 @@ def _unfiltered_pass(terms: _LoopTerms, clf: LyapunovPair, p: float, x: np.ndarr
 
 
 class _Controller:
-    """What every controller shares: its one barrier, point and unfiltered_field.
+    """What every controller shares: its barrier, loop terms, field and point.
 
     Each controller defines evaluate(x) -> (u, field, multipliers,
-    active_code) and field(x), the same pass without the multiplier and
-    active-code arithmetic the integrator never reads. Bit row_bits[i] of
-    the active code marks row i of problem() active (1: clf row, 2: cbf
-    row); p is the penalty of a relaxed clf row. pair is the controller's
-    barrier, None on a loop with no barrier row; such a loop is its own
-    unfiltered loop, and filtered controllers override unfiltered_field.
+    active_code) and _pass(x), the part of evaluate that field(x) runs,
+    without the multiplier and active-code arithmetic the integrator never
+    reads. Bit row_bits[i] of the active code marks row i of problem()
+    active (1: clf row, 2: cbf row); p is the penalty of a relaxed clf row.
+    pair is the controller's barrier, None on a loop with no barrier row;
+    such a loop is its own unfiltered loop, and filtered controllers
+    override unfiltered_field. nominal loops drift by f + g k, the others by f.
     """
 
     pair: Optional[BarrierPair] = None
     row_bits: Tuple[int, ...] = ()
     p: Optional[float] = None
+    nominal: bool = False
+
+    @cached_property
+    def _terms(self) -> _LoopTerms:
+        # built on the first evaluation, never in a constructor or problem()
+        return _LoopTerms(self.model, self.weight, self.nominal)
 
     @property
     def cbf_pairs(self) -> Tuple[BarrierPair, ...]:
@@ -554,6 +557,9 @@ class _Controller:
                         multipliers=multipliers,
                         active_set=tuple(i for i, bit in enumerate(self.row_bits) if code & bit))
 
+    def field(self, x: np.ndarray) -> np.ndarray:
+        return self._pass(x)[1]
+
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return self.field(x)
 
@@ -570,6 +576,7 @@ class SafetyFilterController(_Controller):
 
     kind = "safety-filter"
     row_bits = (2,)
+    nominal = True
 
     def __init__(self, model: SystemModel, pair: BarrierPair, weight: Optional[Weight] = None):
         if model.k is None:
@@ -578,13 +585,7 @@ class SafetyFilterController(_Controller):
         self.pair = pair
         self.weight = _weight_or_identity(weight, model.m)
 
-    @cached_property
-    def _terms(self) -> _LoopTerms:
-        return _LoopTerms(self.model, self.weight, nominal=True)
-
     def _pass(self, x: np.ndarray):
-        # the shared part of evaluate and field; field stops here, since the
-        # integrator never reads the multipliers or the active code
         x = np.asarray(x, dtype=float)
         eta, a, winv_a, drift = _filter_row(self._terms, self.pair, x)
         u, den = _filter_law(eta, a, winv_a, x.ndim == 1)
@@ -596,9 +597,6 @@ class SafetyFilterController(_Controller):
         code = np.where(active, 2, 0)
         lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
         return u, field, np.maximum(lam, 0.0)[..., None], code
-
-    def field(self, x: np.ndarray) -> np.ndarray:
-        return self._pass(x)[1]
 
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return self._terms.drift(np.asarray(x, dtype=float))
@@ -621,10 +619,6 @@ class ClfCbfController(_Controller):
         self.weight = _weight_or_identity(weight, model.m)
         self.p = _penalty(p)
 
-    @cached_property
-    def _terms(self) -> _LoopTerms:
-        return _LoopTerms(self.model, self.weight, nominal=False)
-
     def _pass(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         data = _clf_cbf_fields(self._terms, self.pair, self.clf, x)
@@ -639,9 +633,6 @@ class ClfCbfController(_Controller):
         code = np.where(failed, -1, code)
         multipliers = np.stack([np.maximum(lam1, 0.0), np.maximum(lam2, 0.0)], axis=-1)
         return u, field, multipliers, code
-
-    def field(self, x: np.ndarray) -> np.ndarray:
-        return self._pass(x)[1]
 
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return _unfiltered_pass(self._terms, self.clf, self.p, x)[1]
@@ -663,16 +654,12 @@ class ClfController(_Controller):
         self.weight = _weight_or_identity(weight, model.m)
         self.p = _penalty(p)
 
-    @cached_property
-    def _terms(self) -> _LoopTerms:
-        return _LoopTerms(self.model, self.weight, nominal=False)
+    def _pass(self, x: np.ndarray):
+        return _unfiltered_pass(self._terms, self.clf, self.p, x)
 
     def evaluate(self, x: np.ndarray):
-        u, field, lam1 = _unfiltered_pass(self._terms, self.clf, self.p, x)
+        u, field, lam1 = self._pass(x)
         return u, field, np.maximum(lam1, 0.0)[..., None], (np.asarray(lam1) > 0.0).astype(int)
-
-    def field(self, x: np.ndarray) -> np.ndarray:
-        return _unfiltered_pass(self._terms, self.clf, self.p, x)[1]
 
     def problem(self) -> QpProblem:
         return clf_problem(self.model, self.clf, self.weight, self.p)

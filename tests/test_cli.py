@@ -148,6 +148,10 @@ MESSAGES = {
                            "transform needs a + b > 0 (got a = 0, b = 0)", 31),
     "controller-kind": (FIG3, ("controller", "kind"), "mpc", "controller.kind",
                         "must be one of {safety-filter, clf-cbf-qp}, got 'mpc'", 33),
+    # one spelling per kind: the underscore form is not rewritten
+    "controller-kind-underscore": (FIG3, ("controller", "kind"), "safety_filter",
+                                   "controller.kind", "must be one of {safety-filter, clf-cbf-qp},"
+                                   " got 'safety_filter'", 33),
     "controller-cbf-range": (FIG3, ("controller", "cbf"), 1, "controller.cbf",
                              "index 1 out of range (have 1 cbfs)", 37),
     "clf-cbf-qp-needs-clf": (FIG3, ("controller", "kind"), "clf-cbf-qp", "controller.kind",
@@ -425,15 +429,16 @@ class TestScenarioRun:
         assert summaries[0] == summaries[1]
         assert b"\nartifacts in out\n" in summaries[0]
 
-    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch, name):
         outputs = []
         for sub in ("a", "b"):
             workdir = tmp_path / sub
             workdir.mkdir()
             monkeypatch.chdir(workdir)
-            assert main(["scenario", "fig3"]) == 0
+            assert main(["scenario", name]) == 0
             outputs.append({p.name: p.read_bytes()
-                            for p in (workdir / "fig3-artifacts").iterdir()})
+                            for p in (workdir / ("%s-artifacts" % name)).iterdir()})
         assert outputs[0] == outputs[1]
 
 

@@ -277,6 +277,18 @@ class TestMultipliersOnBoundary:
         with pytest.raises(NotOnBoundaryError):
             multipliers_on_boundary(c, np.array([0.0, 4.6]))
 
+    def test_law_gives_the_same_bits_at_each_undesirable_equilibrium(self, fig2, analyzed):
+        # the law's both-rows case and multipliers_on_boundary read the same
+        # floats (qp._both_rows), so at fig2's undesirable boundary equilibria
+        # evaluate marks both rows active and returns the same multipliers
+        boundary, _ = analyzed("fig2")
+        assert len(boundary) == 3
+        for report in boundary:
+            _, _, multipliers, code = fig2.controller.evaluate(report.x_star)
+            assert int(code) == 3
+            assert tuple(multipliers.tolist()) == multipliers_on_boundary(
+                fig2.controller, report.x_star)[:2]
+
 
 class TestLoopTermReuse:
     @pytest.mark.parametrize("name", ["fig2", "fig3"])
