@@ -119,18 +119,14 @@ class ScenarioRun:
 
     # ---- artifact plumbing ------------------------------------------------
 
-    def _write_json(self, name: str, payload) -> None:
-        write_json(os.path.join(self.out_dir, name), payload)
-        if name not in self.artifacts:
-            self.artifacts.append(name)
-
-    def _write_csv(self, name: str, header, rows) -> None:
-        write_csv(os.path.join(self.out_dir, name), header, rows)
+    def _write(self, writer, name: str, *content) -> None:
+        """writer(path, *content) into the output directory; lists name once."""
+        writer(os.path.join(self.out_dir, name), *content)
         if name not in self.artifacts:
             self.artifacts.append(name)
 
     def _write_equilibria_json(self) -> None:
-        self._write_json("equilibria.json", {
+        self._write(write_json, "equilibria.json", {
             "scenario": self.config.name,
             "controller": self.controller.kind,
             "reports": [_report_json(r) for r in self.reports],
@@ -180,8 +176,8 @@ class ScenarioRun:
                 "identity_residual": result.identity_residual,
             })
         self._write_equilibria_json()
-        self._write_json("spectra.json", {"scenario": self.config.name,
-                                          "spectra": entries})
+        self._write(write_json, "spectra.json", {"scenario": self.config.name,
+                                                "spectra": entries})
         self.task_lines.append("jacobians: spectra attached to %d equilibria"
                                % len(self.reports))
 
@@ -206,8 +202,8 @@ class ScenarioRun:
             })
             self.task_lines.append("equivalence cbf[%d] ~ cbf[%d]: %s"
                                    % (i, j, report.verdict))
-        self._write_json("equivalence.json", {"scenario": self.config.name,
-                                              "checks": entries})
+        self._write(write_json, "equivalence.json", {"scenario": self.config.name,
+                                                    "checks": entries})
 
     def run_field(self, params: dict) -> None:
         grid = field_grid(self.controller, params["bounds"], params["resolution"])
@@ -215,8 +211,8 @@ class ScenarioRun:
         rows = zip(states[:, 0].tolist(), states[:, 1].tolist(),
                    velocity[:, 0].tolist(), velocity[:, 1].tolist(), grid.h.tolist(),
                    grid.active_code.tolist(), grid.masked.tolist())
-        self._write_csv("field.csv",
-                        ["x1", "x2", "v1", "v2", "h", "active_code", "masked"], rows)
+        self._write(write_csv, "field.csv",
+                    ["x1", "x2", "v1", "v2", "h", "active_code", "masked"], rows)
         self.task_lines.append("field: %dx%d grid sampled" % grid.shape)
 
     def run_simulate(self, params: dict) -> None:
@@ -247,7 +243,7 @@ class ScenarioRun:
             header = (["t"] + ["x%d" % (i + 1) for i in range(n)]
                       + ["u%d" % (i + 1) for i in range(m)] + ["h"])
             rows = np.column_stack([traj.times, traj.states, traj.inputs, h])
-            self._write_csv(name, header, rows.tolist())
+            self._write(write_csv, name, header, rows.tolist())
             self.task_lines.append("%ssimulate from %s: %s (min h %.6g)"
                                    % (tag, _point_str(traj.states[0]),
                                       traj.terminal_label, float(np.min(h))))
@@ -260,7 +256,7 @@ class ScenarioRun:
                         t_final=params.get("t_final", T_DEFAULT),
                         dt=params.get("dt", DT_DEFAULT))
         rows = zip(grid.points[:, 0].tolist(), grid.points[:, 1].tolist(), grid.labels)
-        self._write_csv("roa.csv", ["x1", "x2", "label"], rows)
+        self._write(write_csv, "roa.csv", ["x1", "x2", "label"], rows)
         counts = {}
         for label in grid.labels:
             counts[label] = counts.get(label, 0) + 1
@@ -362,10 +358,7 @@ class ScenarioRun:
         return "\n".join(lines) + "\n"
 
     def write_summary(self) -> None:
-        text = self.summary_text()
-        write_text(os.path.join(self.out_dir, "summary.txt"), text)
-        if "summary.txt" not in self.artifacts:
-            self.artifacts.append("summary.txt")
+        self._write(write_text, "summary.txt", self.summary_text())
 
 
 def run_scenario(config, out_dir: Optional[str] = None) -> int:

@@ -24,8 +24,6 @@ from .qp import (ClfCbfController, ClfController, NominalClosedLoop,
                  SafetyFilterController, _checked_matrix)
 
 SCHEMA_VERSION = 1
-BUILTIN_SCENARIOS = ("fig2", "fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2")
-COMPARISON_SCENARIOS = ("fig2", "fig3")
 SYSTEM_BUILTINS = ("integrator-2d",)
 CONTROLLER_KINDS = ("safety-filter", "clf-cbf-qp")
 
@@ -584,32 +582,9 @@ def unfiltered_controller(config: ScenarioConfig, model: SystemModel,
 # so one caller's edit must not reach the next call's config
 
 
-def _eta_offset() -> dict:
-    return {"kind": "quadratic-offset", "center": [5, 1], "offset": 1}
-
-
 def _fig3_cbf(alpha_slope) -> dict:
     return {"kind": "ball", "center": [2, 0], "radius": 1, "form": "full",
             "alpha": {"kind": "linear", "slope": alpha_slope}}
-
-
-def _fig3_transform(base: int, alpha_slope) -> dict:
-    return {"kind": "transform", "base": base, "a": 0, "b": 1,
-            "eta": _eta_offset(), "alpha": {"kind": "linear", "slope": alpha_slope}}
-
-
-def _fig3_raw(name: str, cbfs: list, active: int) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "system": {"builtin": "integrator-2d", "K": [[-1, 0], [0, -5]]},
-        "cbfs": cbfs,
-        "controller": {"kind": "safety-filter",
-                       "weight": {"kind": "identity"}, "cbf": active},
-        "tasks": [{"kind": "equilibria"}, {"kind": "jacobians"}],
-        "output_dir": "%s-artifacts" % name,
-        "seed": 0,
-    }
 
 
 def _fig2_cbf(alpha_slope) -> dict:
@@ -617,31 +592,62 @@ def _fig2_cbf(alpha_slope) -> dict:
             "alpha": {"kind": "linear", "slope": alpha_slope}}
 
 
-_FIG2_NOTES = (
-    "the source setup leaves p, beta, and G unstated; p = 1, beta = identity, "
-    "G = identity are defaults (equilibrium locations are p-independent here "
-    "since f = 0, but stability labels may depend on p)",
-)
+def _h2(alpha_slope) -> dict:
+    """h2 = h1 (||x - (5, 1)||^2 + 1), the transform of cbfs[0]."""
+    return {"kind": "transform", "base": 0, "a": 0, "b": 1,
+            "eta": {"kind": "quadratic-offset", "center": [5, 1], "offset": 1},
+            "alpha": {"kind": "linear", "slope": alpha_slope}}
 
 
-def _fig2_raw(name: str, cbfs: list, active: int) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "system": {"builtin": "integrator-2d", "K": [[0, 0], [0, 0]]},
-        "cbfs": cbfs,
-        "clf": {"Q": [[6, 0], [0, 1]], "xstar": [0, 0], "beta": {"kind": "identity"}},
-        "controller": {"kind": "clf-cbf-qp",
-                       "weight": {"kind": "identity"}, "p": 1, "cbf": active},
-        "tasks": [{"kind": "equilibria"}, {"kind": "jacobians"}],
-        "output_dir": "%s-artifacts" % name,
-        "seed": 0,
-        "notes": list(_FIG2_NOTES),
-    }
+def _raw(name: str, gain: list, cbfs: list, controller: dict, **extra) -> dict:
+    """integrator-2d with gain K, the equilibria and jacobians tasks, and extra keys."""
+    return {"schema_version": SCHEMA_VERSION, "name": name,
+            "system": {"builtin": "integrator-2d", "K": gain}, "cbfs": cbfs,
+            "controller": controller,
+            "tasks": [{"kind": "equilibria"}, {"kind": "jacobians"}],
+            "output_dir": "%s-artifacts" % name, "seed": 0, **extra}
+
+
+def _fig3_raw(name: str, cbfs: list, active: int = 0) -> dict:
+    return _raw(name, [[-1, 0], [0, -5]], cbfs,
+                {"kind": "safety-filter", "weight": {"kind": "identity"}, "cbf": active})
+
+
+def _fig2_raw(name: str, cbfs: list) -> dict:
+    return _raw(name, [[0, 0], [0, 0]], cbfs,
+                {"kind": "clf-cbf-qp", "weight": {"kind": "identity"}, "p": 1, "cbf": 0},
+                clf={"Q": [[6, 0], [0, 1]], "xstar": [0, 0], "beta": {"kind": "identity"}},
+                notes=["the source setup leaves p, beta, and G unstated; p = 1, beta = "
+                       "identity, G = identity are defaults (equilibrium locations are "
+                       "p-independent here since f = 0, but stability labels may depend on p)"])
+
+
+# name -> builder of the raw document, which takes the name
+_BUILTINS = {
+    "fig2": lambda name: _fig2_raw(name, [_fig2_cbf(1)]),
+    "fig3": lambda name: _fig3_raw(name, [_fig3_cbf(1)]),
+    "fig3-h2a1": lambda name: _fig3_raw(name, [_fig3_cbf(1), _h2(1)], 1),
+    "fig3-h1a2": lambda name: _fig3_raw(name, [_fig3_cbf(10)]),
+    "fig3-h2a2": lambda name: _fig3_raw(name, [_fig3_cbf(1), _h2(10)], 1),
+}
+_COMPARISONS = {
+    "fig2": lambda name: _fig2_raw(name + "-compare", [_fig2_cbf(1), _h2(10)]),
+    "fig3": lambda name: _fig3_raw(name + "-compare",
+                                   [_fig3_cbf(1), _h2(1), _fig3_cbf(10), _h2(10)]),
+}
+BUILTIN_SCENARIOS = tuple(_BUILTINS)
+COMPARISON_SCENARIOS = tuple(_COMPARISONS)
+
+
+def _catalog(table: dict, what: str, name: str) -> ScenarioConfig:
+    if name not in table:
+        raise ConfigError("unknown %s %r; valid names: %s" % (what, name, ", ".join(table)),
+                          path="scenario")
+    return validate_config(table[name](name))
 
 
 def builtin_scenario(name: str) -> ScenarioConfig:
-    """One of the stock scenario configs, keyed by name.
+    """One of the stock scenario configs, keyed by a name in BUILTIN_SCENARIOS.
 
     fig3 family: planar integrator with gain diag(-1, -5) behind a safety
     filter keeping the loop out of the unit ball at (2, 0); the suffix picks
@@ -649,40 +655,14 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     10). fig2: the clf-cbf loop steered to the origin around the radius-1.5
     ball at (0, 3).
     """
-    if name == "fig3":
-        raw = _fig3_raw(name, [_fig3_cbf(1)], 0)
-    elif name == "fig3-h2a1":
-        raw = _fig3_raw(name, [_fig3_cbf(1), _fig3_transform(0, 1)], 1)
-    elif name == "fig3-h1a2":
-        raw = _fig3_raw(name, [_fig3_cbf(10)], 0)
-    elif name == "fig3-h2a2":
-        raw = _fig3_raw(name, [_fig3_cbf(1), _fig3_transform(0, 10)], 1)
-    elif name == "fig2":
-        raw = _fig2_raw(name, [_fig2_cbf(1)], 0)
-    else:
-        raise ConfigError("unknown scenario %r; valid names: %s"
-                          % (name, ", ".join(BUILTIN_SCENARIOS)), path="scenario")
-    return validate_config(raw)
-
-
-def _fig2_transform() -> dict:
-    return {"kind": "transform", "base": 0, "a": 0, "b": 1,
-            "eta": _eta_offset(), "alpha": {"kind": "linear", "slope": 10}}
+    return _catalog(_BUILTINS, "scenario", name)
 
 
 def comparison_config(name: str) -> ScenarioConfig:
     """A multi-barrier config for cross-pair invariance comparison.
 
-    fig3 carries all four (h, alpha) combinations; fig2 carries the base pair
-    plus the transformed barrier with slope-10 alpha.
+    The names are COMPARISON_SCENARIOS. fig3 carries all four (h, alpha)
+    combinations; fig2 carries the base pair plus the transformed barrier
+    with slope-10 alpha.
     """
-    if name == "fig3":
-        raw = _fig3_raw("fig3-compare",
-                        [_fig3_cbf(1), _fig3_transform(0, 1),
-                         _fig3_cbf(10), _fig3_transform(0, 10)], 0)
-    elif name == "fig2":
-        raw = _fig2_raw("fig2-compare", [_fig2_cbf(1), _fig2_transform()], 0)
-    else:
-        raise ConfigError("unknown comparison %r; valid names: %s"
-                          % (name, ", ".join(COMPARISON_SCENARIOS)), path="scenario")
-    return validate_config(raw)
+    return _catalog(_COMPARISONS, "comparison", name)

@@ -594,9 +594,11 @@ class SafetyFilterController(_Controller):
     def evaluate(self, x: np.ndarray):
         u, field, eta, den = self._pass(x)
         active = eta < 0.0
-        code = np.where(active, 2, 0)
+        # a degenerate active row (a batch's NaN u) has code -1 and a NaN multiplier
+        failed = active & (den <= DEGENERATE_NORM ** 2)
+        code = np.where(failed, -1, np.where(active, 2, 0))
         lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
-        return u, field, np.maximum(lam, 0.0)[..., None], code
+        return u, field, np.where(failed, np.nan, np.maximum(lam, 0.0))[..., None], code
 
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return self._terms.drift(np.asarray(x, dtype=float))

@@ -206,11 +206,6 @@ def _barrier_h(controller, x: np.ndarray) -> np.ndarray:
     return np.array(controller.pair.h(x), dtype=float)
 
 
-def _check_safe_start(controller, x0s: np.ndarray) -> np.ndarray:
-    """h(x0) >= 0 for the controller's barrier; returns the per-item verdict."""
-    return _barrier_h(controller, x0s) >= 0.0
-
-
 def _assemble(controller, times: np.ndarray, states: np.ndarray, label: str,
               attractor_index: Optional[int]) -> Trajectory:
     inputs, _, mult, _ = controller.evaluate(states)
@@ -228,7 +223,7 @@ def integrate_batch(controller, x0s: Sequence[np.ndarray], t_final: float = T_DE
                     attractors: Sequence[np.ndarray] = ()) -> List[Trajectory]:
     """RK4 on a batch of initial conditions; full state recording."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    safe = _check_safe_start(controller, x0s)
+    safe = _barrier_h(controller, x0s) >= 0.0
     if not np.all(safe):
         raise PreconditionError("initial condition %d starts outside the safe set"
                                 % int(np.flatnonzero(~safe)[0]))
@@ -291,7 +286,7 @@ def roa_grid(controller, bounds, resolution, attractors: Sequence[np.ndarray],
     """
     _horizon_steps(t_final, dt)     # rejected even when no node gets integrated
     points, shape = _grid_nodes(bounds, resolution)
-    safe = _check_safe_start(controller, points)
+    safe = _barrier_h(controller, points) >= 0.0
     labels = ["unsafe-start"] * points.shape[0]
     safe_idx = np.flatnonzero(safe)
     if safe_idx.size:

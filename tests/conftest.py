@@ -1,6 +1,9 @@
 """Shared fixtures: builtin scenario bundles, safe-state sampling, caches, the
-per-state reference the controllers' one-pass evaluate is checked against, and
-the slack of a barrier row."""
+per-state reference the controllers' one-pass evaluate is checked against, the
+slack of a barrier row, and small helpers several test files use."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +16,13 @@ from barrier_lab import (
     build_model,
     build_pairs,
     builtin_scenario,
+    certificate_errors,
     find_boundary_equilibria,
     find_interior_equilibria,
     unfiltered_controller,
 )
 from barrier_lab.model import dot
-from barrier_lab.qp import _clf_cbf_solution, _filter_law, _unfiltered_solution
+from barrier_lab.qp import DEGENERATE_NORM, _clf_cbf_solution, _filter_law, _unfiltered_solution
 
 settings.register_profile(
     "suite",
@@ -146,8 +150,10 @@ def reference_evaluation(controller, x):
         eta = c[0]
         u, den = _filter_law(eta, a[0], winv_a[0], single=False)
         active = eta < 0.0
+        failed = active & (den <= DEGENERATE_NORM ** 2)
         lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
-        multipliers, code = np.maximum(lam, 0.0)[None], np.where(active, 2, 0)
+        multipliers = np.where(failed, np.nan, np.maximum(lam, 0.0))[None]
+        code = np.where(failed, -1, np.where(active, 2, 0))
         drift = model.drift(x)
     else:
         data = {"fv": c[0], "vdv": a[0] @ winv_a[0], "winv_av": winv_a[0]}
@@ -164,6 +170,23 @@ def reference_evaluation(controller, x):
             code = np.where(failed, -1, (lam1 > 0.0).astype(int) + 2 * (lam2 > 0.0).astype(int))
         drift = model.f(x)
     return u, drift + model.g(x) @ u, multipliers, code
+
+
+ALL_KINDS = Path(__file__).parent / "data" / "all-kinds.json"
+
+
+def all_kinds() -> dict:
+    """A fresh copy of the document that carries every config kind."""
+    return json.loads(ALL_KINDS.read_text())
+
+
+def bits(value) -> np.ndarray:
+    """The float64 bit patterns of value: tells -0.0 from 0.0 and NaNs apart."""
+    return np.ascontiguousarray(np.asarray(value, dtype=float)).view(np.uint64)
+
+
+def max_certificate_error(problem, x, point) -> float:
+    return max(abs(float(v)) for v in certificate_errors(problem, x, point).values())
 
 
 def barrier_slack(pair, x, drift):

@@ -22,7 +22,6 @@ from barrier_lab import (
     build_model,
     build_pairs,
     central_difference_jacobian,
-    certificate_errors,
     comparison_config,
     compose_transforms,
     default_boundary_samples,
@@ -40,7 +39,7 @@ from barrier_lab import (
     spectral_invariance_check,
 )
 from barrier_lab.artifacts import write_csv
-from conftest import barrier_slack
+from conftest import barrier_slack, max_certificate_error
 
 SQ3 = math.sqrt(3.0)
 FIG3_FAMILY = ("fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2")
@@ -54,10 +53,6 @@ def match(reports, target, tol):
     gaps = [float(np.linalg.norm(r.x_star - target)) for r in reports]
     assert min(gaps) < tol
     return reports[int(np.argmin(gaps))]
-
-
-def max_certificate_error(problem, x, point) -> float:
-    return max(abs(float(v)) for v in certificate_errors(problem, x, point).values())
 
 
 class TestGoldenEquilibria:

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import logging
 import math
 import operator
 import os
@@ -18,6 +19,7 @@ from barrier_lab import (
     ConfigError,
     build_pairs,
     builtin_scenario,
+    compare_pairs,
     comparison_config,
     main,
     parse_config_text,
@@ -26,6 +28,7 @@ from barrier_lab import (
 from barrier_lab.artifacts import json_dumps
 from barrier_lab.cli import ScenarioRun
 from barrier_lab.config import BUILTIN_SCENARIOS, _Source
+from conftest import ALL_KINDS, all_kinds
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -79,13 +82,6 @@ REJECTIONS = [
     (FIG3_COMPARE, ("tasks", 1), {"kind": "equivalence", "pairs": [[0, 1], [2, 2]]},
      "tasks[1].pairs[1]", "indices must differ", 99),
 ]
-
-
-ALL_KINDS = Path(__file__).parent / "data" / "all-kinds.json"
-
-
-def all_kinds() -> dict:
-    return json.loads(ALL_KINDS.read_text())
 
 
 DELETE = object()   # the edit that removes the key or entry
@@ -366,6 +362,21 @@ class TestScenarioRun:
             run.run()
         assert (tmp_path / "out" / "summary.txt").exists()
 
+    def test_warnings_logged_during_a_run_are_listed(self, tmp_path, monkeypatch):
+        from barrier_lab import cli
+        search = cli.find_interior_equilibria
+
+        def warning_search(controller, **kwargs):
+            logging.getLogger("barrier_lab.equilibria").warning("seed %s: %s", 7, "slow")
+            return search(controller, **kwargs)
+
+        monkeypatch.setattr(cli, "find_interior_equilibria", warning_search)
+        run = ScenarioRun(builtin_scenario("fig3"), out_dir=str(tmp_path / "out"))
+        assert run.run() == 0
+        assert run.warnings == ["seed 7: slow"]
+        text = (tmp_path / "out" / "summary.txt").read_text()
+        assert "\n\nwarnings\n  - seed 7: slow\n\nartifacts in out\n" in text
+
     def test_summary_counts_the_equilibrium_polish(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["scenario", "fig2"]) == 0
@@ -582,6 +593,31 @@ class TestComparison:
         out = capsys.readouterr().out
         assert "reduced_spectrum max 0.5" in out
         assert "overall          FAIL" in out
+
+    def test_unmatched_equilibrium_fails_the_spectrum_check(self, tmp_path, monkeypatch):
+        # the base barrier loses one undesirable equilibrium, so the other
+        # barriers each report one that has no partner to compare spectra with
+        from barrier_lab import cli
+        searches = []
+        search = cli.find_boundary_equilibria
+
+        def dropping(controller, **kwargs):
+            reports = search(controller, **kwargs)
+            searches.append(controller)
+            if len(searches) == 1:
+                undesirable = [r for r in reports if r.desirability == "undesirable"]
+                reports = [r for r in reports if r is not undesirable[-1]]
+            return reports
+
+        monkeypatch.setattr(cli, "find_boundary_equilibria", dropping)
+        config = comparison_config("fig3")
+        report = compare_pairs(config, out_dir=str(tmp_path))
+        assert len(searches) == len(config.cbfs) == 4
+        assert [len(p["equilibria"]) for p in report["pairs"]] == [2, 3, 3, 3]
+        assert report["checks"]["reduced_spectrum"]["passed"] is False
+        assert report["checks"]["hausdorff"]["passed"] is False
+        assert report["checks"]["boundary_field"]["passed"] is True
+        assert report["passed"] is False
 
     def test_single_barrier_config_is_rejected(self, tmp_path, capsys):
         data = builtin_scenario("fig3").to_json_dict()

@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,16 +26,11 @@ from barrier_lab import (
 from barrier_lab.config import BUILTIN_SCENARIOS, COMPARISON_SCENARIOS
 from barrier_lab.model import (constant_matrix, constant_state_map, identity_map, linear_map,
                                quadratic_map, quadratic_offset_map)
+from conftest import all_kinds, bits
 
-ALL_KINDS = Path(__file__).parent / "data" / "all-kinds.json"
 # safe and unsafe states around the ball at (2, 0), and one on its boundary
 STATES = np.vstack([np.random.default_rng(7).uniform((-1.0, -3.0), (5.0, 3.0), (24, 2)),
                     [[3.0, 0.0], [2.0, 0.0]]])
-
-
-def bits(value) -> np.ndarray:
-    """The float64 bit patterns of value: tells -0.0 from 0.0 and NaNs apart."""
-    return np.ascontiguousarray(np.asarray(value, dtype=float)).view(np.uint64)
 
 
 def assert_same(built, expected, names):
@@ -54,10 +48,6 @@ def assert_same_pair(built, expected):
     s = built.h(STATES)
     assert np.array_equal(bits(built.alpha(s)), bits(expected.alpha(s)))
     assert np.array_equal(bits(built.alpha_prime(s)), bits(expected.alpha_prime(s)))
-
-
-def all_kinds() -> dict:
-    return json.loads(ALL_KINDS.read_text())
 
 
 class TestBuiltKinds:

@@ -10,11 +10,13 @@ import pytest
 from barrier_lab import (
     ClfCbfController,
     EquilibriumReport,
+    NominalClosedLoop,
     NotOnBoundaryError,
     PolishCounts,
     PreconditionError,
     SafetyFilterController,
     StrictFeasibilityError,
+    SystemModel,
     attach_spectra,
     classify_desirability,
     collinearity_factor,
@@ -445,6 +447,38 @@ class TestInteriorSeedLog:
         assert record.levelno == logging.DEBUG
         assert "outside the safe set" in record.getMessage()
         assert record.args[0] is seeds[0]
+
+    def test_root_outside_the_safe_set_is_logged_at_debug_and_counted(self, fig3, caplog):
+        # fig3's plant behind a unit ball at the origin: the seed (2, 0) is
+        # safe, but the unfiltered loop's root, the origin, lies inside the ball
+        controller = SafetyFilterController(fig3.model, make_ball_cbf((0.0, 0.0), 1.0))
+        seed = np.array([2.0, 0.0])
+        counts = PolishCounts()
+        with caplog.at_level(logging.DEBUG, logger="barrier_lab.equilibria"):
+            assert find_interior_equilibria(controller, seeds=[seed], counts=counts) == []
+        [record] = [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        assert record.levelno == logging.DEBUG
+        assert "is not inside the safe set" in record.getMessage()
+        assert record.args[0] is seed
+        assert counts.polished == 1 and counts.dropped == 1
+
+    def test_distinct_roots_are_reported_apart(self):
+        # f = (x1^2 - 1, -x2) has two roots, (-1, 0) and (1, 0); the field
+        # between them is not small, so they are two equilibria, not one
+        def f(x):
+            return np.stack([x[..., 0] ** 2 - 1.0, -x[..., 1]], axis=-1)
+
+        def jf(x):
+            jac = np.zeros(np.shape(x) + (2,))
+            jac[..., 0, 0] = 2.0 * x[..., 0]
+            jac[..., 1, 1] = -1.0
+            return jac
+
+        model = SystemModel(n=2, m=2, f=f, g=constant_matrix(np.eye(2)), jf=jf,
+                            k=np.zeros_like)
+        seeds = [np.array(s) for s in ((2.0, 1.0), (0.5, -0.3), (-2.0, -1.0), (-0.5, 2.0))]
+        reports = find_interior_equilibria(NominalClosedLoop(model), seeds=seeds)
+        assert np.max(np.abs(coords(reports) - [[-1.0, 0.0], [1.0, 0.0]])) < COORD_TOL
 
 
 class TestRootPolish:

@@ -34,16 +34,12 @@ from barrier_lab.model import (constant_state_map, dot, identity_map, linear_eva
 from barrier_lab.qp import DUAL_TOL, FEAS_TOL, _clf_cbf_fields, _clf_cbf_solution
 from barrier_lab.sim import (CONV_HOLD, CONV_RADIUS, STATUS_CONVERGED, STATUS_ERROR,
                              STATUS_LEFT, STATUS_RUNNING, _advance, _attractor_label, _labels)
+from conftest import bits
 
 CATALOG = ("fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2", "fig2")
 # -0.0, nan and +-inf in every position, next to ordinary values
 SPECIAL = np.array([[-0.0, -0.0], [-0.0, 1.5], [math.nan, 2.0], [-math.nan, -0.0],
                     [math.inf, 0.5], [-math.inf, -2.0], [3.0, math.inf], [-1.0, -math.inf]])
-
-
-def bits(value) -> np.ndarray:
-    """The float64 bit patterns of value: tells -0.0 from 0.0 and NaNs apart."""
-    return np.ascontiguousarray(np.asarray(value, dtype=float)).view(np.uint64)
 
 
 def unmarked_twin(controller):

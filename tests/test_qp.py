@@ -25,10 +25,11 @@ from barrier_lab import (
     SafetyFilterController,
     solve_small_qp,
 )
+from barrier_lab import qp
 from barrier_lab.model import constant_matrix, constant_value
 from barrier_lab.qp import (DUAL_TOL, FEAS_TOL, MAX_ROWS, ConstraintRow, KktPoint, QpProblem,
                             _checked_matrix, clf_problem)
-from conftest import barrier_slack, reference_evaluation
+from conftest import barrier_slack, max_certificate_error, reference_evaluation
 
 CERT_TOL = 1e-9
 MATCH_TOL = 1e-10
@@ -41,10 +42,6 @@ ACTIVE_ROWS = {
     "clf": {0: (), 1: (0,)},
     "nominal": {0: ()},
 }
-
-
-def max_certificate_error(problem, x, point) -> float:
-    return max(abs(float(v)) for v in certificate_errors(problem, x, point).values())
 
 
 def degenerate_plant(gain=None):
@@ -330,15 +327,15 @@ class TestOnePassEvaluate:
             for x in xs[:25]:
                 assert_point_reads_evaluate(controller, x)
 
-        # degenerate rows at (0, 1): a batch gives NaN (and code -1 for the
-        # clf-cbf QP), a single state raises
+        # degenerate rows at (0, 1): a batch gives NaN and code -1, a single
+        # state raises
         cbf = make_ball_cbf((0.0, 0.0), 1.0, form="full")
         batch = np.array([[0.0, 1.0], [2.0, 0.5], [0.0, 1.0], [0.5, 3.0]])
         fil = SafetyFilterController(degenerate_plant(gain=np.zeros((1, 2))), cbf)
         u, field, multipliers, code = assert_matches_reference(fil, batch)
         assert np.all(np.isnan(u[[0, 2]])) and np.all(np.isnan(field[[0, 2]]))
         assert np.all(np.isfinite(u[[1, 3]]))
-        assert list(code) == [2, 0, 2, 2]
+        assert list(code) == [-1, 0, -1, 2]
         with pytest.raises(StrictFeasibilityError):
             fil.evaluate(batch[0])
         with pytest.raises(StrictFeasibilityError):
@@ -355,6 +352,42 @@ class TestOnePassEvaluate:
         for x in batch[[1, 3]]:
             assert_point_reads_evaluate(fil, x)
             assert_point_reads_evaluate(qp_ctl, x)
+
+    def test_unmarked_non_identity_weight_is_solved_at_each_state(self, monkeypatch):
+        # a weight given as a plain callable is not hoisted: each evaluation
+        # solves W x = g^T grad_h (qp._apply_inverse's LU branch)
+        solves = []
+        apply_inverse = qp._apply_inverse
+
+        def counted(w, vec):
+            if not np.array_equal(w, np.broadcast_to(np.eye(w.shape[-1]), w.shape)):
+                solves.append(w.shape)
+            return apply_inverse(w, vec)
+
+        monkeypatch.setattr(qp, "_apply_inverse", counted)
+        model = linear_system(np.array([[0.0, 1.0], [-1.0, 0.5]]),
+                              np.array([[1.0, 0.3], [0.2, 1.5]]),
+                              gain=np.array([[-1.0, 0.2], [0.1, -2.0]]))
+        w = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+        def weight(x):
+            return np.broadcast_to(w, np.shape(x)[:-1] + w.shape)
+
+        ball = make_ball_cbf((2.0, 0.0), 1.0)
+        xs = np.random.default_rng(5).uniform(-1.0, 5.0, size=(200, 2))
+        xs = xs[ball.h(xs) >= 0.0]
+        for controller in (SafetyFilterController(model, ball, weight),
+                           ClfCbfController(model, ball, quadratic_clf(np.diag([2.0, 1.0])),
+                                            weight, p=3.0)):
+            solves.clear()
+            u, _, multipliers, code = assert_matches_reference(controller, xs)
+            assert solves and len(set(code.tolist())) > 1
+            problem = controller.problem()
+            for i, x in enumerate(xs[:25]):
+                point = solve_small_qp(problem, x)
+                assert np.max(np.abs(u[i] - point.u)) < MATCH_TOL
+                assert np.max(np.abs(multipliers[i] - point.multipliers)) < MATCH_TOL
+                assert max_certificate_error(problem, x, point) < CERT_TOL
 
 
 states = st.tuples(st.floats(-4.0, 6.0), st.floats(-4.0, 6.0)).map(np.array)
