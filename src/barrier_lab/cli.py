@@ -358,6 +358,8 @@ class ScenarioRun:
         return "\n".join(lines) + "\n"
 
     def write_summary(self) -> None:
+        if "summary.txt" not in self.artifacts:   # listed before rendering: the file lists itself
+            self.artifacts.append("summary.txt")
         self._write(write_text, "summary.txt", self.summary_text())
 
 
@@ -450,7 +452,7 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
         "controller": config.controller["kind"],
         "pairs": [{
             "index": i,
-            "alpha_slope": float(config.cbfs[i]["alpha"]["slope"]),
+            "alpha_slope": float(pairs[i].alpha.deriv(0.0)),
             "equilibria": [_vec(r.x_star) for r in per_pair[i]],
             "stability": [r.stability for r in per_pair[i]],
         } for i in range(len(per_pair))],

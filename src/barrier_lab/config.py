@@ -528,13 +528,13 @@ def build_pairs(config: ScenarioConfig) -> List[BarrierPair]:
     for d in config.cbfs:
         if d["kind"] == "ball":
             pairs.append(make_ball_cbf(d["center"], d["radius"], form=d["form"],
-                                       alpha_slope=d["alpha"]["slope"]))
+                                       alpha=_scalar_map(d["alpha"])))
         else:
             pairs.append(transform_cbf(
                 pairs[d["base"]], d["a"], d["b"],
                 gamma=_scalar_map(d["gamma"]) if "gamma" in d else None,
                 eta=_state_map(d["eta"]) if "eta" in d else None,
-                alpha=linear_map(d["alpha"]["slope"])))
+                alpha=_scalar_map(d["alpha"])))
     return pairs
 
 
@@ -542,10 +542,8 @@ def build_clf(config: ScenarioConfig) -> Optional[LyapunovPair]:
     if config.clf is None:
         return None
     d = config.clf
-    beta = d["beta"]
-    slope = 1.0 if beta["kind"] == "identity" else beta["slope"]
     return quadratic_clf(np.array(d["Q"], dtype=float), xstar=d["xstar"],
-                         beta_slope=slope)
+                         beta=_scalar_map(d["beta"]))
 
 
 def _weight_evaluator(config: ScenarioConfig) -> Optional[Callable]:

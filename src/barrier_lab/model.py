@@ -17,7 +17,7 @@ planar evaluators (N, 2) batches in Fortran order, so an evaluator indexes
 and broadcasts over the trailing axis and assumes no memory layout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -320,14 +320,19 @@ class BarrierPair:
 
     The safe set is S = {h >= 0}. The controller constraint built from the
     pair is grad_h(x)^T (f + g u) + alpha(h(x)) >= 0. ``value_and_grad(x)``
-    returns (h(x), grad_h(x)); h and grad_h read it.
+    returns (h(x), grad_h(x)); h and grad_h read it. alpha'(0) must be
+    positive.
     """
 
     value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     hess_h: Callable[[np.ndarray], np.ndarray]
-    alpha: Callable[[np.ndarray], np.ndarray]
-    alpha_prime: Callable[[np.ndarray], np.ndarray]
+    alpha: ScalarMap
     geometry: Optional[SafeSetGeometry] = None
+
+    def __post_init__(self):
+        slope = float(self.alpha.deriv(0.0))
+        if not slope > 0.0:
+            raise InvalidParameterError("alpha is not class-K: alpha'(0) = %g, need > 0" % slope)
 
     def h(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_grad(x)[0]
@@ -341,13 +346,18 @@ class LyapunovPair:
     """A Lyapunov function V with class-K beta; V certifies decrease to xstar.
 
     ``value_and_grad(x)`` returns (v(x), grad_v(x)); v and grad_v read it.
+    beta'(0) must be positive.
     """
 
     value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     hess_v: Callable[[np.ndarray], np.ndarray]
-    beta: Callable[[np.ndarray], np.ndarray]
-    beta_prime: Callable[[np.ndarray], np.ndarray]
-    xstar: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    beta: ScalarMap
+    xstar: np.ndarray
+
+    def __post_init__(self):
+        slope = float(self.beta.deriv(0.0))
+        if not slope > 0.0:
+            raise InvalidParameterError("beta is not class-K: beta'(0) = %g, need > 0" % slope)
 
     def v(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_grad(x)[0]
@@ -357,12 +367,12 @@ class LyapunovPair:
 
 
 def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
-                  alpha_slope: float = 1.0) -> BarrierPair:
+                  alpha: Optional[ScalarMap] = None) -> BarrierPair:
     """Barrier for the complement of a planar ball obstacle.
 
     form 'full': h(x) = ||x - c||^2 - r^2, grad 2(x - c), Hessian 2 I.
     form 'half': h(x) = (1/2)||x - c||^2 - (1/2) r^2, grad (x - c), Hessian I.
-    alpha is linear with the given positive slope.
+    alpha defaults to the identity.
     """
     center = np.array(center, dtype=float)
     if center.shape != (2,):
@@ -370,9 +380,6 @@ def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
     radius = float(radius)
     if radius <= 0.0:
         raise InvalidParameterError("ball radius must be positive, got %g" % radius)
-    alpha_slope = float(alpha_slope)
-    if alpha_slope <= 0.0:
-        raise InvalidParameterError("alpha slope must be positive, got %g" % alpha_slope)
     if form not in ("full", "half"):
         raise InvalidParameterError("form must be 'full' or 'half', got %r" % (form,))
     scale = 2.0 if form == "full" else 1.0
@@ -389,15 +396,14 @@ def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(scale * np.eye(2), x.shape[:-1] + (2, 2)).copy()
 
-    alpha = linear_map(alpha_slope)
     geometry = SafeSetGeometry(kind="ball-complement-2d", center=center, radius=radius)
     return BarrierPair(value_and_grad=value_and_grad, hess_h=hess_h,
-                       alpha=alpha.fun, alpha_prime=alpha.deriv, geometry=geometry)
+                       alpha=identity_map() if alpha is None else alpha, geometry=geometry)
 
 
 def quadratic_clf(q: np.ndarray, xstar: Optional[Sequence[float]] = None,
-                  beta_slope: float = 1.0) -> LyapunovPair:
-    """V(x) = (1/2)(x - xstar)^T Q (x - xstar) with linear class-K beta."""
+                  beta: Optional[ScalarMap] = None) -> LyapunovPair:
+    """V(x) = (1/2)(x - xstar)^T Q (x - xstar) with class-K beta, by default the identity."""
     q = np.array(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise InvalidParameterError("Q must be square")
@@ -410,9 +416,6 @@ def quadratic_clf(q: np.ndarray, xstar: Optional[Sequence[float]] = None,
     xstar = np.zeros(n) if xstar is None else np.array(xstar, dtype=float)
     if xstar.shape != (n,):
         raise InvalidParameterError("xstar must be a %d-vector" % n)
-    beta_slope = float(beta_slope)
-    if beta_slope <= 0.0:
-        raise InvalidParameterError("beta slope must be positive")
 
     times_q = linear_evaluator(q)
 
@@ -421,9 +424,8 @@ def quadratic_clf(q: np.ndarray, xstar: Optional[Sequence[float]] = None,
         grad = times_q(d)
         return 0.5 * dot(d, grad), grad
 
-    beta = linear_map(beta_slope)
     return LyapunovPair(value_and_grad=value_and_grad, hess_v=constant_matrix(q),
-                        beta=beta.fun, beta_prime=beta.deriv, xstar=xstar)
+                        beta=identity_map() if beta is None else beta, xstar=xstar)
 
 
 TRANSFORM_ETA_SAMPLES = 64   # boundary samples used to vet eta > 0
@@ -498,12 +500,8 @@ def transform_cbf(base: BarrierPair, a: float, b: float,
             out = out + (curv if unit_a else a * curv)
         return out
 
-    if alpha is None:
-        alpha_fun, alpha_deriv = base.alpha, base.alpha_prime
-    else:
-        alpha_fun, alpha_deriv = alpha.fun, alpha.deriv
     return BarrierPair(value_and_grad=value_and_grad, hess_h=hess_h,
-                       alpha=alpha_fun, alpha_prime=alpha_deriv, geometry=base.geometry)
+                       alpha=base.alpha if alpha is None else alpha, geometry=base.geometry)
 
 
 def central_difference_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

@@ -360,7 +360,7 @@ def safety_filter_problem(model: SystemModel, pair: BarrierPair,
         def doubled(x):
             return 2.0 * np.asarray(base(x), dtype=float)
 
-    row = _row("cbf", model, pair.value_and_grad, pair.alpha, model.drift)
+    row = _row("cbf", model, pair.value_and_grad, pair.alpha.fun, model.drift)
     return QpProblem(weight=doubled, penalty=None, rows=(row,))
 
 
@@ -368,7 +368,7 @@ def _filter_row(terms: _LoopTerms, pair: BarrierPair, x: np.ndarray):
     """(eta, g^T grad_h, W^{-1} g^T grad_h, f + g k) at x, batched."""
     hv, grad = pair.value_and_grad(x)
     drift = terms.drift(x)
-    eta = np.asarray(dot(grad, drift) + pair.alpha(hv), dtype=float)
+    eta = np.asarray(dot(grad, drift) + pair.alpha.fun(hv), dtype=float)
     a, winv_a = terms.row(x, grad)
     return eta, a, winv_a, drift
 
@@ -400,15 +400,15 @@ def clf_cbf_problem(model: SystemModel, cbf: BarrierPair, clf: LyapunovPair,
                     weight: Optional[Weight] = None, p: float = 1.0) -> QpProblem:
     """QP with one relaxed clf row (index 0) and one cbf row (index 1)."""
     return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p), rows=(
-        _row("clf-relaxed", model, clf.value_and_grad, clf.beta, model.f, 1.0),
-        _row("cbf", model, cbf.value_and_grad, cbf.alpha, model.f)))
+        _row("clf-relaxed", model, clf.value_and_grad, clf.beta.fun, model.f, 1.0),
+        _row("cbf", model, cbf.value_and_grad, cbf.alpha.fun, model.f)))
 
 
 def clf_problem(model: SystemModel, clf: LyapunovPair,
                 weight: Optional[Weight] = None, p: float = 1.0) -> QpProblem:
     """The clf_cbf_problem without its cbf row (unfiltered controller)."""
     return QpProblem(weight=_weight_or_identity(weight, model.m), penalty=_penalty(p), rows=(
-        _row("clf-relaxed", model, clf.value_and_grad, clf.beta, model.f, 1.0),))
+        _row("clf-relaxed", model, clf.value_and_grad, clf.beta.fun, model.f, 1.0),))
 
 
 def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: LyapunovPair,
@@ -427,14 +427,14 @@ def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: Lyapunov
         "f": f,
         "av": av,
         "winv_av": winv_av,
-        "fv": np.asarray(dot(grad_v, f) + clf.beta(v), dtype=float),
+        "fv": np.asarray(dot(grad_v, f) + clf.beta.fun(v), dtype=float),
         "vdv": dot(av, winv_av),   # ||grad_v||_D^2
     }
     if cbf is not None:
         data.update({
             "ah": ah,
             "winv_ah": winv_ah,
-            "fh": np.asarray(dot(grad_h, f) + cbf.alpha(hv), dtype=float),
+            "fh": np.asarray(dot(grad_h, f) + cbf.alpha.fun(hv), dtype=float),
             "hdh": dot(ah, winv_ah),          # ||grad_h||_D^2
             "vdh": dot(av, winv_ah),          # grad_v^T D grad_h
         })

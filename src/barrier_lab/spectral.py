@@ -109,8 +109,8 @@ def jacobian_clf_cbf_boundary(controller, x_star: np.ndarray) -> np.ndarray:
     h_v = np.asarray(clf.hess_v(x), dtype=float)
     h_h = np.asarray(cbf.hess_h(x), dtype=float)
     j_f = np.asarray(model.jf(x), dtype=float)
-    a_p0 = float(cbf.alpha_prime(0.0))
-    b_pv = float(clf.beta_prime(v))
+    a_p0 = float(cbf.alpha.deriv(0.0))
+    b_pv = float(clf.beta.deriv(v))
 
     # a, bb and c as the multipliers used them (Delta = [[a, -bb], [-bb, c]])
     a, bb, c = float(delta_mat[0, 0]), -float(delta_mat[0, 1]), float(delta_mat[1, 1])
@@ -139,7 +139,7 @@ def jacobian_safety_filter_boundary(controller, x_star: np.ndarray) -> np.ndarra
     h_h = np.asarray(cbf.hess_h(x), dtype=float)
     j_ft = np.asarray(model.jdrift(x), dtype=float)
     ft = np.asarray(model.drift(x), dtype=float)
-    a_p0 = float(cbf.alpha_prime(0.0))
+    a_p0 = float(cbf.alpha.deriv(0.0))
     dh = d @ grad_h
     q = float(grad_h @ dh)
     n = x.shape[0]
@@ -234,7 +234,7 @@ def _spectrum(controller, report: EquilibriumReport) -> SpectralResult:
             and report.desirability == "undesirable":
         pair = controller.pair
         return eigen_and_classify(closed_form(controller, report.x_star),
-                                  float(pair.alpha_prime(0.0)), pair.grad_h(report.x_star))
+                                  float(pair.alpha.deriv(0.0)), pair.grad_h(report.x_star))
     jac = central_difference_jacobian(lambda s: np.asarray(controller.field(s), dtype=float),
                                       report.x_star)
     return eigen_and_classify(jac)

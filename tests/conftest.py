@@ -196,4 +196,4 @@ def barrier_slack(pair, x, drift):
     eta >= 0 exactly where the row is inactive.
     """
     h, grad = pair.value_and_grad(np.asarray(x, dtype=float))
-    return np.asarray(dot(grad, drift) + pair.alpha(h), dtype=float)
+    return np.asarray(dot(grad, drift) + pair.alpha.fun(h), dtype=float)

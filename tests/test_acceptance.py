@@ -107,11 +107,11 @@ class TestBarrierInvariance:
         base_b = bundles("fig3")
         base, _ = analyzed("fig3")
         base_bad = undesirable(base)
-        base_alpha = float(base_b.pair.alpha_prime(0.0))
+        base_alpha = float(base_b.pair.alpha.deriv(0.0))
         for name in FIG3_FAMILY[1:]:
             other_b = bundles(name)
             other, _ = analyzed(name)
-            other_alpha = float(other_b.pair.alpha_prime(0.0))
+            other_alpha = float(other_b.pair.alpha.deriv(0.0))
             assert -base_alpha in (-1.0, -10.0) and -other_alpha in (-1.0, -10.0)
             for r in undesirable(other):
                 partner = match(base_bad, r.x_star, 1e-3)
@@ -130,7 +130,7 @@ class TestBarrierInvariance:
                        for i in range(2)]
         reports = [attach_spectra(undesirable(find_boundary_equilibria(c)), c)
                    for c in controllers]
-        alphas = [float(c.pair.alpha_prime(0.0)) for c in controllers]
+        alphas = [float(c.pair.alpha.deriv(0.0)) for c in controllers]
         assert [-a for a in alphas] == [-1.0, -10.0]
         assert len(reports[0]) == len(reports[1]) == 3
         for r in reports[1]:
@@ -160,7 +160,7 @@ class TestJacobianAccuracy:
         for name in FIG3_FAMILY + ("fig2",):
             bundle = bundles(name)
             boundary, _ = analyzed(name)
-            slope = float(bundle.pair.alpha_prime(0.0))
+            slope = float(bundle.pair.alpha.deriv(0.0))
             assert undesirable(boundary)
             for r in undesirable(boundary):
                 fd = central_difference_jacobian(

@@ -26,7 +26,7 @@ from barrier_lab import (
     validate_config,
 )
 from barrier_lab.artifacts import json_dumps
-from barrier_lab.cli import ScenarioRun
+from barrier_lab.cli import ScenarioRun, run_scenario
 from barrier_lab.config import BUILTIN_SCENARIOS, _Source
 from conftest import ALL_KINDS, all_kinds
 
@@ -439,6 +439,13 @@ class TestScenarioRun:
             summaries.append((out / "summary.txt").read_bytes())
         assert summaries[0] == summaries[1]
         assert b"\nartifacts in out\n" in summaries[0]
+
+    def test_summary_file_is_what_the_run_printed(self, tmp_path, capsys):
+        # the file lists itself among the artifacts, as the printed copy does
+        assert run_scenario(builtin_scenario("fig2"), out_dir=str(tmp_path / "out")) == 0
+        text = (tmp_path / "out" / "summary.txt").read_bytes()
+        assert text == capsys.readouterr().out.encode()
+        assert text.endswith(b"  - summary.txt\n")
 
     @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch, name):

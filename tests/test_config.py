@@ -46,8 +46,8 @@ def assert_same(built, expected, names):
 def assert_same_pair(built, expected):
     assert_same(built, expected, ("value_and_grad", "hess_h"))
     s = built.h(STATES)
-    assert np.array_equal(bits(built.alpha(s)), bits(expected.alpha(s)))
-    assert np.array_equal(bits(built.alpha_prime(s)), bits(expected.alpha_prime(s)))
+    assert np.array_equal(bits(built.alpha.fun(s)), bits(expected.alpha.fun(s)))
+    assert np.array_equal(bits(built.alpha.deriv(s)), bits(expected.alpha.deriv(s)))
 
 
 class TestBuiltKinds:
@@ -60,8 +60,8 @@ class TestBuiltKinds:
 
     def test_barriers_match_the_library(self, built):
         pairs = built[2]
-        ball = make_ball_cbf((2, 0), 1, form="full", alpha_slope=1)
-        half = make_ball_cbf((2, 0), 1, form="half", alpha_slope=2)
+        ball = make_ball_cbf((2, 0), 1, form="full", alpha=linear_map(1))
+        half = make_ball_cbf((2, 0), 1, form="half", alpha=linear_map(2))
         expected = [
             ball, half,
             transform_cbf(ball, 1, 0, gamma=identity_map(), alpha=linear_map(1)),
@@ -89,11 +89,11 @@ class TestBuiltKinds:
                        "beta": {"kind": "linear", "slope": 3}}
         clf = build_clf(validate_config(data))
         expected = quadratic_clf(np.array([[6.0, 1.0], [1.0, 2.0]]), xstar=(0.5, -1.0),
-                                 beta_slope=3)
+                                 beta=linear_map(3))
         assert_same(clf, expected, ("value_and_grad", "hess_v"))
         v = clf.v(STATES)
-        assert np.array_equal(bits(clf.beta(v)), bits(expected.beta(v)))
-        assert np.array_equal(bits(clf.beta_prime(v)), bits(expected.beta_prime(v)))
+        assert np.array_equal(bits(clf.beta.fun(v)), bits(expected.beta.fun(v)))
+        assert np.array_equal(bits(clf.beta.deriv(v)), bits(expected.beta.deriv(v)))
 
     def test_defaulted_keys_build_the_library_defaults(self):
         # alpha slope, ball form, xstar, beta and p all left out

@@ -23,6 +23,7 @@ from barrier_lab import (
     constant_matrix,
     find_boundary_equilibria,
     find_interior_equilibria,
+    linear_map,
     linear_system,
     make_ball_cbf,
     multipliers_on_boundary,
@@ -362,8 +363,8 @@ class TestFoldsOnGeneralPlant:
     def test_multipliers_match_an_explicit_two_by_two_solve(self):
         q = np.array([[3.0, 0.5], [0.5, 1.0]])
         p = 2.0
-        clf = quadratic_clf(q, beta_slope=1.5)
-        cbf = make_ball_cbf(BALL_CENTER, BALL_RADIUS, alpha_slope=2.0)
+        clf = quadratic_clf(q, beta=linear_map(1.5))
+        cbf = make_ball_cbf(BALL_CENTER, BALL_RADIUS, alpha=linear_map(2.0))
         for b, w, _ in GENERAL_PLANTS:
             model = linear_system(PLANT_A, b)
             d = b @ np.linalg.inv(w) @ b.T

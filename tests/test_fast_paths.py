@@ -364,7 +364,7 @@ class TestPackedBasinLoop:
         # fast plant: k(x) = -20 x around an obstacle at (2, 0), alpha slope 20
         model = linear_system(np.zeros((2, 2)), np.eye(2), gain=-20.0 * np.eye(2))
         controller = SafetyFilterController(model, make_ball_cbf((2.0, 0.0), 1.0,
-                                                                 alpha_slope=20.0))
+                                                                 alpha=linear_map(20.0)))
         attractors = [np.zeros(2), np.array([3.0, 0.0])]
         grid = roa_grid(controller, ((-1.0, 4.5), (-1.0, 1.0)), [6, 3], attractors,
                         t_final=0.8, dt=1e-3)
@@ -490,7 +490,7 @@ class TestCLayoutReference:
         # the fast plant of test_grid_labels_match_each_node_alone, on a finer grid
         model = linear_system(np.zeros((2, 2)), np.eye(2), gain=-20.0 * np.eye(2))
         controller = SafetyFilterController(model, make_ball_cbf((2.0, 0.0), 1.0,
-                                                                 alpha_slope=20.0))
+                                                                 alpha=linear_map(20.0)))
         attractors = [np.zeros(2), np.array([3.0, 0.0])]
         bounds, t_final, dt = ((-1.0, 4.5), (-1.0, 1.0)), 0.8, 1e-3
         grid = roa_grid(controller, bounds, [12, 5], attractors, t_final=t_final, dt=dt)
@@ -540,7 +540,7 @@ def readme_filter():
 
     alpha = linear_map(1.0)
     pair = BarrierPair(value_and_grad=value_and_grad, hess_h=hess_h,
-                       alpha=alpha.fun, alpha_prime=alpha.deriv)
+                       alpha=alpha)
     model = linear_system(np.zeros((3, 3)), np.eye(3), -np.diag([1.0, 5.0, 9.0]))
     return SafetyFilterController(model, pair)
 

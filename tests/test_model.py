@@ -13,6 +13,7 @@ from barrier_lab import (
     StructuralError,
     SystemModel,
     central_difference_jacobian,
+    linear_map,
     linear_system,
     make_ball_cbf,
     quadratic_clf,
@@ -21,8 +22,8 @@ from barrier_lab import (
     single_integrator_2d,
     transform_cbf,
 )
-from barrier_lab.model import (ScalarMap, constant_state_map, dot, identity_map,
-                               linear_evaluator)
+from barrier_lab.model import (SafeSetGeometry, ScalarMap, constant_matrix, constant_state_map,
+                               dot, identity_map, linear_evaluator)
 
 
 class TestBallBarrier:
@@ -32,7 +33,7 @@ class TestBallBarrier:
         assert float(pair.h(np.array([3.0, 0.0]))) == 0.0
         assert np.array_equal(pair.grad_h(np.array([3.0, 0.0])), [2.0, 0.0])
         assert np.array_equal(pair.hess_h(np.array([3.0, 0.0])), 2.0 * np.eye(2))
-        assert float(pair.alpha(0.3)) == 0.3
+        assert float(pair.alpha.fun(0.3)) == 0.3
 
     def test_half_form_values(self):
         pair = make_ball_cbf((0.0, 3.0), 1.5, form="half")
@@ -63,7 +64,7 @@ class TestBallBarrier:
         with pytest.raises(InvalidParameterError):
             make_ball_cbf((2.0, 0.0), 0.0)
         with pytest.raises(InvalidParameterError):
-            make_ball_cbf((2.0, 0.0), 1.0, alpha_slope=-1.0)
+            make_ball_cbf((2.0, 0.0), 1.0, alpha=linear_map(-1.0))
         with pytest.raises(InvalidParameterError):
             make_ball_cbf((2.0, 0.0), 1.0, form="cubic")
         with pytest.raises(InvalidParameterError):
@@ -183,8 +184,8 @@ class TestTransform:
         h2 = transform_cbf(self.base(), 0.0, 1.0, eta=constant_state_map(1.0),
                            alpha=ScalarMap(fun=lambda s: 10.0 * np.asarray(s, dtype=float),
                                            deriv=lambda s: 10.0 * np.ones_like(np.asarray(s, dtype=float))))
-        assert float(h2.alpha(0.5)) == 5.0
-        assert float(h2.alpha_prime(0.0)) == 10.0
+        assert float(h2.alpha.fun(0.5)) == 5.0
+        assert float(h2.alpha.deriv(0.0)) == 10.0
 
 
 class TestLinearSystemMarks:
@@ -217,6 +218,83 @@ class TestLinearSystemMarks:
                                  k=linear_evaluator(np.array([[0.5, -1.0]])))
         assert hand_built.constant_g() is None
         assert hand_built.drift_evaluator() == hand_built.drift
+
+    def test_without_k_the_drift_is_f(self):
+        model = linear_system(np.array([[0.0, 1.0], [-2.0, -3.0]]), np.eye(2))
+        xs = np.random.default_rng(6).uniform(-3.0, 3.0, size=(5, 2))
+        assert np.array_equal(model.drift(xs), model.f(xs))
+        assert np.array_equal(model.jdrift(xs), model.jf(xs))
+
+
+def hand_built_barrier(alpha):
+    ball = make_ball_cbf((2.0, 0.0), 1.0)
+    return BarrierPair(value_and_grad=ball.value_and_grad, hess_h=ball.hess_h, alpha=alpha)
+
+
+def hand_built_clf(beta):
+    clf = quadratic_clf(np.eye(2))
+    return LyapunovPair(value_and_grad=clf.value_and_grad, hess_v=clf.hess_v, beta=beta,
+                        xstar=clf.xstar)
+
+
+def model_without_jk():
+    return SystemModel(n=2, m=2, f=linear_evaluator(np.zeros((2, 2))), g=constant_matrix(np.eye(2)),
+                       jf=constant_matrix(np.zeros((2, 2))), k=linear_evaluator(-np.eye(2)))
+
+
+# case: (call, error type, message); the class-K rows cover every site that builds a pair
+RAISES = {
+    "ball-alpha": (lambda: make_ball_cbf((2, 0), 1, alpha=linear_map(-1.0)), InvalidParameterError,
+                   "alpha is not class-K: alpha'(0) = -1, need > 0"),
+    "ball-alpha-flat": (lambda: make_ball_cbf((2, 0), 1, alpha=linear_map(0.0)),
+                        InvalidParameterError, "alpha is not class-K: alpha'(0) = 0, need > 0"),
+    "transform-alpha": (lambda: transform_cbf(make_ball_cbf((2, 0), 1), 1, 0,
+                                              alpha=linear_map(-1.0)),
+                        InvalidParameterError, "alpha is not class-K: alpha'(0) = -1, need > 0"),
+    "hand-built-alpha": (lambda: hand_built_barrier(quadratic_map(-0.5, 1.0)),
+                         InvalidParameterError,
+                         "alpha is not class-K: alpha'(0) = -0.5, need > 0"),
+    "clf-beta": (lambda: quadratic_clf(np.eye(2), beta=linear_map(0.0)), InvalidParameterError,
+                 "beta is not class-K: beta'(0) = 0, need > 0"),
+    "hand-built-beta": (lambda: hand_built_clf(linear_map(-2.0)), InvalidParameterError,
+                        "beta is not class-K: beta'(0) = -2, need > 0"),
+    "jdrift-without-jk": (lambda: model_without_jk().jdrift(np.zeros(2)), StructuralError,
+                          "nominal controller k has no Jacobian evaluator jk"),
+    "a-not-square": (lambda: linear_system(np.zeros((2, 3)), np.eye(2)), InvalidParameterError,
+                     "A must be square, got shape (2, 3)"),
+    "b-rows": (lambda: linear_system(np.zeros((2, 2)), np.eye(3)), InvalidParameterError,
+               "B must have 2 rows, got shape (3, 3)"),
+    "k-shape": (lambda: linear_system(np.zeros((2, 2)), np.eye(2), gain=np.eye(3)),
+                InvalidParameterError, "K must have shape (2, 2), got (3, 3)"),
+    "geometry-kind": (lambda: SafeSetGeometry(kind="ellipse", center=(0, 0), radius=1.0),
+                      InvalidParameterError, "unknown geometry kind 'ellipse'"),
+    "geometry-no-radius": (lambda: SafeSetGeometry(kind="ball-complement-2d", center=(0, 0)),
+                           InvalidParameterError, "ball geometry needs center and radius"),
+    "geometry-radius": (lambda: SafeSetGeometry(kind="ball-complement-2d", center=(0, 0),
+                                                radius=0.0),
+                        InvalidParameterError, "ball radius must be positive"),
+    "q-not-square": (lambda: quadratic_clf(np.ones((2, 3))), InvalidParameterError,
+                     "Q must be square"),
+}
+
+
+class TestRaises:
+    @pytest.mark.parametrize("case", RAISES)
+    def test_each_raise_names_what_failed(self, case):
+        call, error, message = RAISES[case]
+        with pytest.raises(error) as excinfo:
+            call()
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    def test_a_pair_keeps_the_map_it_is_given(self):
+        alpha, other, beta = linear_map(2.0), quadratic_map(3.0, 0.5), quadratic_map(1.0, 0.5)
+        ball = make_ball_cbf((2.0, 0.0), 1.0, alpha=alpha)
+        assert ball.alpha is alpha
+        assert transform_cbf(ball, 1.0, 0.0).alpha is alpha
+        assert transform_cbf(ball, 1.0, 0.0, alpha=other).alpha is other
+        assert hand_built_barrier(other).alpha is other
+        assert quadratic_clf(np.eye(2), beta=beta).beta is beta
+        assert hand_built_clf(beta).beta is beta
 
 
 DERIVATIVE_TOL = 1e-4        # analytic vs central-difference agreement
@@ -312,10 +390,10 @@ def validate_model(model: SystemModel, pairs: Sequence[object], samples: Sequenc
     for idx, pair in enumerate(pairs):
         if isinstance(pair, BarrierPair):
             tag = "cbf[%d]" % idx
-            zero = abs(float(pair.alpha(0.0)))
+            zero = abs(float(pair.alpha.fun(0.0)))
             checks.append(ValidationCheck(name="%s.alpha(0)" % tag, max_residual=zero, tolerance=0.0,
                                           passed=zero == 0.0))
-            checks.append(_monotone_check("%s.alpha-monotone" % tag, pair.alpha))
+            checks.append(_monotone_check("%s.alpha-monotone" % tag, pair.alpha.fun))
             fd_entry("%s.grad_h" % tag,
                      pair.grad_h, lambda x, p=pair: np.asarray(p.h(x), dtype=float)[None] if np.asarray(p.h(x)).ndim == 0 else p.h(x),
                      samples)
@@ -339,10 +417,10 @@ def validate_model(model: SystemModel, pairs: Sequence[object], samples: Sequenc
                                           max_residual=max(0.0, -min_v), tolerance=0.0,
                                           passed=min_v > 0.0,
                                           detail="min V over samples away from xstar = %g" % min_v))
-            zero = abs(float(pair.beta(0.0)))
+            zero = abs(float(pair.beta.fun(0.0)))
             checks.append(ValidationCheck(name="%s.beta(0)" % tag, max_residual=zero, tolerance=0.0,
                                           passed=zero == 0.0))
-            checks.append(_monotone_check("%s.beta-monotone" % tag, pair.beta))
+            checks.append(_monotone_check("%s.beta-monotone" % tag, pair.beta.fun))
             fd_entry("%s.grad_v" % tag,
                      pair.grad_v, lambda x, p=pair: np.asarray(p.v(x), dtype=float)[None] if np.asarray(p.v(x)).ndim == 0 else p.v(x),
                      samples)
@@ -373,7 +451,7 @@ class TestValidateModel:
             return h, 1.1 * np.asarray(grad, dtype=float)
 
         bad = type(good)(value_and_grad=value_and_grad, hess_h=good.hess_h, alpha=good.alpha,
-                         alpha_prime=good.alpha_prime, geometry=good.geometry)
+                         geometry=good.geometry)
         report = validate_model(model, [bad], self.samples())
         assert not report.passed
         assert any("grad_h" in c.name for c in report.failures())

@@ -13,6 +13,7 @@ from barrier_lab import (
     DefinitenessError,
     InfeasibleProblemError,
     InvalidParameterError,
+    NominalClosedLoop,
     StrictFeasibilityError,
     StructuralError,
     certificate_errors,
@@ -146,7 +147,7 @@ class TestClfCbfQp:
         p = 2.0
         controller = ClfCbfController(model, cbf, clf, constant_matrix(np.eye(1)), p)
         lam1, lam2, delta_mat, det = multipliers_on_boundary(controller, x)
-        assert lam1 == p * float(clf.beta(clf.v(x))) == 9.0
+        assert lam1 == p * float(clf.beta.fun(clf.v(x))) == 9.0
         assert lam2 == 0.0
         point = ClfCbfController(model, cbf, clf, p=p).point(x)
         assert abs(point.multipliers[0] - 9.0) < 1e-12
@@ -204,6 +205,47 @@ class TestUnfilteredControl:
             point = fig2.unfiltered.point(x)
             assert np.array_equal(u[i], point.u)
             assert float(multipliers[i, 0]) == point.multipliers[0]
+
+
+def one_row_problem(weight, normal, penalty=None):
+    row = ConstraintRow(kind="custom", terms=lambda x: (normal, 1.0))
+    return QpProblem(weight=weight, penalty=penalty, rows=(row,))
+
+
+def plant(gain=None):
+    return linear_system(np.zeros((2, 2)), np.eye(2), gain=gain)
+
+
+# case: (call, error type, message) for each typed raise no other test pins
+RAISES = {
+    "unknown-row-kind": (lambda: ConstraintRow(kind="box", terms=lambda x: (np.ones(2), 0.0)),
+                         InvalidParameterError, "unknown row kind 'box'"),
+    "penalty": (lambda: one_row_problem(constant_matrix(np.eye(2)), np.ones(2), penalty=0.0),
+                InvalidParameterError, "penalty must be positive, got 0.0"),
+    "weight-shape": (lambda: solve_small_qp(one_row_problem(lambda x: np.ones((2, 3)), np.ones(2)),
+                                            np.zeros(2)),
+                     StructuralError, "weight evaluator returned shape (2, 3)"),
+    "row-shape": (lambda: solve_small_qp(one_row_problem(constant_matrix(np.eye(2)), np.ones(3)),
+                                         np.zeros(2)),
+                  StructuralError, "row normal has shape (3,), expected (2,)"),
+    "point-on-a-batch": (lambda: SafetyFilterController(plant(-np.eye(2)), make_ball_cbf((2, 0), 1))
+                         .point(np.zeros((3, 2))),
+                         InvalidParameterError,
+                         "point takes a single state; evaluate takes batches"),
+    "filter-without-k": (lambda: SafetyFilterController(plant(), make_ball_cbf((2, 0), 1)),
+                         StructuralError, "the safety filter needs a nominal controller k"),
+    "nominal-without-k": (lambda: NominalClosedLoop(plant()), StructuralError,
+                          "nominal closed loop needs a controller k on the model"),
+}
+
+
+class TestRaises:
+    @pytest.mark.parametrize("case", RAISES)
+    def test_each_raise_names_what_failed(self, case):
+        call, error, message = RAISES[case]
+        with pytest.raises(error) as excinfo:
+            call()
+        assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 class TestSolverStructure:

@@ -15,6 +15,7 @@ from barrier_lab import (
     integrate,
     integrate_batch,
     invariance_audit,
+    linear_map,
     linear_system,
     make_ball_cbf,
     quadratic_clf,
@@ -204,7 +205,7 @@ class TestRoaGrid:
         # fast plant: k(x) = -20 x around an obstacle at (2, 0), alpha slope 20
         model = linear_system(np.zeros((2, 2)), np.eye(2), gain=-20.0 * np.eye(2))
         controller = SafetyFilterController(model, make_ball_cbf((2.0, 0.0), 1.0,
-                                                                 alpha_slope=20.0))
+                                                                 alpha=linear_map(20.0)))
         attractors = [np.zeros(2), np.array([3.0, 0.0])]
         bounds, resolution = ((-1.0, 4.5), (-1.0, 1.0)), [12, 5]
         grid = roa_grid(controller, bounds, resolution, attractors, t_final=0.8, dt=1e-3)

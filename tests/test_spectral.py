@@ -150,7 +150,7 @@ class TestGoldenJacobians:
 
         alpha = linear_map(1.0)
         pair = BarrierPair(value_and_grad=value_and_grad, hess_h=lambda x: 2.0 * np.eye(3),
-                           alpha=alpha.fun, alpha_prime=alpha.deriv)
+                           alpha=alpha)
         model = linear_system(np.zeros((3, 3)), np.eye(3), -np.diag([1.0, 5.0, 9.0]))
         controller = SafetyFilterController(model, pair)
         s3, s15 = SQ3 / 2.0, math.sqrt(15.0) / 4.0
@@ -201,7 +201,7 @@ class TestJacobianCrossChecks:
         for name in ("fig3", "fig2", "fig3-h1a2"):
             bundle = bundles(name)
             boundary, _ = analyzed(name)
-            slope = float(bundle.pair.alpha_prime(0.0))
+            slope = float(bundle.pair.alpha.deriv(0.0))
             for r in boundary:
                 grad = np.asarray(bundle.pair.grad_h(r.x_star), dtype=float)
                 assert np.max(np.abs(grad @ r.jacobian + slope * grad)) < 1e-8
@@ -211,8 +211,8 @@ class TestReducedSpectrum:
     def test_matched_points_pass(self, bundles, analyzed):
         base, _ = analyzed("fig3")
         other, _ = analyzed("fig3-h1a2")
-        a1 = float(bundles("fig3").pair.alpha_prime(0.0))
-        a2 = float(bundles("fig3-h1a2").pair.alpha_prime(0.0))
+        a1 = float(bundles("fig3").pair.alpha.deriv(0.0))
+        a2 = float(bundles("fig3-h1a2").pair.alpha.deriv(0.0))
         assert a1 != a2
         for r1, r2 in zip(base, other):
             assert (r1.spectrum.known_factor_root, r2.spectrum.known_factor_root) == (-a1, -a2)
