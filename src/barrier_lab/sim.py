@@ -5,14 +5,21 @@ every stage point. The integrator never projects back onto the safe set:
 forward invariance is audited afterwards, not enforced. Batches of initial
 conditions advance together; trajectories that blow up or hit a controller
 error are frozen while the rest continue, so grids stay vectorized.
+
+A row converges once it holds within CONV_RADIUS of one attractor for
+CONV_HOLD steps. A basin grid (roa_grid) may decide a row earlier, inside a
+quadratic-Lyapunov region of an asymptotically stable attractor, but only
+when a decay bound shows that rule would give the same label before t_final.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
+from .model import central_difference_jacobian
 
 DT_DEFAULT = 1e-3
 T_DEFAULT = 20.0
@@ -21,6 +28,14 @@ CONV_HOLD = 10          # consecutive steps inside the radius to conclude
 DIVERGE_NORM = 1e6      # leaving this ball labels the trajectory left-domain
 INVARIANCE_TOL = 1e-6
 HORIZON_RTOL = 1e-9     # t_final must be this close to a whole number of steps
+
+# Regions of attraction {(x - x*)^T P (x - x*) <= c}, J^T P + P J = -I, in which
+# roa_grid decides a row early; checked at samples of the region, not proved
+REGION_STABLE = -1e-8   # every eigenvalue of J must have a real part below this
+REGION_KAPPA = 0.9      # required decay dV/dt <= -kappa ||x - x*||^2 at the samples
+REGION_SHELLS = (1.0, 0.25, 0.0625)     # sampled level sets V = s c, as fractions s of c
+REGION_ANGLES = 64      # samples per level set (roa grids are planar)
+REGION_HALVINGS = 40    # c is halved at most this often before the attractor gets no region
 
 STATUS_RUNNING = 0
 STATUS_CONVERGED = 1
@@ -72,8 +87,95 @@ def _horizon_steps(t_final: float, dt: float) -> int:
     return steps
 
 
+@dataclass(frozen=True)
+class _Region:
+    """{x : V(x) <= level} around attractors[index], V(x) = (x - x*)^T P (x - x*).
+
+    At the sampled shells dV/dt <= -REGION_KAPPA ||x - x*||^2 <= -REGION_KAPPA
+    V / lam_max, so from V a row is within CONV_RADIUS (V < lam_min r^2) after
+    T_hit = (lam_max / kappa) ln(max(V, lam_min r^2) / (lam_min r^2)).
+    """
+
+    index: int
+    p: np.ndarray
+    level: float
+    lam_min: float      # extreme eigenvalues of P: lam_min ||e||^2 <= V <= lam_max ||e||^2
+    lam_max: float
+
+
+def _region(field, attractors: Sequence[np.ndarray], index: int) -> Optional[_Region]:
+    """The certified region of attractors[index], or None.
+
+    None where the linearization J of the field there is not asymptotically
+    stable, or where no level of the halving sequence passes the sampled
+    decay check. The first level keeps ||x - x*|| <= d / 2, d the distance to
+    the nearest other attractor (1 if there is none), so no other
+    attractor's CONV_RADIUS ball lies inside.
+    """
+    center = np.asarray(attractors[index], dtype=float)
+    jac = central_difference_jacobian(field, center[None])[0]
+    if not np.all(np.isfinite(jac)) or np.linalg.eigvals(jac).real.max() >= REGION_STABLE:
+        return None
+    n = center.size
+    eye = np.eye(n)
+    # J^T P + P J = -I in row-major vec form: (J^T kron I + I kron J^T) vec P = -vec I
+    p = np.linalg.solve(np.kron(jac.T, eye) + np.kron(eye, jac.T), -eye.ravel()).reshape(n, n)
+    p = 0.5 * (p + p.T)
+    lam, vec = np.linalg.eigh(p)
+    gap = min((float(np.linalg.norm(np.asarray(a, dtype=float) - center))
+               for j, a in enumerate(attractors) if j != index), default=1.0)
+    level = lam[0] * (0.5 * gap) ** 2
+    # P^(-1/2) u for unit u at REGION_ANGLES angles: V = 1 there
+    angles = np.linspace(0.0, 2.0 * math.pi, REGION_ANGLES, endpoint=False)
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=-1) @ (vec / np.sqrt(lam) @ vec.T)
+    for _ in range(REGION_HALVINGS + 1):
+        e = np.concatenate([math.sqrt(s * level) * unit for s in REGION_SHELLS])
+        vdot = 2.0 * np.einsum("ki,ij,kj->k", e, p, field(center + e))
+        # strict, so a level of 0 (a repeated attractor) never passes; NaN fails
+        if np.all(vdot < -REGION_KAPPA * np.einsum("ki,ki->k", e, e)):
+            return _Region(index, p, level, float(lam[0]), float(lam[-1]))
+        level *= 0.5
+    return None
+
+
+def _decision_levels(regions: Sequence[_Region], steps: int, dt: float):
+    """Per region and step, the largest V at which a row inside is decided, and its reach.
+
+    A row is decided at a step when V <= level and T_hit(V) <= (steps - step -
+    CONV_HOLD) dt, the time the hold rule has left; that is V <= min(level,
+    lam_min r^2 exp(kappa budget / lam_max)). No row farther than reach from
+    the region's attractor has such a V. Both are -1 where no time is left.
+    Also returns each step's largest reach over the regions (-1 if none).
+    """
+    budget = (steps - CONV_HOLD - np.arange(steps + 1)) * dt
+    timely = budget >= 0.0
+    levels = np.full((len(regions), steps + 1), -1.0)
+    reaches = np.full((len(regions), steps + 1), -1.0)
+    for k, region in enumerate(regions):
+        floor = region.lam_min * CONV_RADIUS ** 2
+        level = floor * np.exp(np.minimum(REGION_KAPPA * budget[timely] / region.lam_max,
+                                          math.log(region.level / floor)))
+        levels[k, timely] = level
+        reaches[k, timely] = np.sqrt(level / region.lam_min)
+    return levels, reaches, reaches.max(axis=0, initial=-1.0)
+
+
+def _decide_in_regions(regions: Sequence[_Region], levels: np.ndarray, reaches: np.ndarray,
+                       diff: np.ndarray, dists: np.ndarray, closest: float,
+                       done: np.ndarray, nearest: np.ndarray) -> None:
+    """Mark in done (and nearest) the rows not yet done that one region decides."""
+    for region, level, reach in zip(regions, levels, reaches):
+        if closest <= reach:
+            near = np.flatnonzero(~done & (dists[:, region.index] <= reach))
+            e = diff[near, region.index]
+            hit = near[np.einsum("ki,ij,kj->k", e, region.p, e) <= level]
+            done[hit] = True
+            nearest[hit] = region.index
+
+
 def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
-             attractors: Sequence[np.ndarray], record: bool):
+             attractors: Sequence[np.ndarray], record: bool,
+             regions: Sequence[_Region] = ()):
     """Shared RK4 driver over a batch; returns status bookkeeping per item.
 
     The rows that step live in one pack, in index order: each packed row's id,
@@ -82,6 +184,13 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
     converges; a recorded batch keeps stepping its converged rows to fill the
     horizon. A row outside the pack keeps in x the state it left with, and x
     is rebuilt from the pack after each recorded step and once at the end.
+
+    A row converges by the hold rule (CONV_HOLD steps within CONV_RADIUS of
+    one attractor) or, given regions (roa_grid's, never a recorded batch's),
+    once it lies inside a region whose decay bound brings it within
+    CONV_RADIUS with CONV_HOLD steps to spare before t_final: the label the
+    hold rule would give. Only a step with a row within the largest reach of
+    the regions does any region work.
 
     For n <= 2 the pack is batch-contiguous (Fortran order), so each
     elementwise op of the field runs one loop down the batch instead of N
@@ -94,6 +203,7 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
     differ in its sign bit, and a row that holds one leaves the pack.
     """
     steps = _horizon_steps(t_final, dt)
+    levels, reaches, reach = _decision_levels(regions, steps, dt)
     x = np.array(x0s, dtype=float)
     batch, n = x.shape
     batch_contiguous = n <= 2
@@ -141,7 +251,9 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
             # or holding, need the bookkeeping
             diff = run_x[:, None, :] - attractor_arr[None, :, :]
             dists = np.sqrt(np.add.reduce(diff * diff, -1))     # == np.linalg.norm
-            if holding or dists.min() < CONV_RADIUS:
+            closest = dists.min()
+            done = None
+            if holding or closest < CONV_RADIUS:
                 nearest = np.argmin(dists, axis=-1)
                 near = np.take_along_axis(dists, nearest[:, None], -1)[:, 0] < CONV_RADIUS
                 run_hold = np.where(near & (nearest == last_near[run]), hold[run] + 1,
@@ -150,11 +262,17 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
                 holding = bool(run_hold[~done].any())
                 hold[run] = run_hold
                 last_near[run] = np.where(near, nearest, -1)
-                if done.any():
-                    status[ids[run][done]] = STATUS_CONVERGED
-                    attr_index[ids[run][done]] = nearest[done]
-                    running[run] = ~done
-                    changed, all_running = True, False
+            # likewise a row farther than every region's reach is not decided by one
+            if closest <= reach[step]:
+                if done is None:
+                    done, nearest = np.zeros(len(run_x), dtype=bool), np.full(len(run_x), -1)
+                _decide_in_regions(regions, levels[:, step], reaches[:, step], diff, dists,
+                                   closest, done, nearest)
+            if done is not None and done.any():
+                status[ids[run][done]] = STATUS_CONVERGED
+                attr_index[ids[run][done]] = nearest[done]
+                running[run] = ~done
+                changed, all_running = True, False
 
         if record:
             # x is replaced, never written in place: recorded steps share no
@@ -290,8 +408,10 @@ def roa_grid(controller, bounds, resolution, attractors: Sequence[np.ndarray],
     labels = ["unsafe-start"] * points.shape[0]
     safe_idx = np.flatnonzero(safe)
     if safe_idx.size:
+        regions = [_region(controller.field, attractors, i) for i in range(len(attractors))]
         _, _, _, status, attr_index, err_time = _advance(
-            controller, points[safe_idx], t_final, dt, attractors, record=False)
+            controller, points[safe_idx], t_final, dt, attractors, record=False,
+            regions=[region for region in regions if region is not None])
         for i, label in zip(safe_idx, _labels(status, attr_index, err_time, attractors)):
             labels[i] = label
     return RoaGrid(points=points, labels=tuple(labels), shape=shape,

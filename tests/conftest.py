@@ -1,6 +1,7 @@
 """Shared fixtures: builtin scenario bundles, safe-state sampling, caches, the
 per-state reference the controllers' one-pass evaluate is checked against, the
-slack of a barrier row, and small helpers several test files use."""
+slack of a barrier row, the separatrix oracle of the basins, and small helpers
+several test files use."""
 
 import json
 from pathlib import Path
@@ -197,3 +198,52 @@ def barrier_slack(pair, x, drift):
     """
     h, grad = pair.value_and_grad(np.asarray(x, dtype=float))
     return np.asarray(dot(grad, drift) + pair.alpha.fun(h), dtype=float)
+
+
+def separatrix(controller, saddle, offset=1e-6, dt=1e-2, bound=8.0) -> np.ndarray:
+    """The safe branch of a boundary saddle's stable manifold, as points (k, 2).
+
+    Starts `offset` from the saddle along the stable eigenvector of its
+    closed-form Jacobian (saddle.jacobian, from attach_spectra), on the side
+    where h > 0, and integrates -field by RK4 at dt until ||x||_inf > bound.
+    In the plane these curves and the safe-set boundary bound the basin of a
+    stable boundary equilibrium.
+    """
+    values, vectors = np.linalg.eig(saddle.jacobian)
+    direction = np.real(vectors[:, int(np.argmin(values.real))])
+    x = saddle.x_star + offset * direction
+    if float(controller.pair.h(x)) <= 0.0:
+        x = saddle.x_star - offset * direction
+    points = [x]
+
+    def back(state):
+        return -np.asarray(controller.field(state), dtype=float)
+
+    while np.max(np.abs(x)) <= bound:
+        k1 = back(x)
+        k2 = back(x + 0.5 * dt * k1)
+        k3 = back(x + 0.5 * dt * k2)
+        k4 = back(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        points.append(x)
+    return np.array(points)
+
+
+def separatrix_sides(curves, points):
+    """(sides, distances) of points (N, 2) against each curve.
+
+    sides[i, k] is the sign of the cross product of curve k's tangent at its
+    nearest point to points[i] with the offset from there; distances[i] is
+    the distance to the nearest point of any curve.
+    """
+    points = np.asarray(points, dtype=float)
+    sides, distances = [], []
+    for curve in curves:
+        offsets = points[:, None, :] - curve[None, :, :]
+        gaps = np.linalg.norm(offsets, axis=-1)
+        nearest = np.argmin(gaps, axis=-1)
+        tangents = np.diff(curve, axis=0)[np.minimum(nearest, len(curve) - 2)]
+        offset = offsets[np.arange(len(points)), nearest]
+        sides.append(np.sign(tangents[:, 0] * offset[:, 1] - tangents[:, 1] * offset[:, 0]))
+        distances.append(gaps.min(axis=-1))
+    return np.stack(sides, axis=-1), np.min(distances, axis=0)

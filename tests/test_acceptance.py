@@ -7,6 +7,7 @@ equivalence-relation axioms, and closed-loop safety of the filtered scenarios.
 """
 
 import csv
+import json
 import math
 import time
 
@@ -39,7 +40,8 @@ from barrier_lab import (
     spectral_invariance_check,
 )
 from barrier_lab.artifacts import write_csv
-from conftest import barrier_slack, max_certificate_error
+from conftest import barrier_slack, max_certificate_error, separatrix, separatrix_sides
+from roa_label_gate import BASIN_ATTRACTORS, BASIN_BOX, GOLDEN
 
 SQ3 = math.sqrt(3.0)
 FIG3_FAMILY = ("fig3", "fig3-h2a1", "fig3-h1a2", "fig3-h2a2")
@@ -289,13 +291,37 @@ class TestClosedLoopSafety:
             total, ", ".join("%s %.1f s" % item for item in elapsed.items()))
 
 
+BASIN_CELL = (BASIN_BOX[0][1] - BASIN_BOX[0][0]) / 12    # spacing of the 13 x 13 grid
+NEAR_CURVE = 1e-2   # a node this close to a separatrix is exempt from the side check
+
+
+@pytest.fixture(scope="module")
+def basin_grids(bundles):
+    """TestBasinShift's 13 x 13 grids at t_final = 20, integrated once for the module."""
+    return {name: roa_grid(bundles(name).controller, BASIN_BOX, 13,
+                           [np.array(a) for a in BASIN_ATTRACTORS], t_final=20.0, dt=1e-3)
+            for name in ("fig3", "fig3-h2a1")}
+
+
+@pytest.fixture(scope="module")
+def separatrices(bundles, analyzed):
+    """Per scenario: its saddles' separatrices and its stable boundary equilibrium."""
+    out = {}
+    for name in ("fig3", "fig3-h2a1"):
+        boundary, _ = analyzed(name)
+        saddles = sorted((r for r in boundary if r.stability == "saddle"),
+                         key=lambda r: r.x_star[1])
+        stable = [r.x_star for r in boundary if r.stability == "asymptotically-stable"]
+        assert len(saddles) == 2 and len(stable) == 1
+        out[name] = [separatrix(bundles(name).controller, r) for r in saddles], stable[0]
+    return out
+
+
 class TestBasinShift:
-    def test_barrier_choice_moves_the_basin_boundary(self, bundles, tmp_path):
-        attractors = [np.zeros(2), np.array([3.0, 0.0])]
+    def test_barrier_choice_moves_the_basin_boundary(self, basin_grids, tmp_path):
         counts = {}
         for name in ("fig3", "fig3-h2a1"):
-            grid = roa_grid(bundles(name).controller, ((0.5, 4.5), (-2.0, 2.0)), 13,
-                            attractors, t_final=20.0, dt=1e-3)
+            grid = basin_grids[name]
             path = tmp_path / ("%s-roa.csv" % name)
             write_csv(str(path), ["x1", "x2", "label"],
                       [[grid.points[i, 0], grid.points[i, 1], grid.labels[i]]
@@ -313,3 +339,32 @@ class TestBasinShift:
         assert moved["converged-to(0;0)"] > base["converged-to(0;0)"]
         assert moved["converged-to(3;0)"] < base["converged-to(3;0)"]
         assert sum(base.values()) == sum(moved.values()) == 169
+
+    def test_labels_equal_the_golden_labels(self, basin_grids, fig3):
+        golden = json.loads(GOLDEN.read_text())["labels"]
+        for name, grid in basin_grids.items():
+            assert grid.labels == tuple(golden[name + "@20"])
+        # at these horizons no row gets within CONV_RADIUS in time: every safe
+        # row ends max-time, also those that start inside a certified region
+        for t_final in (2.0, 5.0):
+            grid = roa_grid(fig3.controller, BASIN_BOX, 13,
+                            [np.array(a) for a in BASIN_ATTRACTORS], t_final=t_final, dt=1e-3)
+            assert grid.labels == tuple(golden["fig3@%g" % t_final])
+
+    def test_labels_match_the_separatrix_sides(self, basin_grids, separatrices):
+        # the basin of the stable boundary equilibrium is the side of both
+        # saddles' separatrices it lies on; every other safe node reaches the origin
+        for name, grid in basin_grids.items():
+            curves, stable = separatrices[name]
+            inside = separatrix_sides(curves, [stable])[0][0]
+            safe = [i for i, label in enumerate(grid.labels) if label != "unsafe-start"]
+            sides, distances = separatrix_sides(curves, grid.points[safe])
+            assert int(np.sum(distances < NEAR_CURVE)) == 0
+            expected = ["converged-to(3;0)" if np.array_equal(side, inside)
+                        else "converged-to(0;0)" for side in sides]
+            assert [grid.labels[i] for i in safe] == expected
+
+    def test_barrier_choice_moves_the_separatrix_by_more_than_a_cell(self, separatrices):
+        # the upper separatrix leaves ||x||_inf <= 8 at x1 ~ 2.57 (fig3), ~ 4.68 (fig3-h2a1)
+        exits = {name: curves[1][-1][0] for name, (curves, _) in separatrices.items()}
+        assert exits["fig3-h2a1"] - exits["fig3"] > BASIN_CELL

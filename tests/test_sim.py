@@ -21,7 +21,7 @@ from barrier_lab import (
     quadratic_clf,
     roa_grid,
 )
-from barrier_lab.sim import CONV_HOLD, CONV_RADIUS
+from barrier_lab.sim import CONV_HOLD, CONV_RADIUS, _region
 
 
 class DuckLoop:
@@ -53,6 +53,37 @@ class Rotation(DuckLoop):
     def field(self, x):
         d = np.asarray(x, dtype=float) - self.center
         return self.omega * np.stack([-d[..., 1], d[..., 0]], axis=-1)
+
+
+class Linear(DuckLoop):
+    """dx/dt = J (x - center)."""
+
+    def __init__(self, jac, center=(0.0, 0.0)):
+        self.jac = np.asarray(jac, dtype=float)
+        self.center = np.asarray(center, dtype=float)
+
+    def field(self, x):
+        return (np.asarray(x, dtype=float) - self.center) @ self.jac.T
+
+
+class Kinked(DuckLoop):
+    """dx/dt = -e + 5 ||e|| (1, 0), e = x: central differences at 0 give J = -I,
+    but along +x1 the field points outward at every scale."""
+
+    def field(self, x):
+        x = np.asarray(x, dtype=float)
+        return -x + 5.0 * np.linalg.norm(x, axis=-1, keepdims=True) * np.array([1.0, 0.0])
+
+
+class CountedField:
+    """A controller whose field calls are counted."""
+
+    def __init__(self, controller):
+        self.controller, self.pair, self.calls = controller, controller.pair, 0
+
+    def field(self, x):
+        self.calls += 1
+        return self.controller.field(x)
 
 
 def attractor_label(point) -> str:
@@ -171,6 +202,26 @@ class TestIntegrator:
             single = integrate(fig3.controller, x0, t_final=0.02, dt=1e-3)
             assert np.array_equal(traj.states, single.states)
             assert traj.terminal_label == single.terminal_label
+
+
+RAISES = {
+    "dt-zero": (lambda: integrate(ConstantVelocity([1.0, 0.0]), np.zeros(2), t_final=1.0, dt=0.0),
+                InvalidParameterError, "dt must be positive, got 0"),
+    "dt-negative": (lambda: roa_grid(ConstantVelocity([1.0, 0.0]), ((0, 1), (0, 1)), 2, (),
+                                     t_final=1.0, dt=-1e-3),
+                    InvalidParameterError, "dt must be positive, got -0.001"),
+    "horizon-below-one-step": (lambda: integrate(ConstantVelocity([1.0, 0.0]), np.zeros(2),
+                                                 t_final=1e-4, dt=1e-3),
+                               InvalidParameterError, "horizon 0.0001 is shorter than one step 0.001"),
+}
+
+
+@pytest.mark.parametrize("case", RAISES)
+def test_each_raise_names_what_failed(case):
+    call, error, message = RAISES[case]
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 class TestInvarianceAudit:
@@ -298,3 +349,47 @@ class TestConvergenceHold:
         assert int(inside.sum()) > CONV_HOLD
         runs = np.diff(np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]]))))[::2]
         assert len(runs) == 2 and max(runs) < CONV_HOLD
+
+
+class TestCertifiedRegions:
+    """roa_grid decides a row inside a stable attractor's region only when the
+    per-step rule would give it the same label before t_final."""
+
+    def test_lyapunov_matrix_and_first_level(self):
+        # a linear field passes the decay check at the first level: dV/dt = -||e||^2
+        jac = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        attractors = [np.array([1.0, 1.0]), np.array([4.0, 5.0])]
+        region = _region(Linear(jac, attractors[0]).field, attractors, 0)
+        assert region.index == 0
+        assert np.max(np.abs(jac.T @ region.p + region.p @ jac + np.eye(2))) < 1e-9
+        lam = np.linalg.eigvalsh(region.p)
+        assert (region.lam_min, region.lam_max) == (lam[0], lam[-1])
+        # V <= level keeps a row within half the distance 5 to the other attractor
+        assert region.level == pytest.approx(region.lam_min * 2.5 ** 2, rel=1e-12)
+
+    def test_attractors_that_get_no_region(self):
+        origin = [np.zeros(2)]
+        # a saddle, a NaN field, and a repeated attractor (level 0 never passes)
+        assert _region(Linear(np.diag([-1.0, 1.0])).field, origin, 0) is None
+        assert _region(ConstantVelocity([math.nan, 0.0]).field, origin, 0) is None
+        assert _region(Linear(-np.eye(2)).field, origin * 2, 1) is None
+        # stable linearization, but no level of the halving sequence passes
+        assert _region(Kinked().field, origin, 0) is None
+
+    def test_row_inside_a_region_near_the_horizon_keeps_stepping(self, fig3):
+        # V <= level at each node, but reaching CONV_RADIUS takes about 14 s
+        attractors = [np.zeros(2), np.array([3.0, 0.0])]
+        region = _region(fig3.controller.field, attractors, 0)
+        bounds = ((0.05, 0.06), (0.05, 0.06))
+        points = np.array([[x1, x2] for x1 in bounds[0] for x2 in bounds[1]])
+        assert np.all(np.einsum("ki,ij,kj->k", points, region.p, points) <= region.level)
+        short = CountedField(fig3.controller)
+        grid = roa_grid(short, bounds, 2, attractors, t_final=2.0, dt=1e-3)
+        assert grid.labels == ("max-time",) * 4
+        assert short.calls >= 4 * 2000
+        # with time to spare the region decides them at the first step, where
+        # the hold rule needs about 14,000 (TestRoaGrid checks labels against it)
+        full = CountedField(fig3.controller)
+        grid = roa_grid(full, bounds, 2, attractors, t_final=20.0, dt=1e-3)
+        assert grid.labels == ("converged-to(0;0)",) * 4
+        assert full.calls < 4 * 10
