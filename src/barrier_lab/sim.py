@@ -102,6 +102,15 @@ class _Region:
     lam_min: float      # extreme eigenvalues of P: lam_min ||e||^2 <= V <= lam_max ||e||^2
     lam_max: float
 
+    def decision_level(self, budget: float) -> float:
+        """The largest V at which a row inside is decided with budget >= 0 s left.
+
+        T_hit(V) <= budget is V <= lam_min r^2 exp(kappa budget / lam_max).
+        """
+        floor = self.lam_min * CONV_RADIUS ** 2
+        return floor * math.exp(min(REGION_KAPPA * budget / self.lam_max,
+                                    math.log(self.level / floor)))
+
 
 def _region(field, attractors: Sequence[np.ndarray], index: int) -> Optional[_Region]:
     """The certified region of attractors[index], or None.
@@ -133,44 +142,9 @@ def _region(field, attractors: Sequence[np.ndarray], index: int) -> Optional[_Re
         vdot = 2.0 * np.einsum("ki,ij,kj->k", e, p, field(center + e))
         # strict, so a level of 0 (a repeated attractor) never passes; NaN fails
         if np.all(vdot < -REGION_KAPPA * np.einsum("ki,ki->k", e, e)):
-            return _Region(index, p, level, float(lam[0]), float(lam[-1]))
+            return _Region(index, p, float(level), float(lam[0]), float(lam[-1]))
         level *= 0.5
     return None
-
-
-def _decision_levels(regions: Sequence[_Region], steps: int, dt: float):
-    """Per region and step, the largest V at which a row inside is decided, and its reach.
-
-    A row is decided at a step when V <= level and T_hit(V) <= (steps - step -
-    CONV_HOLD) dt, the time the hold rule has left; that is V <= min(level,
-    lam_min r^2 exp(kappa budget / lam_max)). No row farther than reach from
-    the region's attractor has such a V. Both are -1 where no time is left.
-    Also returns each step's largest reach over the regions (-1 if none).
-    """
-    budget = (steps - CONV_HOLD - np.arange(steps + 1)) * dt
-    timely = budget >= 0.0
-    levels = np.full((len(regions), steps + 1), -1.0)
-    reaches = np.full((len(regions), steps + 1), -1.0)
-    for k, region in enumerate(regions):
-        floor = region.lam_min * CONV_RADIUS ** 2
-        level = floor * np.exp(np.minimum(REGION_KAPPA * budget[timely] / region.lam_max,
-                                          math.log(region.level / floor)))
-        levels[k, timely] = level
-        reaches[k, timely] = np.sqrt(level / region.lam_min)
-    return levels, reaches, reaches.max(axis=0, initial=-1.0)
-
-
-def _decide_in_regions(regions: Sequence[_Region], levels: np.ndarray, reaches: np.ndarray,
-                       diff: np.ndarray, dists: np.ndarray, closest: float,
-                       done: np.ndarray, nearest: np.ndarray) -> None:
-    """Mark in done (and nearest) the rows not yet done that one region decides."""
-    for region, level, reach in zip(regions, levels, reaches):
-        if closest <= reach:
-            near = np.flatnonzero(~done & (dists[:, region.index] <= reach))
-            e = diff[near, region.index]
-            hit = near[np.einsum("ki,ij,kj->k", e, region.p, e) <= level]
-            done[hit] = True
-            nearest[hit] = region.index
 
 
 def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
@@ -203,7 +177,7 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
     differ in its sign bit, and a row that holds one leaves the pack.
     """
     steps = _horizon_steps(t_final, dt)
-    levels, reaches, reach = _decision_levels(regions, steps, dt)
+    reach = max((math.sqrt(r.level / r.lam_min) for r in regions), default=-1.0)
     x = np.array(x0s, dtype=float)
     batch, n = x.shape
     batch_contiguous = n <= 2
@@ -262,12 +236,21 @@ def _advance(controller, x0s: np.ndarray, t_final: float, dt: float,
                 holding = bool(run_hold[~done].any())
                 hold[run] = run_hold
                 last_near[run] = np.where(near, nearest, -1)
-            # likewise a row farther than every region's reach is not decided by one
-            if closest <= reach[step]:
-                if done is None:
-                    done, nearest = np.zeros(len(run_x), dtype=bool), np.full(len(run_x), -1)
-                _decide_in_regions(regions, levels[:, step], reaches[:, step], diff, dists,
-                                   closest, done, nearest)
+            # likewise a row outside every region is not decided by one, nor
+            # is any row once the hold rule has no time left
+            budget = (steps - step - CONV_HOLD) * dt
+            if closest <= reach and budget >= 0.0:
+                for region in regions:
+                    level = region.decision_level(budget)
+                    region_reach = math.sqrt(level / region.lam_min)
+                    if closest <= region_reach:
+                        if done is None:
+                            done, nearest = np.zeros(len(run_x), dtype=bool), np.full(len(run_x), -1)
+                        near = np.flatnonzero(~done & (dists[:, region.index] <= region_reach))
+                        e = diff[near, region.index]
+                        hit = near[np.einsum("ki,ij,kj->k", e, region.p, e) <= level]
+                        done[hit] = True
+                        nearest[hit] = region.index
             if done is not None and done.any():
                 status[ids[run][done]] = STATUS_CONVERGED
                 attr_index[ids[run][done]] = nearest[done]
