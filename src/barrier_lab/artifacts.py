@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-JsonValue = Union[None, bool, int, float, str, complex, dict, list, tuple, np.ndarray]
+JsonValue = Union[None, bool, int, float, str, complex, dict, list, tuple]
 
 FLOAT_FORMAT = "%.17g"
 JSON_INDENT = 2
@@ -31,23 +31,18 @@ def _render(value: JsonValue, out: list, level: int) -> None:
     inner = " " * (JSON_INDENT * (level + 1))
     if value is None:
         out.append("null")
-    elif isinstance(value, (bool, np.bool_)):
+    elif isinstance(value, bool):
         out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, int):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         v = float(value)
         out.append(fmt_float(v) if np.isfinite(v) else "null")
-    elif isinstance(value, (complex, np.complexfloating)):
+    elif isinstance(value, complex):
         _render({"re": float(value.real), "im": float(value.imag)}, out, level)
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, np.ndarray):
-        _render(value.tolist(), out, level)
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         out.append("{\n")
         items = list(value.items())
         for i, (key, item) in enumerate(items):
@@ -140,9 +135,7 @@ def write_text(path: str, text: str) -> None:
 
 
 def table(lines: Sequence[Sequence[str]]) -> str:
-    """Align a list of string rows into fixed-width columns."""
-    if not lines:
-        return ""
+    """Align a nonempty list of string rows into fixed-width columns."""
     widths = [max(len(row[i]) for row in lines) for i in range(len(lines[0]))]
     out = []
     for row in lines:

@@ -314,16 +314,15 @@ class ScenarioRun:
                          % (_mat(config.clf["Q"]), _point_str(config.clf["xstar"]),
                             beta_desc))
         lines.append("seed        %d" % config.seed)
-        if config.notes:
-            lines.append("")
-            lines.append("notes")
-            for note in config.notes:
-                lines.append("  - %s" % note)
-        if config.applied_defaults:
-            lines.append("")
-            lines.append("defaults applied")
-            for note in config.applied_defaults:
-                lines.append("  - %s" % note)
+
+        def section(title, entries):
+            if entries:
+                lines.append("")
+                lines.append(title)
+                lines.extend("  - %s" % entry for entry in entries)
+
+        section("notes", config.notes)
+        section("defaults applied", config.applied_defaults)
         if self.reports is not None:
             lines.append("")
             lines.append("equilibria (%d)" % len(self.reports))
@@ -334,27 +333,13 @@ class ScenarioRun:
                              "(" + ", ".join("%.9g" % m for m in r.multipliers) + ")",
                              "%.3g" % r.residual])
             lines.extend("  " + row for row in table(grid).splitlines())
-        if self.task_lines:
-            lines.append("")
-            lines.append("task log")
-            for entry in self.task_lines:
-                lines.append("  - %s" % entry)
-        if self.warnings:
-            lines.append("")
-            lines.append("warnings")
-            for entry in self.warnings:
-                lines.append("  - %s" % entry)
-        if self.artifacts:
-            lines.append("")
-            # the directory's own name only, so the summary does not depend on
-            # where the output tree sits
-            lines.append("artifacts in %s" % os.path.basename(os.path.normpath(self.out_dir)))
-            for name in self.artifacts:
-                lines.append("  - %s" % name)
-        if self.error:
-            lines.append("")
-            lines.append("error")
-            lines.append("  - %s" % self.error)
+        section("task log", self.task_lines)
+        section("warnings", self.warnings)
+        # the directory's own name only, so the summary does not depend on
+        # where the output tree sits
+        section("artifacts in %s" % os.path.basename(os.path.normpath(self.out_dir)),
+                self.artifacts)
+        section("error", [self.error] if self.error else [])
         return "\n".join(lines) + "\n"
 
     def write_summary(self) -> None:
@@ -411,9 +396,7 @@ def compare_pairs(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict
     for controller in controllers:
         reports = [r for r in find_boundary_equilibria(controller)
                    if r.desirability == "undesirable"]
-        reports = attach_spectra(reports, controller)
-        reports.sort(key=lambda r: state_sort_key(r.x_star))
-        per_pair.append(reports)
+        per_pair.append(attach_spectra(reports, controller))
 
     field_samples = default_boundary_samples(pairs[0], BOUNDARY_FIELD_SAMPLES)
     hausdorff_max = difference_max = residual_max = field_max = 0.0

@@ -110,8 +110,9 @@ class _Source:
         try:
             pos = _SPACE.match(self.text).end()
             for part in parts:
-                pos = next((start for name, start in self._members(pos) if name == part),
-                           None)
+                # the last member of a duplicated key: the one json.loads keeps
+                pos = max((start for name, start in self._members(pos) if name == part),
+                          default=None)
                 if pos is None:
                     break
                 found = pos
@@ -123,8 +124,6 @@ class _Source:
         """(key or index, value start) of each member of the container at pos."""
         text = self.text
         opener = text[pos:pos + 1]
-        if opener not in ("{", "["):
-            return
         pos = _SPACE.match(text, pos + 1).end()
         index = 0
         while text[pos] not in "}]":

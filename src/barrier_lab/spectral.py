@@ -235,9 +235,7 @@ def _spectrum(controller, report: EquilibriumReport) -> SpectralResult:
         pair = controller.pair
         return eigen_and_classify(closed_form(controller, report.x_star),
                                   float(pair.alpha.deriv(0.0)), pair.grad_h(report.x_star))
-    jac = central_difference_jacobian(lambda s: np.asarray(controller.field(s), dtype=float),
-                                      report.x_star)
-    return eigen_and_classify(jac)
+    return eigen_and_classify(central_difference_jacobian(controller.field, report.x_star))
 
 
 def attach_spectra(reports: Sequence[EquilibriumReport], controller) -> List[EquilibriumReport]:

@@ -1,10 +1,13 @@
-"""CSV cell tokens and the streaming CSV writer."""
+"""CSV cell tokens, the streaming CSV writer, and the JSON values a run writes."""
 
 import math
 
 import numpy as np
+import pytest
 
-from barrier_lab.artifacts import _csv_cell, fmt_float, write_csv
+from barrier_lab import InvalidParameterError, builtin_scenario, validate_config
+from barrier_lab.artifacts import _csv_cell, fmt_float, json_dumps, write_csv
+from barrier_lab.cli import ScenarioRun
 
 
 def reference_cell(value) -> str:
@@ -104,3 +107,32 @@ def test_row_format_is_byte_identical_to_the_cell_join(tmp_path):
         write_csv(str(path), ["h"], iter(case))
         expected = "h\n" + "".join(",".join(map(_csv_cell, row)) + "\n" for row in case)
         assert path.read_bytes() == expected.encode("utf-8"), i
+
+
+# case: (value, message); JSON takes None, bool, int, float, complex, str, and
+# dicts with string keys, lists and tuples of those, and nothing else
+RAISES = {
+    "int-key": ({1: 2}, "JSON object keys must be strings, got 1"),
+    "object": (object(), "cannot serialize 'object' to JSON"),
+    "numpy-int": ([np.int64(3)], "cannot serialize 'int64' to JSON"),
+}
+
+
+@pytest.mark.parametrize("case", RAISES)
+def test_each_raise_names_what_failed(case):
+    value, message = RAISES[case]
+    with pytest.raises(InvalidParameterError) as excinfo:
+        json_dumps(value)
+    assert type(excinfo.value) is InvalidParameterError and str(excinfo.value) == message
+
+
+def test_a_run_without_equilibria_writes_an_empty_array(tmp_path):
+    # fig3's plant under a rotation gain: its one equilibrium, the origin,
+    # is inside the ball, so the run finds none
+    data = builtin_scenario("fig3").to_json_dict()
+    data["system"]["K"] = [[0, -1], [1, 0]]
+    data["cbfs"][0]["center"] = [0, 0]
+    run = ScenarioRun(validate_config(data), out_dir=str(tmp_path))
+    assert run.run() == 0
+    assert (tmp_path / "equilibria.json").read_bytes() == (
+        b'{\n  "scenario": "fig3",\n  "controller": "safety-filter",\n  "reports": []\n}\n')

@@ -85,6 +85,23 @@ REJECTIONS = [
 
 
 DELETE = object()   # the edit that removes the key or entry
+
+
+class Twice:
+    """The edit that writes its key twice, first with value first, then with value.
+
+    json.loads keeps the last member of a duplicated key, so an error in value
+    names the line of the second member.
+    """
+
+    def __init__(self, first, value):
+        self.first, self.value = first, value
+
+    def write_first(self, text: str, keys) -> str:
+        member = '\n%s"%s": ' % ("  " * len(keys), keys[-1])
+        return text.replace(member, "%s%s,%s" % (member, json.dumps(self.first), member), 1)
+
+
 # one bad value per distinct validator message not pinned above, in the same
 # form; a None line is a complaint about the document as a whole
 MESSAGES = {
@@ -171,6 +188,9 @@ MESSAGES = {
                    "give exactly one of 'x0' or 'x0s'", 177),
     "schema-version": (FIG3, ("schema_version",), 2, "schema_version",
                        "unsupported version 2 (this build reads 1)", 2),
+    "duplicated-key": (FIG3, ("system",),
+                       Twice(1, {"builtin": "bogus", "K": [[-1, 0], [0, -5]]}), "system.builtin",
+                       "must be one of {integrator-2d}, got 'bogus'", 6),
 }
 
 
@@ -210,8 +230,10 @@ class TestValidatorRejections:
         if value is DELETE:
             del holder[keys[-1]]
         else:
-            holder[keys[-1]] = value
+            holder[keys[-1]] = value.value if isinstance(value, Twice) else value
         text = json.dumps(doc, indent=2)
+        if isinstance(value, Twice):
+            text = value.write_first(text, keys)
         if line is not None:
             # the line holds the value at path, after its key when path ends in one
             found = text.splitlines()[line - 1].strip().rstrip(",")
@@ -227,6 +249,14 @@ class TestValidatorRejections:
         assert main(["run", "--config", str(bad)]) == 2
         where = "" if line is None else "line %d: " % line
         assert capsys.readouterr().err == "config error: %s%s: %s\n" % (where, path, message)
+
+    def test_a_value_of_no_json_type_is_named_by_its_type(self):
+        data = builtin_scenario("fig3").to_json_dict()
+        data["cbfs"] = tuple(data["cbfs"])
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(data)
+        assert (excinfo.value.path, excinfo.value.args[0], excinfo.value.line) == (
+            "cbfs", "expected an array, got tuple", None)
 
     def test_entries_are_found_by_index(self):
         # the third cbf's key, not the first cbf's, and a member of the entry itself

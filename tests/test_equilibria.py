@@ -1,5 +1,6 @@
 """Equilibrium search, boundary multipliers, desirability classification."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -14,6 +15,7 @@ from barrier_lab import (
     NotOnBoundaryError,
     PolishCounts,
     PreconditionError,
+    SafeSetGeometry,
     SafetyFilterController,
     StrictFeasibilityError,
     SystemModel,
@@ -280,6 +282,15 @@ class TestMultipliersOnBoundary:
         with pytest.raises(NotOnBoundaryError):
             multipliers_on_boundary(c, np.array([0.0, 4.6]))
 
+    def test_rejects_a_boundary_state_where_g_grad_h_vanishes(self, fig2):
+        # B = (1, 0)^T: at the top of fig2's ball, grad_h is normal to the input
+        plant = linear_system(np.zeros((2, 2)), np.array([[1.0], [0.0]]))
+        c = ClfCbfController(plant, fig2.pair, quadratic_clf(np.diag([6.0, 1.0])))
+        with pytest.raises(StrictFeasibilityError) as excinfo:
+            multipliers_on_boundary(c, np.array([0.0, 4.5]))
+        assert excinfo.type is StrictFeasibilityError
+        assert str(excinfo.value) == "||g^T grad_h|| vanishes on the boundary"
+
     def test_law_gives_the_same_bits_at_each_undesirable_equilibrium(self, fig2, analyzed):
         # the law's both-rows case and multipliers_on_boundary read the same
         # floats (qp._both_rows), so at fig2's undesirable boundary equilibria
@@ -333,6 +344,16 @@ class TestCollinearityFactor:
                                    controller="safety-filter", multipliers=(delta,),
                                    residual=0.0)
         assert classify_desirability(report, fig3.controller) == "inconclusive"
+
+    def test_rejects_a_state_where_d_grad_h_vanishes(self, fig3):
+        # B = (1, 0)^T: at the top of fig3's ball, grad_h is normal to the input
+        plant = linear_system(np.zeros((2, 2)), np.array([[1.0], [0.0]]),
+                              gain=np.array([[-1.0, 0.0]]))
+        c = SafetyFilterController(plant, fig3.pair)
+        with pytest.raises(StrictFeasibilityError) as excinfo:
+            collinearity_factor(c, np.array([2.0, 1.0]))
+        assert excinfo.type is StrictFeasibilityError
+        assert str(excinfo.value) == "D grad_h vanishes; no collinearity factor"
 
     def test_interior_is_always_desirable(self, fig3):
         report = EquilibriumReport(x_star=np.zeros(2), kind="interior",
@@ -657,3 +678,25 @@ class TestOrderingAndGuards:
     def test_barrier_free_controller_has_no_boundary(self, fig2):
         with pytest.raises(PreconditionError):
             find_boundary_equilibria(fig2.unfiltered)
+
+    def test_interior_search_needs_seeds(self, fig3):
+        with pytest.raises(PreconditionError) as excinfo:
+            find_interior_equilibria(fig3.controller, seeds=[])
+        assert excinfo.type is PreconditionError
+        assert str(excinfo.value) == "interior search needs a nonempty seed set"
+
+    def test_candidate_off_the_barrier_zero_set_is_logged_and_counted(self, fig2, caplog):
+        # a geometry that disagrees with h: the unit circle at (0, 1) passes
+        # through the origin, where fig2's field vanishes but h = -3.375
+        geometry = SafeSetGeometry(kind="ball-complement-2d", center=(0.0, 1.0), radius=1.0)
+        pair = dataclasses.replace(fig2.pair, geometry=geometry)
+        controller = ClfCbfController(fig2.model, pair, fig2.clf)
+        counts = PolishCounts()
+        with caplog.at_level(logging.DEBUG, logger="barrier_lab.equilibria"):
+            assert find_boundary_equilibria(controller, counts=counts) == []
+        records = [r for r in caplog.records if r.name == "barrier_lab.equilibria"]
+        [error] = [r for r in records if r.levelno == logging.ERROR]
+        assert re.fullmatch(r"boundary candidate at \S.* rejected: \|h\(x\)\| = 3\.375"
+                            r" is not below 1e-09", error.getMessage())
+        # one line per drop: the rejected candidate and each bracket off a zero
+        assert counts.dropped == len(records) > 1

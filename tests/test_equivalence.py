@@ -167,6 +167,15 @@ class TestVerdictBoundaries:
         with pytest.raises(PreconditionError):
             gradient_ratio(fig3.pair, fig3.pair, np.array([[0.0, 0.0]]))
 
+    def test_first_gradient_vanishing_on_its_zero_set_is_refused(self, fig3):
+        # h = (||x - c||^2 - r^2)^2 has the ball's zero set and a zero gradient there
+        squared = rebuild(fig3.pair, value_and_grad=lambda x: (
+            fig3.pair.h(x) ** 2, 2.0 * fig3.pair.h(x)[..., None] * fig3.pair.grad_h(x)))
+        with pytest.raises(PreconditionError) as excinfo:
+            gradient_ratio(squared, fig3.pair, default_boundary_samples(fig3.pair, 16))
+        assert excinfo.type is PreconditionError
+        assert str(excinfo.value) == "grad of the first barrier vanishes at a sample"
+
     def test_zero_set_mismatch_is_refused(self, fig3):
         other = make_ball_cbf((2.0, 0.0), 1.1)
         with pytest.raises(PreconditionError):
