@@ -8,7 +8,7 @@ tokens in CSV. Complex values are written as {"re": ..., "im": ...}.
 
 import json
 import os
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -81,51 +81,35 @@ def write_json(path: str, value: JsonValue) -> None:
         handle.write(json_dumps(value))
 
 
-def _csv_cell(value) -> str:
-    # '%.17g' renders nan (of either sign), inf and -inf as those tokens
-    if isinstance(value, float):
-        return FLOAT_FORMAT % value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return FLOAT_FORMAT % float(value)
+# the cell format of a column, by its dtype kind: float, signed int, str
+_COLUMN_FORMATS = {"f": FLOAT_FORMAT, "i": "%d", "U": "%s"}
 
 
-# the _csv_cell token of a cell of exactly this type, as a % conversion
-_CELL_FORMATS = {float: FLOAT_FORMAT, int: "%d", str: "%s"}
+def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """Write one line per row from one array per column.
 
-
-def _csv_line(row: Sequence) -> str:
-    return ",".join(map(_csv_cell, row)) + "\n"
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows as they come, one line each; rows may be any iterable.
-
-    The first row's cell types fix one line format when each is exactly
-    float, int or str: a row of those same types is rendered by one %
-    operation, with the tokens _csv_cell gives. Any other row, and every
-    row when the first holds another type (bool, numpy scalars), is
-    rendered cell by cell.
+    A column's dtype fixes its cell format once: a float column is written
+    with '%.17g' (nan of either sign, inf and -inf as those tokens), an int
+    column in decimal and a str column as it is, unquoted. Any other dtype
+    (bool, object, ...) raises InvalidParameterError, as do a column count
+    other than the header's and columns of unequal length.
     """
+    columns = [np.asarray(column) for column in columns]
+    if len(columns) != len(header):
+        raise InvalidParameterError("CSV header has %d columns, got %d"
+                                    % (len(header), len(columns)))
+    if len({len(column) for column in columns}) > 1:
+        raise InvalidParameterError("CSV columns differ in length: %s"
+                                    % [len(column) for column in columns])
+    for name, column in zip(header, columns):
+        if column.dtype.kind not in _COLUMN_FORMATS:
+            raise InvalidParameterError("cannot write CSV column %r of dtype %s"
+                                        % (name, column.dtype))
+    line = ",".join(_COLUMN_FORMATS[column.dtype.kind] for column in columns) + "\n"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is None:
-            return
-        handle.write(_csv_line(first))
-        types = tuple(map(type, first))
-        if not all(t in _CELL_FORMATS for t in types):
-            handle.writelines(map(_csv_line, rows))
-            return
-        line = ",".join(_CELL_FORMATS[t] for t in types) + "\n"
-        handle.writelines(line % tuple(row) if tuple(map(type, row)) == types
-                          else _csv_line(row) for row in rows)
+        handle.writelines(line % row for row in zip(*(column.tolist() for column in columns)))
 
 
 def write_text(path: str, text: str) -> None:

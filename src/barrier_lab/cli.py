@@ -207,12 +207,9 @@ class ScenarioRun:
 
     def run_field(self, params: dict) -> None:
         grid = field_grid(self.controller, params["bounds"], params["resolution"])
-        states, velocity = grid.states, grid.velocity
-        rows = zip(states[:, 0].tolist(), states[:, 1].tolist(),
-                   velocity[:, 0].tolist(), velocity[:, 1].tolist(), grid.h.tolist(),
-                   grid.active_code.tolist(), grid.masked.tolist())
         self._write(write_csv, "field.csv",
-                    ["x1", "x2", "v1", "v2", "h", "active_code", "masked"], rows)
+                    ["x1", "x2", "v1", "v2", "h", "active_code", "masked"],
+                    [*grid.states.T, *grid.velocity.T, grid.h, grid.active_code, grid.masked])
         self.task_lines.append("field: %dx%d grid sampled" % grid.shape)
 
     def run_simulate(self, params: dict) -> None:
@@ -242,8 +239,8 @@ class ScenarioRun:
             h = np.asarray(pair.h(traj.states), dtype=float)
             header = (["t"] + ["x%d" % (i + 1) for i in range(n)]
                       + ["u%d" % (i + 1) for i in range(m)] + ["h"])
-            rows = np.column_stack([traj.times, traj.states, traj.inputs, h])
-            self._write(write_csv, name, header, rows.tolist())
+            self._write(write_csv, name, header,
+                        [traj.times, *traj.states.T, *traj.inputs.T, h])
             self.task_lines.append("%ssimulate from %s: %s (min h %.6g)"
                                    % (tag, _point_str(traj.states[0]),
                                       traj.terminal_label, float(np.min(h))))
@@ -255,8 +252,7 @@ class ScenarioRun:
                         attractors,
                         t_final=params.get("t_final", T_DEFAULT),
                         dt=params.get("dt", DT_DEFAULT))
-        rows = zip(grid.points[:, 0].tolist(), grid.points[:, 1].tolist(), grid.labels)
-        self._write(write_csv, "roa.csv", ["x1", "x2", "label"], rows)
+        self._write(write_csv, "roa.csv", ["x1", "x2", "label"], [*grid.points.T, grid.labels])
         counts = {}
         for label in grid.labels:
             counts[label] = counts.get(label, 0) + 1

@@ -26,7 +26,7 @@ T_DEFAULT = 20.0
 CONV_RADIUS = 1e-6      # distance to an attractor counting as "there"
 CONV_HOLD = 10          # consecutive steps inside the radius to conclude
 DIVERGE_NORM = 1e6      # leaving this ball labels the trajectory left-domain
-INVARIANCE_TOL = 1e-6
+AUDIT_TOL = 1e-6        # invariance_audit passes while min h >= -AUDIT_TOL
 HORIZON_RTOL = 1e-9     # t_final must be this close to a whole number of steps
 
 # Regions of attraction {(x - x*)^T P (x - x*) <= c}, J^T P + P J = -I, in which
@@ -347,10 +347,10 @@ def integrate(controller, x0: np.ndarray, t_final: float = T_DEFAULT,
 
 
 def invariance_audit(traj: Trajectory, pair) -> Tuple[float, str]:
-    """Minimum of h along the trajectory; pass iff it stays above -INVARIANCE_TOL."""
+    """Minimum of h along the trajectory; pass iff it stays above -AUDIT_TOL."""
     h = np.asarray(pair.h(traj.states), dtype=float)
     min_h = float(np.min(h))
-    return min_h, ("pass" if min_h >= -INVARIANCE_TOL else "fail")
+    return min_h, ("pass" if min_h >= -AUDIT_TOL else "fail")
 
 
 def _grid_nodes(bounds, resolution) -> Tuple[np.ndarray, Tuple[int, int]]:

@@ -1,7 +1,8 @@
 """Shared fixtures: builtin scenario bundles, safe-state sampling, caches, the
 per-state reference the controllers' one-pass evaluate is checked against, the
-slack of a barrier row, the separatrix oracle of the basins, and small helpers
-several test files use."""
+slack of a barrier row, the separatrix oracle of the basins, the boundary
+slope oracle of the reduced spectrum, the cell-by-cell CSV reference, and small
+helpers several test files use."""
 
 import json
 from pathlib import Path
@@ -22,6 +23,7 @@ from barrier_lab import (
     find_interior_equilibria,
     unfiltered_controller,
 )
+from barrier_lab.artifacts import fmt_float
 from barrier_lab.model import dot
 from barrier_lab.qp import DEGENERATE_NORM, _clf_cbf_solution, _filter_law, _unfiltered_solution
 
@@ -184,6 +186,43 @@ def all_kinds() -> dict:
 def bits(value) -> np.ndarray:
     """The float64 bit patterns of value: tells -0.0 from 0.0 and NaNs apart."""
     return np.ascontiguousarray(np.asarray(value, dtype=float)).view(np.uint64)
+
+
+def boundary_slope(controller, x_star, eps=1e-5) -> float:
+    """d/ds [t(s)^T F(x(s))] at the boundary point x_star.
+
+    s is arc length along controller.pair.geometry.boundary_at, t(s) the unit
+    tangent and F the closed-loop field. Where F(x_star) = 0 this is t^T J t,
+    the one reduced eigenvalue in the plane, read from the field alone: no
+    hess_h and no alpha. A central difference in theta with step eps; the
+    tangent dx/dtheta has length r and ds = r dtheta, so both divide by r.
+    """
+    geometry = controller.pair.geometry
+    offset = np.asarray(x_star, dtype=float) - geometry.center
+    theta = np.arctan2(offset[1], offset[0]) + np.array([-eps, eps])
+    x, tangent = geometry.boundary_at(theta)
+    along = np.sum(tangent * np.asarray(controller.field(x), dtype=float), axis=-1)
+    return float(along[1] - along[0]) / (2.0 * eps) / geometry.radius ** 2
+
+
+def reference_cell(value) -> str:
+    """The cell rendering the '%.17g' column formats replaced, kept as the reference."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if np.isnan(v):
+        return "nan"
+    if np.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return fmt_float(v)
+
+
+def reference_csv(header, columns) -> str:
+    """The CSV text of columns, rendered cell by cell with reference_cell."""
+    rows = zip(*columns)
+    return "".join(",".join(map(reference_cell, row)) + "\n" for row in [header, *rows])
 
 
 def max_certificate_error(problem, x, point) -> float:

@@ -323,9 +323,7 @@ class TestBasinShift:
         for name in ("fig3", "fig3-h2a1"):
             grid = basin_grids[name]
             path = tmp_path / ("%s-roa.csv" % name)
-            write_csv(str(path), ["x1", "x2", "label"],
-                      [[grid.points[i, 0], grid.points[i, 1], grid.labels[i]]
-                       for i in range(grid.points.shape[0])])
+            write_csv(str(path), ["x1", "x2", "label"], [*grid.points.T, grid.labels])
             with open(path, newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert len(rows) == 169

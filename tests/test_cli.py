@@ -17,18 +17,24 @@ import pytest
 import barrier_lab
 from barrier_lab import (
     ConfigError,
+    build_clf,
+    build_controller,
+    build_model,
     build_pairs,
     builtin_scenario,
     compare_pairs,
     comparison_config,
+    field_grid,
+    integrate_batch,
     main,
     parse_config_text,
+    roa_grid,
     validate_config,
 )
 from barrier_lab.artifacts import json_dumps
 from barrier_lab.cli import ScenarioRun, run_scenario
 from barrier_lab.config import BUILTIN_SCENARIOS, _Source
-from conftest import ALL_KINDS, all_kinds
+from conftest import ALL_KINDS, all_kinds, reference_csv
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -477,17 +483,21 @@ class TestScenarioRun:
         assert text == capsys.readouterr().out.encode()
         assert text.endswith(b"  - summary.txt\n")
 
-    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", [*BUILTIN_SCENARIOS, "all-kinds"])
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch, name):
+        # the builtins write JSON only; the all-kinds document writes every CSV
+        argv = (["run", "--config", str(ALL_KINDS)] if name == "all-kinds"
+                else ["scenario", name])
         outputs = []
         for sub in ("a", "b"):
             workdir = tmp_path / sub
             workdir.mkdir()
             monkeypatch.chdir(workdir)
-            assert main(["scenario", name]) == 0
+            assert main(argv) == 0
             outputs.append({p.name: p.read_bytes()
                             for p in (workdir / ("%s-artifacts" % name)).iterdir()})
         assert outputs[0] == outputs[1]
+        assert name != "all-kinds" or "roa.csv" in outputs[0]
 
 
 class TestEmitConfig:
@@ -599,6 +609,30 @@ class TestAllKindsRun:
         h = [np.loadtxt(out / ("trajectory-%d.csv" % j), delimiter=",", skiprows=1)[:, -1]
              for j in range(3)]
         assert min(h[0]) > 0.0 > min(h[1])
+        # each CSV is the cell-by-cell rendering of its task, rerun with the
+        # document's parameters (the first simulate task writes trajectory-0)
+        config = validate_config(all_kinds())
+        model = build_model(config)
+        controller = build_controller(config, model, build_pairs(config), build_clf(config))
+        field_task, simulate_task, _, roa_task = config.tasks[3:]
+        attractors = [np.array(report["x_star"]) for report in equilibria["reports"]]
+        field = field_grid(controller, field_task["bounds"], field_task["resolution"])
+        roa = roa_grid(controller, roa_task["bounds"], roa_task["resolution"], attractors,
+                       t_final=roa_task["t_final"], dt=roa_task["dt"])
+        traj, = integrate_batch(controller, [simulate_task["x0"]],
+                                t_final=simulate_task["t_final"], dt=simulate_task["dt"],
+                                attractors=attractors)
+        expected = {
+            "field.csv": reference_csv(
+                ["x1", "x2", "v1", "v2", "h", "active_code", "masked"],
+                [*field.states.T, *field.velocity.T, field.h, field.active_code, field.masked]),
+            "roa.csv": reference_csv(["x1", "x2", "label"], [*roa.points.T, roa.labels]),
+            "trajectory-0.csv": reference_csv(
+                ["t", "x1", "x2", "u1", "u2", "h"],
+                [traj.times, *traj.states.T, *traj.inputs.T, controller.pair.h(traj.states)]),
+        }
+        for name, text in expected.items():
+            assert (out / name).read_text() == text, name
 
 
 class TestComparison:

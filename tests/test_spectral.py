@@ -29,9 +29,9 @@ from barrier_lab import (
 )
 from barrier_lab import spectral
 from barrier_lab.config import (BUILTIN_SCENARIOS, build_clf, build_controller, build_model,
-                                build_pairs, builtin_scenario)
+                                build_pairs, builtin_scenario, comparison_config)
 from barrier_lab.model import constant_value, linear_map
-from conftest import reference_evaluation
+from conftest import boundary_slope, reference_evaluation
 
 SQ3 = math.sqrt(3.0)
 
@@ -264,6 +264,65 @@ class TestReducedSpectrum:
         assert abs(verdict.max_relative_difference - 5e-8) < 1e-12
         c = eigen_and_classify(np.diag([1e4 * (1.0 + 2e-7), -3.0, -10.0]), 10.0, grad)
         assert spectral_invariance_check(a, c).verdict == "fail"
+
+
+# boundary_slope's central difference against the closed-form reduced
+# eigenvalue: the worst relative gap over the 33 equilibria below is 4.06e-9
+# (fig2's saddles, the O(eps^2) truncation); the bound leaves a 10x margin
+SLOPE_TOL = 4e-8
+
+
+def _undesirable_on_boundary(controller):
+    reports = [r for r in find_boundary_equilibria(controller) if r.desirability == "undesirable"]
+    return attach_spectra(reports, controller)
+
+
+def _slope_gaps(controller, reports):
+    """Relative gap of boundary_slope to each report's one reduced eigenvalue."""
+    gaps = []
+    for r in reports:
+        reduced, = r.spectrum.reduced_eigenvalues
+        gaps.append(abs(boundary_slope(controller, r.x_star) - reduced) / abs(reduced))
+    return gaps
+
+
+class TestBoundarySlope:
+    """The reduced eigenvalue t^T J t is the slope of t^T F along the boundary.
+
+    The closed forms read hess_h and alpha'(0); the slope reads the field on
+    the boundary alone, the same for every barrier with that zero set.
+    """
+
+    def test_slope_equals_the_reduced_eigenvalue(self, bundles, analyzed):
+        gaps = []
+        for name in BUILTIN_SCENARIOS:
+            boundary, _ = analyzed(name)
+            gaps += _slope_gaps(bundles(name).controller,
+                                [r for r in boundary if r.desirability == "undesirable"])
+        for name in ("fig2", "fig3"):
+            config = comparison_config(name)
+            model, pairs, clf = build_model(config), build_pairs(config), build_clf(config)
+            for i in range(len(pairs)):
+                controller = build_controller(config, model, pairs, clf, cbf_index=i)
+                gaps += _slope_gaps(controller, _undesirable_on_boundary(controller))
+        assert len(gaps) == 33
+        assert max(gaps) < SLOPE_TOL
+
+    def test_a_wrong_hessian_fails_and_its_gradient_passes(self, bundles):
+        # fig3-h2a1's transformed barrier with hess_h off by 0.5 I: h and
+        # grad_h are untouched, so only the closed forms move
+        bundle = bundles("fig3-h2a1")
+        good = bundle.pair
+        bad = replace(good, hess_h=lambda x: good.hess_h(x) + 0.5 * np.eye(2))
+        controller = build_controller(bundle.config, bundle.model, [bad], bundle.clf,
+                                      cbf_index=0)
+        reports = _undesirable_on_boundary(controller)
+        assert len(reports) == 3
+        for r in reports:
+            fd_grad = central_difference_jacobian(
+                lambda s: np.asarray(bad.h(s), dtype=float)[None], r.x_star)[0]
+            assert np.max(np.abs(fd_grad - bad.grad_h(r.x_star))) < 1e-5
+        assert min(_slope_gaps(controller, reports)) > SLOPE_TOL
 
 
 def _tangent_family(n: int, rng):
