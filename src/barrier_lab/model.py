@@ -56,15 +56,17 @@ def constant_matrix(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     The evaluator carries the matrix as ``.constant`` (see constant_value),
     which marks it state-independent for consumers that compute with it once.
+    At one state it returns that read-only matrix itself.
     """
     mat = np.array(mat, dtype=float)
     mat.flags.writeable = False
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # read-only broadcast view; every consumer treats evaluator output
-        # as immutable, and skipping the copy keeps stepping loops cheap
-        return np.broadcast_to(mat, x.shape[:-1] + mat.shape)
+        batch = np.asarray(x, dtype=float).shape[:-1]
+        # read-only, as the matrix or a broadcast view of it; every consumer
+        # treats evaluator output as immutable, and skipping the copy keeps
+        # stepping loops cheap (np.broadcast_to alone costs microseconds)
+        return np.broadcast_to(mat, batch + mat.shape) if batch else mat
 
     evaluate.constant = mat
     return evaluate
@@ -78,10 +80,10 @@ def constant_value(fun: Callable) -> Optional[np.ndarray]:
 def linear_evaluator(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Evaluator x -> mat x, batched; carries the matrix as ``.matrix``.
 
-    An all-zero matrix yields exact +0.0 entries and a diagonal one scales x
-    entrywise: both skip the terms 0 * x_j, which could only change the
-    sign of a zero. The identity returns x as float, possibly x itself,
-    since x * 1.0 is x in every bit.
+    An all-zero matrix yields exact +0.0 entries (np.zeros at one state) and
+    a diagonal one scales x entrywise: both skip the terms 0 * x_j, which
+    could only change the sign of a zero. The identity returns x as float,
+    possibly x itself, since x * 1.0 is x in every bit.
     """
     mat = np.array(mat, dtype=float)
     mat.flags.writeable = False
@@ -91,7 +93,10 @@ def linear_evaluator(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         def evaluate(x):
             # in x's layout, like the ufunc outputs of the other branches
             x = np.asarray(x)
-            return np.zeros_like(x, dtype=float, shape=x.shape[:-1] + mat.shape[:1])
+            batch = x.shape[:-1]
+            if not batch:
+                return np.zeros(mat.shape[0])
+            return np.zeros_like(x, dtype=float, shape=batch + mat.shape[:1])
     elif diagonal and mat.diagonal().tolist() == [1.0] * mat.shape[0]:
         def evaluate(x):
             return np.asarray(x, dtype=float)

@@ -17,8 +17,12 @@ The closed-form laws (safety filter, CLF-CBF QP, unfiltered CLF control)
 live in the controller objects, vectorized over leading state axes: each
 computes the state-independent parts once and evaluates its law in one pass
 per call (evaluate -> u, field, multipliers, code); point(x) reads that pass
-at one state. The generic solver handles one state at a time and serves as
-the oracle the controllers are tested against.
+at one state. At one state the per-state quantities (eta, F_V, F_h, the
+multipliers, the code) are numpy scalars, not 0-d arrays: the same law code
+then runs scalar arithmetic, which gives the same bits at a tenth of a 0-d
+ufunc's cost, and _pick stands in for np.where. The generic solver handles
+one state at a time and serves as the oracle the controllers are tested
+against.
 """
 
 import itertools
@@ -40,6 +44,13 @@ DUAL_TOL = 1e-12         # multipliers may undershoot zero by this much
 DEGENERATE_NORM = 1e-12  # explicit-law denominator floor when the row binds
 
 Weight = Callable[[np.ndarray], np.ndarray]
+
+# the laws' constants as numpy scalars: a one-state pick returns one of them,
+# and it must still index like an array (lam[..., None]) and keep int's dtype
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
+_NAN = np.float64(np.nan)
+_FAILED = np.int_(-1)     # the active code of a degenerate row
 
 
 @dataclass(frozen=True)
@@ -364,11 +375,22 @@ def safety_filter_problem(model: SystemModel, pair: BarrierPair,
     return QpProblem(weight=doubled, penalty=None, rows=(row,))
 
 
+def _pick(cond, a, b):
+    """np.where(cond, a, b), or at one state (cond a numpy bool) the picked operand.
+
+    np.where costs about 2 us on 0-d input, a scalar step tens of ns; both
+    operands are computed either way, so the two give the same bits.
+    """
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
 def _filter_row(terms: _LoopTerms, pair: BarrierPair, x: np.ndarray):
     """(eta, g^T grad_h, W^{-1} g^T grad_h, f + g k) at x, batched."""
     hv, grad = pair.value_and_grad(x)
     drift = terms.drift(x)
-    eta = np.asarray(dot(grad, drift) + pair.alpha.fun(hv), dtype=float)
+    eta = dot(grad, drift) + pair.alpha.fun(hv)
     a, winv_a = terms.row(x, grad)
     return eta, a, winv_a, drift
 
@@ -414,7 +436,6 @@ def clf_problem(model: SystemModel, clf: LyapunovPair,
 def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: LyapunovPair,
                     x: np.ndarray) -> dict:
     """Shared geometric quantities of the CLF(-CBF) controllers at x (batched)."""
-    x = np.asarray(x, dtype=float)
     f = np.asarray(terms.drift(x), dtype=float)
     v, grad_v = clf.value_and_grad(x)
     grad_v = np.asarray(grad_v, dtype=float)
@@ -427,14 +448,14 @@ def _clf_cbf_fields(terms: _LoopTerms, cbf: Optional[BarrierPair], clf: Lyapunov
         "f": f,
         "av": av,
         "winv_av": winv_av,
-        "fv": np.asarray(dot(grad_v, f) + clf.beta.fun(v), dtype=float),
+        "fv": dot(grad_v, f) + clf.beta.fun(v),
         "vdv": dot(av, winv_av),   # ||grad_v||_D^2
     }
     if cbf is not None:
         data.update({
             "ah": ah,
             "winv_ah": winv_ah,
-            "fh": np.asarray(dot(grad_h, f) + cbf.alpha.fun(hv), dtype=float),
+            "fh": dot(grad_h, f) + cbf.alpha.fun(hv),
             "hdh": dot(ah, winv_ah),          # ||grad_h||_D^2
             "vdh": dot(av, winv_ah),          # grad_v^T D grad_h
         })
@@ -471,23 +492,23 @@ def _clf_cbf_solution(data: dict, p: float):
     lam1_clf = fv / a
     cond_clf = (lam1_clf >= -DUAL_TOL) & (fh - lam1_clf * bb >= -FEAS_TOL)
     pos_c = c > 0.0
-    lam2_cbf = -fh / np.where(pos_c, c, 1.0)   # read only where pos_c holds
+    lam2_cbf = -fh / _pick(pos_c, c, _ONE)   # read only where pos_c holds
     cond_cbf = pos_c & (lam2_cbf >= -DUAL_TOL) & (fv + lam2_cbf * bb <= FEAS_TOL)
     pos_det = det > 0.0
-    safe_det = np.where(pos_det, det, 1.0)
+    safe_det = _pick(pos_det, det, _ONE)
     lam1_both = num1 / safe_det
     lam2_both = num2 / safe_det
     cond_both = pos_det & (lam1_both >= -DUAL_TOL) & (lam2_both >= -DUAL_TOL)
 
-    # nested where keeps np.select's first-true-wins order at stepping cost
-    lam1 = np.where(cond_empty, 0.0,
-           np.where(cond_clf, lam1_clf,
-           np.where(cond_cbf, 0.0,
-           np.where(cond_both, lam1_both, np.nan))))
-    lam2 = np.where(cond_empty, 0.0,
-           np.where(cond_clf, 0.0,
-           np.where(cond_cbf, lam2_cbf,
-           np.where(cond_both, lam2_both, np.nan))))
+    # nested picks keep np.select's first-true-wins order at stepping cost
+    lam1 = _pick(cond_empty, _ZERO,
+           _pick(cond_clf, lam1_clf,
+           _pick(cond_cbf, _ZERO,
+           _pick(cond_both, lam1_both, _NAN))))
+    lam2 = _pick(cond_empty, _ZERO,
+           _pick(cond_clf, _ZERO,
+           _pick(cond_cbf, lam2_cbf,
+           _pick(cond_both, lam2_both, _NAN))))
     u = -lam1[..., None] * data["winv_av"] + lam2[..., None] * data["winv_ah"]
     return u, lam1, lam2
 
@@ -496,7 +517,7 @@ def _unfiltered_solution(data: dict, p: float):
     a = data["vdv"] + 1.0 / p
     # exact threshold: the explicit law switches at F_V = 0, unlike the
     # four-case solver mirror which carries the solver's feasibility slack
-    lam1 = np.where(data["fv"] <= 0.0, 0.0, data["fv"] / a)
+    lam1 = _pick(data["fv"] <= 0.0, _ZERO, data["fv"] / a)
     return -lam1[..., None] * data["winv_av"], lam1
 
 
@@ -596,9 +617,9 @@ class SafetyFilterController(_Controller):
         active = eta < 0.0
         # a degenerate active row (a batch's NaN u) has code -1 and a NaN multiplier
         failed = active & (den <= DEGENERATE_NORM ** 2)
-        code = np.where(failed, -1, np.where(active, 2, 0))
-        lam = np.where(active, -2.0 * eta / np.where(den > 0.0, den, 1.0), 0.0)
-        return u, field, np.where(failed, np.nan, np.maximum(lam, 0.0))[..., None], code
+        code = _pick(failed, _FAILED, 2 * active.astype(int))
+        lam = _pick(active, -2.0 * eta / _pick(den > 0.0, den, _ONE), _ZERO)
+        return u, field, _pick(failed, _NAN, np.maximum(lam, 0.0))[..., None], code
 
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
         return self._terms.drift(np.asarray(x, dtype=float))
@@ -626,14 +647,15 @@ class ClfCbfController(_Controller):
         data = _clf_cbf_fields(self._terms, self.pair, self.clf, x)
         u, lam1, lam2 = _clf_cbf_solution(data, self.p)
         failed = np.isnan(lam1)
-        u = np.where(failed[..., None], np.nan, u)
+        u = _pick(failed[..., None], _NAN, u)
         return u, data["f"] + self._terms.apply_g(x, u), lam1, lam2, failed
 
     def evaluate(self, x: np.ndarray):
         u, field, lam1, lam2, failed = self._pass(x)
-        code = (np.asarray(lam1) > 0.0).astype(int) + 2 * (np.asarray(lam2) > 0.0).astype(int)
-        code = np.where(failed, -1, code)
-        multipliers = np.stack([np.maximum(lam1, 0.0), np.maximum(lam2, 0.0)], axis=-1)
+        code = (lam1 > 0.0).astype(int) + 2 * (lam2 > 0.0).astype(int)
+        code = _pick(failed, _FAILED, code)
+        # np.stack's own steps, without its Python overhead (about 5 us at one state)
+        multipliers = np.maximum(np.concatenate((lam1[..., None], lam2[..., None]), axis=-1), 0.0)
         return u, field, multipliers, code
 
     def unfiltered_field(self, x: np.ndarray) -> np.ndarray:
@@ -661,7 +683,7 @@ class ClfController(_Controller):
 
     def evaluate(self, x: np.ndarray):
         u, field, lam1 = self._pass(x)
-        return u, field, np.maximum(lam1, 0.0)[..., None], (np.asarray(lam1) > 0.0).astype(int)
+        return u, field, np.maximum(lam1, 0.0)[..., None], (lam1 > 0.0).astype(int)
 
     def problem(self) -> QpProblem:
         return clf_problem(self.model, self.clf, self.weight, self.p)

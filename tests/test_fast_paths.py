@@ -1,7 +1,8 @@
 """Each fast path against the slow path it replaces, compared bit for bit.
 
 The fast paths: products with g and W formed once from their constant marks
-(identity products skipped), unit factors that skip the multiply by 1, each
+(identity products skipped), unit factors that skip the multiply by 1 (and
+the zero and constant evaluators that skip their arithmetic at one state), each
 state function's value and gradient from one evaluator, the CLF-CBF failure
 mask read from lam1, the basin loop stepping its running rows packed, in
 Fortran order for planar systems, and the batched products calling einsum's
@@ -13,6 +14,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from barrier_lab import (
     BarrierPair,
@@ -28,9 +30,9 @@ from barrier_lab import (
     roa_grid,
     transform_cbf,
 )
-from barrier_lab.model import (constant_state_map, dot, identity_map, linear_evaluator,
-                               linear_map, matvec, outer, quadratic_map,
-                               quadratic_offset_map)
+from barrier_lab.model import (constant_matrix, constant_state_map, constant_value, dot,
+                               identity_map, linear_evaluator, linear_map, matvec, outer,
+                               quadratic_map, quadratic_offset_map)
 from barrier_lab.qp import DUAL_TOL, FEAS_TOL, _clf_cbf_fields, _clf_cbf_solution
 from barrier_lab.sim import (CONV_HOLD, CONV_RADIUS, STATUS_CONVERGED, STATUS_ERROR,
                              STATUS_LEFT, STATUS_RUNNING, _advance, _attractor_label, _labels)
@@ -89,6 +91,26 @@ class TestUnitFactors:
         # a diagonal of ones beside a zero is no identity: the zero still scales
         assert np.array_equal(bits(linear_evaluator(np.diag([1.0, 0.0]))(SPECIAL[:2])),
                               bits(SPECIAL[:2] * np.array([1.0, 0.0])))
+        # a zero matrix skips every 0 * x_j: +0.0 entries of shape (..., m),
+        # also at one state, where it returns np.zeros(m)
+        for mat in (np.zeros((2, 2)), np.zeros((1, 2))):
+            zero = linear_evaluator(mat)
+            for x in (SPECIAL, SPECIAL[2], SPECIAL[3]):
+                got = zero(x)
+                assert type(got) is np.ndarray and got.shape == x.shape[:-1] + mat.shape[:1]
+                assert np.array_equal(bits(got), bits(np.zeros(got.shape)))
+        # a constant matrix skips the broadcast at one state: it returns the
+        # marked matrix itself, read-only like the batch's broadcast view
+        for mat in (np.eye(2), np.array([[1.0, 0.3], [-0.0, 1.5]])):
+            constant = constant_matrix(mat)
+            for x in (SPECIAL, SPECIAL[2]):
+                got = constant(x)
+                want = np.broadcast_to(mat, x.shape[:-1] + mat.shape)
+                assert got.shape == want.shape and np.array_equal(bits(got), bits(want))
+                with pytest.raises(ValueError, match="read-only"):
+                    got[..., 0, 0] = 1.0
+            assert constant(SPECIAL[2]) is constant_value(constant)
+            assert np.array_equal(bits(constant_value(constant)), bits(mat))
 
     def test_unit_slope_is_the_multiply(self):
         unit = linear_map(1.0)

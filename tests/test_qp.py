@@ -52,6 +52,51 @@ def degenerate_plant(gain=None):
                          gain=gain)
 
 
+# (0, +-1) leave the m = 1 cbf row unsatisfiable: g^T grad_h = 0 with F_h < 0
+DEGENERATE_STATES = np.array([[0.0, 1.0], [0.0, -1.0]])
+
+
+def weighted_plant():
+    """(model, W, ball, clf) on which every hoisted matrix matters: A != 0, B != I, W != I."""
+    model = linear_system(np.array([[0.0, 1.0], [-1.0, 0.5]]),
+                          np.array([[1.0, 0.3], [0.2, 1.5]]),
+                          gain=np.array([[-1.0, 0.2], [0.1, -2.0]]))
+    weight = constant_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    return model, weight, make_ball_cbf((2.0, 0.0), 1.0), quadratic_clf(np.diag([2.0, 1.0]))
+
+
+def plant_states(pair, seed, low, high):
+    """Uniform states of the box [low, high]^2 with h >= 0."""
+    xs = np.random.default_rng(seed).uniform(low, high, size=(60, 2))
+    return xs[pair.h(xs) >= 0.0]
+
+
+def assert_single_states_are_batch_rows(controller, xs):
+    """evaluate(x) and field(x) at each state of xs are row i of the batch call, bit for bit.
+
+    All four evaluate outputs are compared, so -0.0 against 0.0 and the sign
+    of a NaN count. Pins the one-state types too: u, field and multipliers
+    are float64 arrays of one state's shape; the active code is a numpy
+    integer, or a 0-d int array on the nominal loop, which runs no law.
+    Returns the batch evaluate.
+    """
+    batch = controller.evaluate(xs)
+    assert same_bits(controller.field(xs), batch[1])
+    shapes = ((controller.model.m,), (controller.model.n,), (len(controller.row_bits),), ())
+    for i, x in enumerate(xs):
+        single = controller.evaluate(x)
+        for name, got, want, shape in zip(("u", "field", "multipliers", "code"), single, batch,
+                                          shapes):
+            assert same_bits(got, want[i]), (name, i)
+            assert np.shape(got) == shape and np.asarray(got).dtype == want.dtype, (name, i)
+        for got in single[:3]:
+            assert type(got) is np.ndarray and got.dtype == np.float64
+        code_type = np.ndarray if controller.kind == "nominal" else np.int_
+        assert type(single[3]) is code_type and single[3].dtype == np.int_
+        assert same_bits(controller.field(x), batch[1][i])
+    return batch
+
+
 class TestSafetyFilter:
     def test_inactive_region_passes_nominal_through(self, fig3):
         x = np.array([1.5, 0.0])
@@ -91,15 +136,34 @@ class TestSafetyFilter:
             assert np.max(np.abs(controller.evaluate(x)[0] - point.u)) < MATCH_TOL
             assert max_certificate_error(problem, x, point) < CERT_TOL
 
-    def test_batched_matches_single(self, fig3):
-        xs = fig3.safe_states(64, seed=13)
-        controller = fig3.controller
-        u_batch = controller.evaluate(xs)[0]
-        eta_batch = barrier_slack(fig3.pair, xs, controller.unfiltered_field(xs))
-        for i, x in enumerate(xs):
-            assert np.array_equal(u_batch[i], controller.evaluate(x)[0])
-            assert float(eta_batch[i]) == float(
-                barrier_slack(fig3.pair, x, controller.unfiltered_field(x)))
+    def test_batched_matches_single(self, bundles):
+        model, weight, ball, _ = weighted_plant()
+        unit = make_ball_cbf((0.0, 0.0), 1.0, form="full")
+        cases = [(bundles(name).controller, bundles(name).safe_states(64, seed=13))
+                 for name in CATALOG[:4]]
+        cases.append((SafetyFilterController(model, ball, weight), plant_states(ball, 5, -1.0, 5.0)))
+        m1 = SafetyFilterController(degenerate_plant(gain=np.zeros((1, 2))), unit)
+        m1_states = plant_states(unit, 6, -3.0, 3.0)
+        cases.append((m1, m1_states))
+        for controller, xs in cases:
+            assert controller.kind == "safety-filter"
+            assert_single_states_are_batch_rows(controller, xs)
+            eta_batch = barrier_slack(controller.pair, xs, controller.unfiltered_field(xs))
+            for i, x in enumerate(xs):
+                assert float(eta_batch[i]) == float(
+                    barrier_slack(controller.pair, x, controller.unfiltered_field(x)))
+        # at the degenerate states one state raises and a batch row fails
+        for x in DEGENERATE_STATES:
+            for call in (m1.evaluate, m1.point):
+                with pytest.raises(StrictFeasibilityError) as raised:
+                    call(x)
+                assert type(raised.value) is StrictFeasibilityError
+                assert str(raised.value) == ("eta < 0 with ||g^T grad_h|| ~ 0:"
+                                             " the cbf row cannot be met")
+        u, field, multipliers, code = m1.evaluate(np.vstack([m1_states, DEGENERATE_STATES]))
+        assert code[-2:].tolist() == [-1, -1] and np.all(code[:-2] >= 0)
+        assert np.isnan(u[-2:]).all() and np.isnan(field[-2:]).all()
+        assert np.isnan(multipliers[-2:]).all() and np.isfinite(u[:-2]).all()
 
 
 class TestClfCbfQp:
@@ -129,13 +193,33 @@ class TestClfCbfQp:
             assert max_certificate_error(problem, x, point) < CERT_TOL
 
     def test_batch_matches_single(self, fig2):
-        xs = fig2.safe_states(64, seed=22)
-        u, _, multipliers, code = fig2.controller.evaluate(xs)
-        for i, x in enumerate(xs):
-            point = fig2.controller.point(x)
-            assert np.array_equal(u[i], point.u)
-            assert float(multipliers[i, 0]) / fig2.controller.p == point.delta
-            assert int(code[i]) >= 0
+        model, weight, ball, clf = weighted_plant()
+        unit = make_ball_cbf((0.0, 0.0), 1.0, form="full")
+        m1 = ClfCbfController(degenerate_plant(), unit, quadratic_clf(np.eye(2)))
+        cases = ((fig2.controller, fig2.safe_states(64, seed=22)),
+                 (ClfCbfController(model, ball, clf, weight, p=3.0),
+                  plant_states(ball, 5, -1.0, 5.0)),
+                 (m1, plant_states(unit, 6, -3.0, 3.0)))
+        for controller, xs in cases:
+            assert controller.kind == "clf-cbf-qp"
+            u, _, multipliers, code = assert_single_states_are_batch_rows(controller, xs)
+            for i, x in enumerate(xs):
+                point = controller.point(x)
+                assert same_bits(u[i], point.u)
+                assert float(multipliers[i, 0]) / controller.p == point.delta
+                assert int(code[i]) >= 0
+        # at the degenerate states point raises, and evaluate gives code -1
+        # and a +NaN u and multipliers, at one state as in a batch
+        u, _, multipliers, code = assert_single_states_are_batch_rows(m1, DEGENERATE_STATES)
+        assert code.tolist() == [-1, -1]
+        assert same_bits(u, np.full((2, 1), np.nan))
+        assert same_bits(multipliers, np.full((2, 2), np.nan))
+        for x in DEGENERATE_STATES:
+            with pytest.raises(InfeasibleProblemError) as raised:
+                m1.point(x)
+            assert type(raised.value) is InfeasibleProblemError
+            assert str(raised.value) == ("cbf row unsatisfiable: g^T grad_h = 0 with F_h < 0"
+                                         " at this state")
 
     def test_multiplier_equals_penalty_times_beta_when_gradients_d_orthogonal(self):
         # single-input plant where g^T grad_v = 0 on the boundary point:
@@ -198,13 +282,24 @@ class TestUnfilteredControl:
             assert np.max(np.abs(point.u - other.u)) < MATCH_TOL
             assert max_certificate_error(problem, x, point) < CERT_TOL
 
-    def test_batch_matches_single(self, fig2):
-        xs = fig2.safe_states(64, seed=32)
-        u, _, multipliers, _ = fig2.unfiltered.evaluate(xs)
-        for i, x in enumerate(xs):
-            point = fig2.unfiltered.point(x)
-            assert np.array_equal(u[i], point.u)
-            assert float(multipliers[i, 0]) == point.multipliers[0]
+    def test_batch_matches_single(self, bundles):
+        model, weight, _, clf = weighted_plant()
+        unit = make_ball_cbf((0.0, 0.0), 1.0, form="full")
+        cases = [(bundles(name).unfiltered, bundles(name).safe_states(64, seed=32))
+                 for name in CATALOG]
+        cases += [(ClfController(model, clf, weight, p=3.0),
+                   np.random.default_rng(5).uniform(-1.0, 5.0, size=(40, 2))),
+                  (ClfController(degenerate_plant(), quadratic_clf(np.eye(2))),
+                   np.vstack([plant_states(unit, 6, -3.0, 3.0), DEGENERATE_STATES]))]
+        kinds = set()
+        for controller, xs in cases:
+            kinds.add(controller.kind)
+            u, _, multipliers, _ = assert_single_states_are_batch_rows(controller, xs)
+            for i, x in enumerate(xs):
+                point = controller.point(x)
+                assert same_bits(u[i], point.u)
+                assert point.multipliers == tuple(multipliers[i].tolist())
+        assert kinds == {"clf", "nominal"}
 
 
 def one_row_problem(weight, normal, penalty=None):
@@ -353,17 +448,11 @@ class TestOnePassEvaluate:
                     assert np.max(np.abs(multipliers[i] - point.multipliers)) < MATCH_TOL
                     assert max_certificate_error(problem, x, point) < CERT_TOL
 
-        # a plant on which every hoisted matrix matters: A != 0, B != I, W != I
-        model = linear_system(np.array([[0.0, 1.0], [-1.0, 0.5]]),
-                              np.array([[1.0, 0.3], [0.2, 1.5]]),
-                              gain=np.array([[-1.0, 0.2], [0.1, -2.0]]))
-        weight = constant_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        ball = make_ball_cbf((2.0, 0.0), 1.0)
+        model, weight, ball, clf = weighted_plant()
         xs = np.random.default_rng(5).uniform(-1.0, 5.0, size=(200, 2))
         xs = xs[ball.h(xs) >= 0.0]
         for controller in (SafetyFilterController(model, ball, weight),
-                           ClfCbfController(model, ball, quadratic_clf(np.diag([2.0, 1.0])),
-                                            weight, p=3.0)):
+                           ClfCbfController(model, ball, clf, weight, p=3.0)):
             _, _, _, code = assert_matches_reference(controller, xs)
             assert len(set(code.tolist())) > 1
             for x in xs[:25]:
@@ -407,20 +496,16 @@ class TestOnePassEvaluate:
             return apply_inverse(w, vec)
 
         monkeypatch.setattr(qp, "_apply_inverse", counted)
-        model = linear_system(np.array([[0.0, 1.0], [-1.0, 0.5]]),
-                              np.array([[1.0, 0.3], [0.2, 1.5]]),
-                              gain=np.array([[-1.0, 0.2], [0.1, -2.0]]))
-        w = np.array([[2.0, 0.5], [0.5, 1.0]])
+        model, marked, ball, clf = weighted_plant()
+        w = marked.constant
 
         def weight(x):
             return np.broadcast_to(w, np.shape(x)[:-1] + w.shape)
 
-        ball = make_ball_cbf((2.0, 0.0), 1.0)
         xs = np.random.default_rng(5).uniform(-1.0, 5.0, size=(200, 2))
         xs = xs[ball.h(xs) >= 0.0]
         for controller in (SafetyFilterController(model, ball, weight),
-                           ClfCbfController(model, ball, quadratic_clf(np.diag([2.0, 1.0])),
-                                            weight, p=3.0)):
+                           ClfCbfController(model, ball, clf, weight, p=3.0)):
             solves.clear()
             u, _, multipliers, code = assert_matches_reference(controller, xs)
             assert solves and len(set(code.tolist())) > 1
@@ -568,19 +653,12 @@ def assert_solver_matches_reference(problem, states):
 
 def oracle_problems():
     """(label, problem, states) beyond the builtins: the W != I and m = 1 plants."""
-    # A != 0, B != I, W != I and a nominal gain all matter on this plant
-    model = linear_system(np.array([[0.0, 1.0], [-1.0, 0.5]]),
-                          np.array([[1.0, 0.3], [0.2, 1.5]]),
-                          gain=np.array([[-1.0, 0.2], [0.1, -2.0]]))
-    weight = constant_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    ball = make_ball_cbf((2.0, 0.0), 1.0)
-    clf = quadratic_clf(np.diag([2.0, 1.0]))
+    model, weight, ball, clf = weighted_plant()
     xs = np.random.default_rng(5).uniform(-1.0, 5.0, size=(300, 2))
     xs = xs[ball.h(xs) >= 0.0]
     unit = make_ball_cbf((0.0, 0.0), 1.0, form="full")
-    # (0, +-1) leave the m = 1 cbf row unsatisfiable: the rows are inconsistent
-    ys = np.vstack([np.random.default_rng(6).uniform(-3.0, 3.0, size=(300, 2)),
-                    [[0.0, 1.0], [0.0, -1.0]]])
+    # at DEGENERATE_STATES the m = 1 rows are inconsistent
+    ys = np.vstack([np.random.default_rng(6).uniform(-3.0, 3.0, size=(300, 2)), DEGENERATE_STATES])
     ys = ys[unit.h(ys) >= 0.0]
     return (
         ("weighted filter", safety_filter_problem(model, ball, weight), xs),
