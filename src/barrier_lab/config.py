@@ -16,10 +16,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DefinitenessError, InvalidParameterError
-from .model import (BarrierPair, LyapunovPair, ScalarMap, StateMap, SystemModel,
-                    constant_matrix, constant_state_map, identity_map, linear_map,
-                    linear_system, make_ball_cbf, quadratic_clf, quadratic_map,
-                    quadratic_offset_map, single_integrator_2d, transform_cbf)
+from .model import (BarrierPair, LyapunovPair, SystemModel, constant_matrix,
+                    constant_state_map, identity_map, linear_map, linear_system,
+                    make_ball_cbf, quadratic_clf, quadratic_map, quadratic_offset_map,
+                    single_integrator_2d, transform_cbf)
 from .qp import (ClfCbfController, ClfController, NominalClosedLoop,
                  SafetyFilterController, _checked_matrix)
 
@@ -27,15 +27,27 @@ SCHEMA_VERSION = 1
 SYSTEM_BUILTINS = ("integrator-2d",)
 CONTROLLER_KINDS = ("safety-filter", "clf-cbf-qp")
 
-# The kinds of each tagged object, in the order messages list them:
-# kind -> (required keys besides "kind", optional keys).
-_CBFS = {"ball": (("center", "radius", "alpha"), ("form",)),
-         "transform": (("base", "alpha"), ("a", "b", "gamma", "eta"))}
-_ALPHAS = {"linear": ((), ("slope",))}
-_GAMMAS = {"identity": ((), ()), "linear": (("slope",), ()), "quadratic": (("c1", "c2"), ())}
+# The kinds of each tagged object, in the order messages list them: kind ->
+# (required keys besides "kind", optional keys, builder of the validated object);
+# a cbf builder also takes the pairs built before it. Tasks have no builder:
+# ScenarioRun.run_<kind> runs each one.
+_CBFS = {"ball": (("center", "radius", "alpha"), ("form",),
+                  lambda d, pairs: make_ball_cbf(d["center"], d["radius"], form=d["form"],
+                                                 alpha=_built(_ALPHAS, d["alpha"]))),
+         "transform": (("base", "alpha"), ("a", "b", "gamma", "eta"),
+                       lambda d, pairs: transform_cbf(
+                           pairs[d["base"]], d["a"], d["b"], gamma=_built(_GAMMAS, d.get("gamma")),
+                           eta=_built(_ETAS, d.get("eta")), alpha=_built(_ALPHAS, d["alpha"])))}
+_ALPHAS = {"linear": ((), ("slope",), lambda d: linear_map(d["slope"]))}
+_GAMMAS = {"identity": ((), (), lambda d: identity_map()),
+           "linear": (("slope",), (), lambda d: linear_map(d["slope"])),
+           "quadratic": (("c1", "c2"), (), lambda d: quadratic_map(d["c1"], d["c2"]))}
 _BETAS = {kind: _GAMMAS[kind] for kind in ("identity", "linear")}
-_ETAS = {"constant": (("value",), ()), "quadratic-offset": (("center", "offset"), ())}
-_WEIGHTS = {"identity": ((), ()), "matrix": (("value",), ())}
+_ETAS = {"constant": (("value",), (), lambda d: constant_state_map(d["value"])),
+         "quadratic-offset": (("center", "offset"), (),
+                              lambda d: quadratic_offset_map(d["center"], d["offset"]))}
+_WEIGHTS = {"identity": ((), (), lambda d: None),
+            "matrix": (("value",), (), lambda d: constant_matrix(d["value"]))}
 _TASKS = {"equilibria": ((), ("sweep", "box", "per_axis")),
           "jacobians": ((), ()),
           "equivalence": ((), ("samples", "pairs")),
@@ -167,7 +179,7 @@ class _Validator:
         d = self.dict_at(value, path)
         if "kind" not in d:
             self.fail(path, "missing required key 'kind'")
-        required, optional = kinds[self.string(d["kind"], path + ".kind", choices=kinds)]
+        required, optional = kinds[self.string(d["kind"], path + ".kind", choices=kinds)][:2]
         self.keys(d, path, required=("kind",) + required, optional=optional)
         return d
 
@@ -507,33 +519,16 @@ def build_model(config: ScenarioConfig) -> SystemModel:
                          np.array(lin["B"], dtype=float), gain=gain)
 
 
-def _scalar_map(d: dict) -> ScalarMap:
-    if d["kind"] == "identity":
-        return identity_map()
-    if d["kind"] == "linear":
-        return linear_map(d["slope"])
-    return quadratic_map(d["c1"], d["c2"])
-
-
-def _state_map(d: dict) -> StateMap:
-    if d["kind"] == "constant":
-        return constant_state_map(d["value"])
-    return quadratic_offset_map(d["center"], d["offset"])
+def _built(kinds: dict, d: Optional[dict], *context):
+    """The object its kind's row of kinds builds from the validated d; None for no d."""
+    return None if d is None else kinds[d["kind"]][2](d, *context)
 
 
 def build_pairs(config: ScenarioConfig) -> List[BarrierPair]:
     """Instantiate every barrier pair; transforms reference earlier entries."""
     pairs: List[BarrierPair] = []
     for d in config.cbfs:
-        if d["kind"] == "ball":
-            pairs.append(make_ball_cbf(d["center"], d["radius"], form=d["form"],
-                                       alpha=_scalar_map(d["alpha"])))
-        else:
-            pairs.append(transform_cbf(
-                pairs[d["base"]], d["a"], d["b"],
-                gamma=_scalar_map(d["gamma"]) if "gamma" in d else None,
-                eta=_state_map(d["eta"]) if "eta" in d else None,
-                alpha=_scalar_map(d["alpha"])))
+        pairs.append(_built(_CBFS, d, pairs))
     return pairs
 
 
@@ -542,14 +537,7 @@ def build_clf(config: ScenarioConfig) -> Optional[LyapunovPair]:
         return None
     d = config.clf
     return quadratic_clf(np.array(d["Q"], dtype=float), xstar=d["xstar"],
-                         beta=_scalar_map(d["beta"]))
-
-
-def _weight_evaluator(config: ScenarioConfig) -> Optional[Callable]:
-    w = config.controller["weight"]
-    if w["kind"] == "identity":
-        return None
-    return constant_matrix(np.array(w["value"], dtype=float))
+                         beta=_built(_BETAS, d["beta"]))
 
 
 def build_controller(config: ScenarioConfig, model: SystemModel,
@@ -558,7 +546,7 @@ def build_controller(config: ScenarioConfig, model: SystemModel,
     """The configured closed-loop controller; cbf_index overrides the config."""
     cd = config.controller
     index = cd["cbf"] if cbf_index is None else cbf_index
-    weight = _weight_evaluator(config)
+    weight = _built(_WEIGHTS, cd["weight"])
     if cd["kind"] == "safety-filter":
         return SafetyFilterController(model, pairs[index], weight=weight)
     return ClfCbfController(model, pairs[index], clf, weight=weight, p=cd["p"])
@@ -570,7 +558,7 @@ def unfiltered_controller(config: ScenarioConfig, model: SystemModel,
     cd = config.controller
     if cd["kind"] == "safety-filter":
         return NominalClosedLoop(model)
-    return ClfController(model, clf, weight=_weight_evaluator(config), p=cd["p"])
+    return ClfController(model, clf, weight=_built(_WEIGHTS, cd["weight"]), p=cd["p"])
 
 
 # ---- builtin catalog ------------------------------------------------------

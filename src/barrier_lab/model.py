@@ -195,12 +195,7 @@ def quadratic_offset_map(center: Sequence[float], offset: float) -> StateMap:
         d = np.asarray(x, dtype=float) - center
         return dot(d, d) + offset, 2.0 * d
 
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        return np.broadcast_to(2.0 * np.eye(n), x.shape[:-1] + (n, n)).copy()
-
-    return StateMap(value_and_grad=value_and_grad, hess=hess)
+    return StateMap(value_and_grad=value_and_grad, hess=constant_matrix(2.0 * np.eye(len(center))))
 
 
 @dataclass(frozen=True)
@@ -397,12 +392,8 @@ def make_ball_cbf(center: Sequence[float], radius: float, form: str = "full",
         v = dot(d, d) - radius ** 2
         return (v, scale * d) if full else (0.5 * v, d)
 
-    def hess_h(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(scale * np.eye(2), x.shape[:-1] + (2, 2)).copy()
-
     geometry = SafeSetGeometry(kind="ball-complement-2d", center=center, radius=radius)
-    return BarrierPair(value_and_grad=value_and_grad, hess_h=hess_h,
+    return BarrierPair(value_and_grad=value_and_grad, hess_h=constant_matrix(scale * np.eye(2)),
                        alpha=identity_map() if alpha is None else alpha, geometry=geometry)
 
 

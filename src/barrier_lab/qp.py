@@ -706,7 +706,8 @@ class NominalClosedLoop(_Controller):
     def evaluate(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         batch = x.shape[:-1]
-        return self.model.k(x), self._drift(x), np.zeros(batch + (0,)), np.zeros(batch, dtype=int)
+        return (self.model.k(x), self._drift(x), np.zeros(batch + (0,)),
+                np.zeros(batch, dtype=int)[()])
 
     def field(self, x: np.ndarray) -> np.ndarray:
         return self._drift(np.asarray(x, dtype=float))

@@ -1,4 +1,4 @@
-"""Line gate: every function-body statement of src/barrier_lab runs under Tier-1.
+"""Line gate: every function-body statement and lambda of src/barrier_lab runs under Tier-1.
 
     PYTHONPATH=src python3 tests/line_gate.py [pytest options]
 
@@ -11,14 +11,21 @@ when any line of it gets a line event; a compound statement (if, for, while,
 with, try, a nested def) counts by its header, and the statements of its
 blocks count on their own.
 
-`tests/data/line_gate_allow.txt` exempts statements, one per line:
+Every lambda, module level included (a table row's builder, say), must also
+be called: the tracer records each call of a code object named `<lambda>`,
+keyed by its first line and the column where its body starts, so two lambdas
+on one line count apart. The column comes from the code's instruction
+positions, which needs Python 3.11 or later.
+
+`tests/data/line_gate_allow.txt` exempts statements and lambdas, one per line:
 
     file | function | stripped source text of the statement's first line | reason
 
-The function is the qualified name (`Class.method`, `outer.<locals>.inner`).
+The function is the qualified name (`Class.method`, `outer.<locals>.inner`;
+a lambda's ends in `<lambda>`).
 Blank lines and lines starting with '#' are skipped. Exits 1 when a test fails,
-when a statement that no entry names does not run, or when an entry names a
-statement that now runs or no longer exists; 0 otherwise. Tier-1 takes about
+when a statement or lambda that no entry names does not run, or when an entry
+names one that now runs or no longer exists; 0 otherwise. Tier-1 takes about
 twice as long under the tracer, so this runs as its own CI step.
 """
 
@@ -37,17 +44,19 @@ SEPARATOR = " | "
 
 
 def trace_lines(run):
-    """run() under a tracer; (its result, {real path: set of line numbers hit})."""
-    hits = {str(path.resolve()): set() for path in PACKAGE.glob("*.py")}
+    """run() under a tracer; (its result, {real path: (line numbers hit, lambda codes called)})."""
+    hits = {str(path.resolve()): (set(), set()) for path in PACKAGE.glob("*.py")}
     known = dict(hits)
 
     def on_call(frame, event, arg):
         name = frame.f_code.co_filename
         if name not in known:
             known[name] = hits.get(os.path.realpath(name))
-        lines = known[name]
-        if lines is None:
+        if known[name] is None:
             return None
+        lines, lambdas = known[name]
+        if frame.f_code.co_name == "<lambda>":
+            lambdas.add(frame.f_code)
 
         def on_line(frame, event, arg):
             if event == "line":
@@ -124,6 +133,38 @@ def function_statements(tree):
     return out
 
 
+def lambda_nodes(tree):
+    """(qualified name, node) of every lambda in tree, at any depth."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Lambda):
+                out.append((prefix + "<lambda>", child))
+                walk(child, prefix + "<lambda>.<locals>.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, prefix + child.name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return out
+
+
+def body_start(code):
+    """(first line, column where the body starts) of a lambda's code object.
+
+    The body's outermost expression carries the earliest instruction position;
+    the zero-width positions of the interpreter's own set-up instructions are
+    skipped.
+    """
+    starts = [(line, col) for line, end_line, col, end_col in code.co_positions()
+              if col is not None and (line, col) != (end_line, end_col)]
+    return code.co_firstlineno, min(starts)[1]
+
+
 def read_allowlist(path: Path):
     """{(file, function, source text): reason} of the allowlist file."""
     entries = {}
@@ -140,17 +181,24 @@ def read_allowlist(path: Path):
 
 
 def check(hits, allowed) -> int:
-    """Print each unrun statement and each stale entry; the number of problems."""
-    seen, unrun, total = set(), [], 0
+    """Print each unrun statement or lambda and each stale entry; the number of problems."""
+    seen, unrun, total, n_lambdas = set(), [], 0, 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        lines, ran = source.splitlines(), hits[str(path.resolve())]
-        for qualname, stmt, span in function_statements(ast.parse(source)):
-            key = (path.name, qualname, lines[stmt.lineno - 1].strip())
+        tree, (ran, lambdas) = ast.parse(source), hits[str(path.resolve())]
+        called = {body_start(code) for code in lambdas}
+        statements, nodes = function_statements(tree), lambda_nodes(tree)
+        total, n_lambdas = total + len(statements), n_lambdas + len(nodes)
+        units = [(qualname, stmt.lineno, bool(ran.intersection(span)))
+                 for qualname, stmt, span in statements]
+        units += [(qualname, node.lineno, (node.lineno, node.body.col_offset) in called)
+                  for qualname, node in nodes]
+        lines = source.splitlines()
+        for qualname, lineno, was_run in units:
+            key = (path.name, qualname, lines[lineno - 1].strip())
             seen.add(key)
-            total += 1
-            if not ran.intersection(span):
-                unrun.append((key, stmt.lineno))
+            if not was_run:
+                unrun.append((key, lineno))
     problems = 0
     for key, lineno in unrun:
         if key not in allowed:
@@ -164,8 +212,8 @@ def check(hits, allowed) -> int:
         elif key not in unrun_keys:
             print("allowlisted but run: %s (%s): %s" % key)
             problems += 1
-    print("line gate: %d function-body statements, %d not run, %d allowlisted, %d problems"
-          % (total, len(unrun), len(allowed), problems))
+    print("line gate: %d function-body statements and %d lambdas, %d not run, %d allowlisted, "
+          "%d problems" % (total, n_lambdas, len(unrun), len(allowed), problems))
     return problems
 
 

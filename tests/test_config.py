@@ -23,7 +23,9 @@ from barrier_lab import (
     transform_cbf,
     validate_config,
 )
-from barrier_lab.config import BUILTIN_SCENARIOS, COMPARISON_SCENARIOS
+from barrier_lab.config import (_ALPHAS, _BETAS, _CBFS, _ETAS, _GAMMAS, _TASKS, _WEIGHTS,
+                                BUILTIN_SCENARIOS, COMPARISON_SCENARIOS, CONTROLLER_KINDS,
+                                SYSTEM_BUILTINS)
 from barrier_lab.model import (constant_matrix, constant_state_map, identity_map, linear_map,
                                quadratic_map, quadratic_offset_map)
 from conftest import all_kinds, bits
@@ -161,6 +163,12 @@ def apply_fault(doc: dict, keys, action, value) -> dict:
 
 
 class TestSingleFaults:
+    def test_replacements_hold_every_kind_name(self):
+        # a kind that a table row or a name list adds is sampled as a value too
+        tables = (_CBFS, _ALPHAS, _GAMMAS, _BETAS, _ETAS, _WEIGHTS, _TASKS, CONTROLLER_KINDS,
+                  SYSTEM_BUILTINS)
+        assert {name for table in tables for name in table} <= set(KIND_NAMES)
+
     def test_each_fault_is_named_or_builds(self):
         base = all_kinds()
         outcomes = {"rejected": 0, "built": 0}

@@ -100,9 +100,14 @@ class TestUnitFactors:
                 assert type(got) is np.ndarray and got.shape == x.shape[:-1] + mat.shape[:1]
                 assert np.array_equal(bits(got), bits(np.zeros(got.shape)))
         # a constant matrix skips the broadcast at one state: it returns the
-        # marked matrix itself, read-only like the batch's broadcast view
-        for mat in (np.eye(2), np.array([[1.0, 0.3], [-0.0, 1.5]])):
-            constant = constant_matrix(mat)
+        # marked matrix itself, read-only like the batch's broadcast view; the
+        # Hessians of both ball forms and of the offset eta are such evaluators
+        skew = np.array([[1.0, 0.3], [-0.0, 1.5]])
+        for mat, constant in ((np.eye(2), constant_matrix(np.eye(2))),
+                              (skew, constant_matrix(skew)),
+                              (2.0 * np.eye(2), make_ball_cbf((0.0, 3.0), 1.5).hess_h),
+                              (np.eye(2), make_ball_cbf((0.0, 3.0), 1.5, form="half").hess_h),
+                              (2.0 * np.eye(2), quadratic_offset_map((5.0, 1.0), 1.0).hess)):
             for x in (SPECIAL, SPECIAL[2]):
                 got = constant(x)
                 want = np.broadcast_to(mat, x.shape[:-1] + mat.shape)

@@ -77,7 +77,7 @@ def assert_single_states_are_batch_rows(controller, xs):
     All four evaluate outputs are compared, so -0.0 against 0.0 and the sign
     of a NaN count. Pins the one-state types too: u, field and multipliers
     are float64 arrays of one state's shape; the active code is a numpy
-    integer, or a 0-d int array on the nominal loop, which runs no law.
+    integer on every controller kind.
     Returns the batch evaluate.
     """
     batch = controller.evaluate(xs)
@@ -91,8 +91,7 @@ def assert_single_states_are_batch_rows(controller, xs):
             assert np.shape(got) == shape and np.asarray(got).dtype == want.dtype, (name, i)
         for got in single[:3]:
             assert type(got) is np.ndarray and got.dtype == np.float64
-        code_type = np.ndarray if controller.kind == "nominal" else np.int_
-        assert type(single[3]) is code_type and single[3].dtype == np.int_
+        assert type(single[3]) is np.int_
         assert same_bits(controller.field(x), batch[1][i])
     return batch
 
